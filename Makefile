@@ -1,5 +1,6 @@
-# Contributor entry points mirroring .github/workflows/ci.yml, so CI is
-# reproducible locally with one command.  Tool-dependent targets (fmt, doc)
+# Contributor entry points for what .github/workflows/ci.yml checks; the
+# obs-, serve- and merge-smoke CI jobs run these targets as they are, so
+# CI is reproducible locally with one command.  Tool-dependent targets (fmt, doc)
 # skip with a notice when the tool is not installed rather than failing,
 # matching the CI jobs that install them explicitly.
 
@@ -41,26 +42,44 @@ bench-smoke:
 	dune exec test/check_bench.exe -- _build/default/test/BENCH_pipeline.json BENCH_pipeline.json
 	dune exec bin/namer_cli.exe -- report --check
 
-# Observability smoke mirroring the obs-smoke CI job: train + two cached
-# scans into a throwaway state dir, then assert 3 ledger records, an
-# OpenMetrics export that validates, and a report that shows both scans.
+# Observability smoke, run as-is by the obs-smoke CI job: train + two
+# cached --jobs 4 scans into a throwaway state dir, then assert 3 ledger
+# records, event logs whose every line is JSON with a trace/span context,
+# a --quiet warm scan that is silent on stderr yet logs its cache line and
+# hits >= 90% of files with identical output, OpenMetrics exports that
+# validate, and a report that shows both scans without flagging them.
 obs-smoke: build
 	@set -eu; \
 	state=$$(mktemp -d); trap 'rm -rf "$$state"' EXIT; \
 	export XDG_STATE_HOME="$$state"; \
-	dune exec bin/namer_cli.exe -- generate --lang python --repos 12 --out "$$state/corpus"; \
-	dune exec bin/namer_cli.exe -- train --lang python "$$state/corpus" --model "$$state/m.nmdl"; \
-	dune exec bin/namer_cli.exe -- scan --model "$$state/m.nmdl" --cache-dir "$$state/cache" \
-	  --metrics-out "$$state/om.prom" --log-json "$$state/scan1.jsonl" "$$state/corpus" > "$$state/s1.out"; \
-	dune exec bin/namer_cli.exe -- scan --model "$$state/m.nmdl" --cache-dir "$$state/cache" \
-	  --quiet --metrics-out "$$state/om.prom" --log-json "$$state/scan2.jsonl" "$$state/corpus" > "$$state/s2.out"; \
+	namer=_build/default/bin/namer_cli.exe; \
+	"$$namer" corpus --files 600 --out "$$state/corpus"; \
+	"$$namer" train "$$state/corpus" --model "$$state/m.nmdl" --log-json "$$state/train.jsonl"; \
+	"$$namer" scan --model "$$state/m.nmdl" --cache-dir "$$state/cache" --jobs 4 \
+	  --metrics-out "$$state/cold.prom" --log-json "$$state/scan1.jsonl" "$$state/corpus" \
+	  > "$$state/s1.out"; \
+	"$$namer" scan --model "$$state/m.nmdl" --cache-dir "$$state/cache" --jobs 4 --quiet \
+	  --metrics-out "$$state/warm.prom" --log-json "$$state/scan2.jsonl" "$$state/corpus" \
+	  > "$$state/s2.out" 2> "$$state/s2.err"; \
 	diff "$$state/s1.out" "$$state/s2.out"; \
+	test ! -s "$$state/s2.err"; \
+	hits=$$(grep -o 'cache: [0-9]* hits' "$$state/scan2.jsonl" | grep -o '[0-9]*'); \
+	misses=$$(grep -o '[0-9]* misses' "$$state/scan2.jsonl" | grep -o '[0-9]*'); \
+	test "$$hits" -gt 0; \
+	test $$((hits * 10)) -ge $$(((hits + misses) * 9)); \
+	python3 -c 'import json, sys; bad = [l for f in sys.argv[1:] for l in open(f) if not all(json.loads(l).get(k) for k in ("trace", "span", "level"))]; sys.exit("bad event lines: %s" % bad if bad else 0)' \
+	  "$$state/train.jsonl" "$$state/scan1.jsonl" "$$state/scan2.jsonl"; \
 	test "$$(wc -l < "$$state/namer/ledger.jsonl")" -eq 3; \
-	grep -q '^# EOF$$' "$$state/om.prom"; \
-	dune exec bin/namer_cli.exe -- report --check; \
-	echo "obs-smoke: OK"
+	grep -q '^# EOF$$' "$$state/cold.prom"; \
+	grep -q 'namer_scan_cache_hits_total' "$$state/warm.prom"; \
+	"$$namer" stats --openmetrics > "$$state/stats.prom"; \
+	grep -q '^# EOF$$' "$$state/stats.prom"; \
+	"$$namer" report --check > "$$state/report.txt"; \
+	cat "$$state/report.txt"; \
+	test "$$(grep -c ' scan ' "$$state/report.txt")" -eq 2; \
+	echo "obs-smoke: OK ($$hits/$$((hits + misses)) warm cache hits)"
 
-# Serve smoke mirroring the serve-smoke CI job: start the daemon on a
+# Serve smoke, run as-is by the serve-smoke CI job: start the daemon on a
 # Unix socket, fire 50 concurrent requests (with a model hot-swap
 # mid-traffic) through bench/loadtest.exe, and require the responses to
 # be byte-identical to `namer scan --model`, a clean SIGTERM drain, and
@@ -70,8 +89,8 @@ serve-smoke: build
 	state=$$(mktemp -d); trap 'rm -rf "$$state"' EXIT; \
 	namer=_build/default/bin/namer_cli.exe; \
 	loadtest=_build/default/bench/loadtest.exe; \
-	"$$namer" generate --lang python --repos 12 --out "$$state/corpus" 2>/dev/null; \
-	"$$namer" train --lang python "$$state/corpus" --model "$$state/m.nmdl" 2>/dev/null; \
+	"$$namer" corpus --files 600 --out "$$state/corpus" 2>/dev/null; \
+	"$$namer" train "$$state/corpus" --model "$$state/m.nmdl" 2>/dev/null; \
 	"$$namer" serve --model "$$state/m.nmdl" --socket "$$state/namer.sock" \
 	  --cache-dir "$$state/cache" --jobs 4 --ledger "$$state/ledger" \
 	  2> "$$state/daemon.err" & pid=$$!; \
@@ -90,7 +109,7 @@ serve-smoke: build
 	cat "$$state/daemon.err"; \
 	echo "serve-smoke: OK"
 
-# Merge smoke mirroring the merge-smoke CI job: deal a generated corpus's
+# Merge smoke, run as-is by the merge-smoke CI job: deal a generated corpus's
 # repos into two symlink-farm halves, train each into a partial, merge
 # the partials into a model, and require it to scan the corpus
 # byte-identically to a direct train over everything; then check the

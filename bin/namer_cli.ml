@@ -1,7 +1,7 @@
 (* The namer command-line tool.
 
    Subcommands:
-   - [namer generate]  write a synthetic Big Code corpus to disk;
+   - [namer corpus]    write a synthetic Big Code corpus to disk;
    - [namer train]     mine patterns from a directory and save the trained
                        model as a binary snapshot (train once…);
    - [namer scan]      report naming issues in a directory: either
@@ -25,7 +25,7 @@
    OpenMetrics textfile with --metrics-out.
 
    Example:
-     namer generate --lang python --repos 20 --out /tmp/bigcode
+     namer corpus --files 2000 --out /tmp/bigcode
      namer train --lang python --model bigcode.nmdl /tmp/bigcode
      namer scan --model bigcode.nmdl --cache-dir ~/.cache/namer /tmp/project
      namer report --check *)
@@ -269,25 +269,6 @@ let refs_fields ~jobs (refs : Namer.file_ref list) =
     );
   ]
 
-(* ---------------- generate ---------------- *)
-
-let generate lang repos seed out =
-  let cfg = { (Corpus.default_config lang) with Corpus.n_repos = repos; seed } in
-  let corpus = Corpus.generate cfg in
-  List.iter
-    (fun (f : Corpus.file) ->
-      let path = Filename.concat out f.Corpus.path in
-      mkdir_p (Filename.dirname path);
-      let oc = open_out path in
-      output_string oc f.Corpus.source;
-      close_out oc)
-    corpus.Corpus.files;
-  progress "wrote %d %s files (%d injected issues) under %s"
-    (List.length corpus.Corpus.files)
-    (Corpus.lang_name lang)
-    (List.length corpus.Corpus.injections)
-    out
-
 (* ---------------- corpus (paper scale, streaming) ---------------- *)
 
 let corpus_gen lang files files_per_repo seed out =
@@ -331,19 +312,6 @@ let corpus_cmd =
              in memory.")
     Term.(const corpus_gen $ lang_arg $ files $ files_per_repo $ seed $ out)
 
-let generate_cmd =
-  let repos =
-    Arg.(value & opt int 20 & info [ "repos" ] ~docv:"N" ~doc:"Number of repositories.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
-  let out =
-    Arg.(required & opt (some string) None & info [ "out"; "o" ] ~docv:"DIR"
-           ~doc:"Output directory.")
-  in
-  Cmd.v
-    (Cmd.info "generate" ~doc:"Generate a synthetic Big Code corpus on disk.")
-    Term.(const generate $ lang_arg $ repos $ seed $ out)
-
 (* ---------------- train / scan ---------------- *)
 
 let read_file path =
@@ -386,14 +354,6 @@ let report_skipped (skipped : Namer.skipped list) =
         (fun (s : Namer.skipped) ->
           progress "  skipped %s: %s" s.Namer.sk_file s.Namer.sk_reason)
         sk
-
-let skipped_json (skipped : Namer.skipped list) =
-  J.List
-    (List.map
-       (fun (s : Namer.skipped) ->
-         J.Obj
-           [ ("file", J.String s.Namer.sk_file); ("reason", J.String s.Namer.sk_reason) ])
-       skipped)
 
 (* Self-mining: no commit history and no labeled data on a raw directory,
    so confusing pairs fall back to a built-in catalog and the classifier
@@ -657,6 +617,30 @@ let train_cmd =
 
 (* ---------------- scan ---------------- *)
 
+(* Print reports as text, or as one JSON object with the fields
+   [json_fields statement] — either way through the shared renderers.
+   Listings re-read files on demand; reports are file-sorted, so one cached
+   entry means one read per distinct file. *)
+let print_reports ~json ~max_reports ~reports json_fields =
+  let last_read = ref None in
+  let statement (r : Namer.report) =
+    let src =
+      match !last_read with
+      | Some (f, src) when f = r.Namer.r_file -> src
+      | _ ->
+          let src = try Some (read_file r.Namer.r_file) with _ -> None in
+          last_read := Some (r.Namer.r_file, src);
+          src
+    in
+    Namer.statement_of ~src ~line:r.Namer.r_line
+  in
+  if json then print_endline (J.to_string ~indent:2 (J.Obj (json_fields statement)))
+  else
+    Array.iteri
+      (fun i r ->
+        if i < max_reports then print_string (Namer.report_text ~statement:(statement r) r))
+      reports
+
 (* Scan against a saved model: no mining, no corpus re-digest — load the
    snapshot, digest only the target files, and optionally replay unchanged
    files from the per-file report cache.  Returns the ledger fields of the
@@ -681,62 +665,8 @@ let scan_with_model ~model_path ~cache_dir ~dir ~jobs ~max_reports ~json =
   | None -> ());
   progress "%d potential naming issues" (Array.length result.Namer.sr_reports);
   report_skipped result.Namer.sr_skipped;
-  (* listings re-read files on demand; reports are file-sorted, so one
-     cached entry means one read per distinct file *)
-  let last_read = ref None in
-  let source_line (r : Namer.report) =
-    let src =
-      match !last_read with
-      | Some (f, src) when f = r.Namer.r_file -> src
-      | _ ->
-          let src = try Some (read_file r.Namer.r_file) with _ -> None in
-          last_read := Some (r.Namer.r_file, src);
-          src
-    in
-    match src with
-    | Some src -> (
-        match List.nth_opt (String.split_on_char '\n' src) (r.Namer.r_line - 1) with
-        | Some l -> String.trim l
-        | None -> "<line out of range>")
-    | None -> "<unknown file>"
-  in
-  if json then begin
-    let reports =
-      Array.to_list result.Namer.sr_reports
-      |> List.filteri (fun i _ -> i < max_reports)
-      |> List.map (fun (r : Namer.report) ->
-             J.Obj
-               [
-                 ("file", J.String r.Namer.r_file);
-                 ("line", J.Int r.Namer.r_line);
-                 ("statement", J.String (source_line r));
-                 ("found", J.String r.Namer.r_found);
-                 ("suggested", J.String r.Namer.r_suggested);
-                 ("pattern", J.String r.Namer.r_kind);
-               ])
-    in
-    print_endline
-      (J.to_string ~indent:2
-         (J.Obj
-            [
-              ("files", J.Int (List.length refs));
-              ("model", J.String m.Namer.m_hash);
-              ("patterns", J.Int (Namer_pattern.Pattern.Store.size m.Namer.m_store));
-              ("violations", J.Int (Array.length result.Namer.sr_reports));
-              ("cache_hits", J.Int result.Namer.sr_cache_hits);
-              ("cache_misses", J.Int result.Namer.sr_cache_misses);
-              ("files_skipped", J.Int (List.length result.Namer.sr_skipped));
-              ("skipped", skipped_json result.Namer.sr_skipped);
-              ("reports", J.List reports);
-            ]))
-  end
-  else
-    Array.iteri
-      (fun i (r : Namer.report) ->
-        if i < max_reports then
-          Printf.printf "%s:%d: %s\n    suggested fix: %s -> %s\n" r.Namer.r_file
-            r.Namer.r_line (source_line r) r.Namer.r_found r.Namer.r_suggested)
-      result.Namer.sr_reports;
+  print_reports ~json ~max_reports ~reports:result.Namer.sr_reports (fun statement ->
+      Namer.scan_json_fields m ~files:(List.length refs) ~statement ~max_reports result);
   refs_fields ~jobs refs
   @ [
       ("model_hash", J.String m.Namer.m_hash);
@@ -750,8 +680,7 @@ let scan_with_model ~model_path ~cache_dir ~dir ~jobs ~max_reports ~json =
       ("skipped", J.Int (List.length result.Namer.sr_skipped));
     ]
 
-let scan lang dir jobs max_reports save_patterns load_patterns model_path cache_dir
-    apply_fixes json obs =
+let scan lang dir jobs max_reports model_path cache_dir apply_fixes json obs =
   let finish = obs_setup ~cmd:"scan" obs in
   match model_path with
   | Some model_path ->
@@ -770,80 +699,39 @@ let scan lang dir jobs max_reports save_patterns load_patterns model_path cache_
   (* progress goes to stderr so --json leaves stdout machine-readable *)
   progress "scanning %d files…" (List.length refs);
   let cfg = self_mining_config ~n_files:(List.length refs) ~jobs in
-  let t = Namer.build_refs ?patterns:(Option.map (fun p -> Namer_pattern.Pattern_io.load ~path:p) load_patterns) cfg ~lang refs in
-  (match save_patterns with
-  | Some path ->
-      Namer_pattern.Pattern_io.save t.Namer.store ~path;
-      progress "saved %d patterns to %s" (Pattern.Store.size t.Namer.store) path
-  | None -> ());
+  let t = Namer.build_refs cfg ~lang refs in
   progress "mined %d patterns; %d potential naming issues"
     (Pattern.Store.size t.Namer.store)
     (Array.length t.Namer.violations);
   report_skipped t.Namer.skipped;
-  (if json then begin
-     let reports =
-       Array.to_list t.Namer.violations
-       |> List.filteri (fun i _ -> i < max_reports)
-       |> List.map (fun (v : Namer.violation) ->
-              J.Obj
-                [
-                  ("file", J.String v.Namer.v_stmt.Namer.sctx.Namer_classifier.Features.file);
-                  ("line", J.Int v.Namer.v_stmt.Namer.line);
-                  ("statement", J.String (Namer.source_line t v));
-                  ("found", J.String v.Namer.v_info.Pattern.found);
-                  ("suggested", J.String v.Namer.v_info.Pattern.suggested);
-                  ("pattern", J.String (Namer.kind_name v.Namer.v_pattern.Pattern.kind));
-                ])
-     in
-     print_endline
-       (J.to_string ~indent:2
-          (J.Obj
-             [
-               ("files", J.Int (List.length refs));
-               ("patterns", J.Int (Pattern.Store.size t.Namer.store));
-               ("violations", J.Int (Array.length t.Namer.violations));
-               ("files_skipped", J.Int (List.length t.Namer.skipped));
-               ("skipped", skipped_json t.Namer.skipped);
-               ("reports", J.List reports);
-             ]))
-   end
-   else
-     Array.iteri
-       (fun i v ->
-         if i < max_reports then
-           Printf.printf "%s:%d: %s\n    suggested fix: %s\n"
-             v.Namer.v_stmt.Namer.sctx.Namer_classifier.Features.file
-             v.Namer.v_stmt.Namer.line (Namer.source_line t v) (Namer.describe_fix v))
-       t.Namer.violations);
+  let reports = Array.map Namer.report_of_violation t.Namer.violations in
+  print_reports ~json ~max_reports ~reports (fun statement ->
+      [
+        ("files", J.Int (List.length refs));
+        ("patterns", J.Int (Pattern.Store.size t.Namer.store));
+        ("violations", J.Int (Array.length reports));
+        ("files_skipped", J.Int (List.length t.Namer.skipped));
+        ("skipped", Namer.skipped_json t.Namer.skipped);
+        ("reports", Namer.reports_json ~statement ~max_reports reports);
+      ]);
   if apply_fixes then begin
-    (* group fixes per file, rewrite in place *)
+    (* group fixes per file, rewrite each file atomically *)
     let by_file = Hashtbl.create 16 in
     Array.iter
-      (fun (v : Namer.violation) ->
-        let file = v.Namer.v_stmt.Namer.sctx.Namer_classifier.Features.file in
-        let fix =
-          (v.Namer.v_stmt.Namer.line, v.Namer.v_info.Pattern.found,
-           v.Namer.v_info.Pattern.suggested)
-        in
-        Hashtbl.replace by_file file
-          (fix :: Option.value (Hashtbl.find_opt by_file file) ~default:[]))
-      t.Namer.violations;
+      (fun (r : Namer.report) ->
+        let fix = (r.Namer.r_line, r.Namer.r_found, r.Namer.r_suggested) in
+        Hashtbl.replace by_file r.Namer.r_file
+          (fix :: Option.value (Hashtbl.find_opt by_file r.Namer.r_file) ~default:[]))
+      reports;
     let applied = ref 0 and skipped = ref 0 in
     Hashtbl.iter
-      (fun file fixes ->
-        let source = read_file file in
-        let fixed, outcomes = Namer_core.Fixer.fix_source source (List.rev fixes) in
+      (fun path fixes ->
         List.iter
           (fun (_, _, _, r) ->
             match r with
             | Namer_core.Fixer.Applied _ -> incr applied
             | _ -> incr skipped)
-          outcomes;
-        if fixed <> source then begin
-          let oc = open_out file in
-          output_string oc fixed;
-          close_out oc
-        end)
+          (Namer_core.Fixer.fix_file ~path (List.rev fixes)))
       by_file;
     progress "applied %d fixes in place (%d skipped as ambiguous)" !applied !skipped
   end;
@@ -852,7 +740,7 @@ let scan lang dir jobs max_reports save_patterns load_patterns model_path cache_
       (refs_fields ~jobs refs
       @ [
           ("patterns", J.Int (Pattern.Store.size t.Namer.store));
-          ("reports", J.Int (Array.length t.Namer.violations));
+          ("reports", J.Int (Array.length reports));
           ("skipped", J.Int (List.length t.Namer.skipped));
         ])
     ()
@@ -865,14 +753,6 @@ let scan_cmd =
   let max_reports =
     Arg.(value & opt int 25 & info [ "max-reports"; "n" ] ~docv:"N"
            ~doc:"Maximum number of reports to print.")
-  in
-  let save_patterns =
-    Arg.(value & opt (some string) None & info [ "save-patterns" ] ~docv:"FILE"
-           ~doc:"Write the mined pattern store to FILE after mining.")
-  in
-  let load_patterns =
-    Arg.(value & opt (some string) None & info [ "patterns" ] ~docv:"FILE"
-           ~doc:"Skip mining and match against the pattern store in FILE.")
   in
   let model =
     Arg.(value & opt (some string) None & info [ "model" ] ~docv:"FILE"
@@ -896,8 +776,8 @@ let scan_cmd =
     (Cmd.info "scan"
        ~doc:"Report naming issues in a source directory: mine patterns from \
              the directory itself, or scan against a trained --model snapshot.")
-    Term.(const scan $ lang_arg $ dir $ jobs_arg $ max_reports $ save_patterns
-          $ load_patterns $ model $ cache_dir $ apply_fixes $ json $ obs_term)
+    Term.(const scan $ lang_arg $ dir $ jobs_arg $ max_reports $ model $ cache_dir
+          $ apply_fixes $ json $ obs_term)
 
 (* ---------------- serve ---------------- *)
 
@@ -1218,6 +1098,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            generate_cmd; corpus_cmd; train_cmd; scan_cmd; serve_cmd; demo_cmd;
+            corpus_cmd; train_cmd; scan_cmd; serve_cmd; demo_cmd;
             fuzz_cmd; stats_cmd; report_cmd;
           ]))

@@ -87,3 +87,14 @@ let fix_source source (fixes : (int * string * string) list) :
       fixes
   in
   (String.concat "\n" (Array.to_list lines), outcomes)
+
+(** [fix_file ~path fixes] applies [fixes] to the file at [path] in place
+    and returns the per-fix outcomes.  A changed file is published
+    atomically (temp file + rename), so a kill mid-write leaves the old
+    text or the new one, never a torn mix; its permission bits are kept. *)
+let fix_file ~path fixes =
+  let source = In_channel.with_open_bin path In_channel.input_all in
+  let fixed, outcomes = fix_source source fixes in
+  if fixed <> source then
+    Namer_model.Snapshot.write ~perm:(Unix.stat path).Unix.st_perm ~path fixed;
+  outcomes

@@ -477,7 +477,7 @@ let digest_refs ?pool ~shards ~(cfg : config) ~lang (refs : file_ref list) :
    [Partial.finalize] (statements replayed from merged partials).
    [mk_pairs] supplies the confusing-pair table: commit mining for a
    direct build, summed tallies (or the builtin fallback) for a merge. *)
-let train_digested ?patterns ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
+let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
     ~n_files ~n_repos ~mk_pairs ~oracle ~source_of : t =
   let prng = Prng.create cfg.seed in
   (* Dense per-build file/repo ids: the scan aggregates key on ints, not
@@ -499,33 +499,30 @@ let train_digested ?patterns ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
   let pairs = Telemetry.with_span "pair-mining" @@ fun () -> mk_pairs () in
   Telemetry.count ~by:(Confusing_pairs.total_pairs pairs) "build.confusing_pairs";
   Log.info (fun m -> m "mined %d confusing pairs" (Confusing_pairs.total_pairs pairs));
-  (* 3. mine both pattern types (unless a store was supplied) *)
+  (* 3. mine all three pattern types *)
   let store, n_candidates =
     Telemetry.with_span "pattern-mining" @@ fun () ->
-    match patterns with
-    | Some store -> (store, 0)
-    | None ->
-        let digests = List.map (fun s -> s.digest) stmts in
-        let consistency =
-          Miner.mine ?pool ~config:cfg.miner ~kind:`Consistency ~pairs digests
-        in
-        let confusing =
-          Miner.mine ?pool ~config:cfg.miner ~kind:`Confusing ~pairs digests
-        in
-        let ordering =
-          Miner.mine ?pool ~config:cfg.miner ~kind:(`Ordering cfg.ordering_vocab) ~pairs
-            digests
-        in
-        let store = Pattern.Store.create () in
-        List.iter
-          (fun (r : Miner.result) ->
-            Pattern.Store.iter
-              (fun p -> ignore (Pattern.Store.add store { p with id = -1 }))
-              r.Miner.store)
-          [ consistency; confusing; ordering ];
-        ( store,
-          consistency.Miner.n_candidates + confusing.Miner.n_candidates
-          + ordering.Miner.n_candidates )
+    let digests = List.map (fun s -> s.digest) stmts in
+    let consistency =
+      Miner.mine ?pool ~config:cfg.miner ~kind:`Consistency ~pairs digests
+    in
+    let confusing =
+      Miner.mine ?pool ~config:cfg.miner ~kind:`Confusing ~pairs digests
+    in
+    let ordering =
+      Miner.mine ?pool ~config:cfg.miner ~kind:(`Ordering cfg.ordering_vocab) ~pairs
+        digests
+    in
+    let store = Pattern.Store.create () in
+    List.iter
+      (fun (r : Miner.result) ->
+        Pattern.Store.iter
+          (fun p -> ignore (Pattern.Store.add store { p with id = -1 }))
+          r.Miner.store)
+      [ consistency; confusing; ordering ];
+    ( store,
+      consistency.Miner.n_candidates + confusing.Miner.n_candidates
+      + ordering.Miner.n_candidates )
   in
   Telemetry.count ~by:n_candidates "build.pattern_candidates";
   Telemetry.count ~by:(Pattern.Store.size store) "build.patterns_kept";
@@ -665,9 +662,6 @@ let train_digested ?patterns ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
 
 (** [build_core cfg ~lang ~refs ~commits ~oracle ~source_of] — digest the
     refs, then run the downstream stages; see [build] for the contract.
-    [patterns] short-circuits mining with a pre-mined store (e.g. loaded
-    from disk via {!Namer_pattern.Pattern_io}) — the mine-once / scan-many
-    workflow.
 
     With [cfg.jobs > 1], the per-file stages (digest), the per-commit stage
     (pair mining), the corpus-wide counting passes inside mining, the scan
@@ -675,7 +669,7 @@ let train_digested ?patterns ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
     plan is deterministic and every merge happens in shard order over
     commutative accumulators, so a [jobs = N] build is bit-identical to a
     [jobs = 1] build — only wall-clock changes. *)
-let build_core ?patterns (cfg : config) ~lang ~(refs : file_ref list) ~commits
+let build_core (cfg : config) ~lang ~(refs : file_ref list) ~commits
     ~oracle ~source_of : t =
   Pool.run ~cap_to_cores:cfg.cap_domains ~jobs:cfg.jobs @@ fun pool ->
   let shards =
@@ -685,7 +679,7 @@ let build_core ?patterns (cfg : config) ~lang ~(refs : file_ref list) ~commits
   let stmts, skipped = digest_refs ?pool ~shards ~cfg ~lang refs in
   let repos = Hashtbl.create 64 in
   List.iter (fun r -> Hashtbl.replace repos r.fr_repo ()) refs;
-  train_digested ?patterns ?pool cfg ~lang ~shards ~stmts ~skipped
+  train_digested ?pool cfg ~lang ~shards ~stmts ~skipped
     ~n_files:(List.length refs) ~n_repos:(Hashtbl.length repos)
     ~mk_pairs:(fun () -> mine_pairs ?pool ~shards ~cfg ~lang ~commits ())
     ~oracle ~source_of
@@ -693,12 +687,12 @@ let build_core ?patterns (cfg : config) ~lang ~(refs : file_ref list) ~commits
 (** [build cfg corpus] — the in-memory entry point: digest a generated
     corpus whose sources are already resident.  Report listings and the
     oracle read straight from the corpus. *)
-let build ?patterns (cfg : config) (corpus : Corpus.t) : t =
+let build (cfg : config) (corpus : Corpus.t) : t =
   let sources = Hashtbl.create 256 in
   List.iter
     (fun (f : Corpus.file) -> Hashtbl.replace sources f.Corpus.path f.Corpus.source)
     corpus.Corpus.files;
-  build_core ?patterns cfg ~lang:corpus.Corpus.lang
+  build_core cfg ~lang:corpus.Corpus.lang
     ~refs:(List.map ref_of_file corpus.Corpus.files)
     ~commits:corpus.Corpus.commits
     ~oracle:(fun () -> Corpus.Oracle.of_corpus corpus)
@@ -709,13 +703,13 @@ let build ?patterns (cfg : config) (corpus : Corpus.t) : t =
     batch of sources.  No commit history (builtin confusing pairs) and an
     empty oracle, exactly like training on unlabeled on-disk files; report
     listings re-read the file on demand. *)
-let build_refs ?patterns (cfg : config) ~lang (refs : file_ref list) : t =
+let build_refs (cfg : config) ~lang (refs : file_ref list) : t =
   let loaders = Hashtbl.create 256 in
   List.iter (fun r -> Hashtbl.replace loaders r.fr_path r.fr_load) refs;
   let empty =
     { Corpus.lang; files = []; injections = []; benigns = []; commits = [] }
   in
-  build_core ?patterns cfg ~lang ~refs ~commits:[]
+  build_core cfg ~lang ~refs ~commits:[]
     ~oracle:(fun () -> Corpus.Oracle.of_corpus empty)
     ~source_of:(fun path ->
       match Hashtbl.find_opt loaders path with
@@ -770,14 +764,19 @@ let sample_violations ?(filter = fun (_ : violation) -> true) (t : t) ~n ~seed =
   in
   Prng.sample prng n eligible
 
-(** The source line of a violation (for example listings). *)
-let source_line (t : t) (v : violation) =
-  match t.source_of v.v_stmt.sctx.Features.file with
+(** Line [line] of [src], trimmed — the statement a report listing shows;
+    placeholders when the source or the line is unavailable. *)
+let statement_of ~src ~line =
+  match src with
   | Some src -> (
-      match List.nth_opt (String.split_on_char '\n' src) (v.v_stmt.line - 1) with
+      match List.nth_opt (String.split_on_char '\n' src) (line - 1) with
       | Some l -> String.trim l
       | None -> "<line out of range>")
   | None -> "<unknown file>"
+
+(** The source line of a violation (for example listings). *)
+let source_line (t : t) (v : violation) =
+  statement_of ~src:(t.source_of v.v_stmt.sctx.Features.file) ~line:v.v_stmt.line
 
 (** Outcome counts over a set of *reports* (classifier-accepted
     violations), graded by the oracle — one row of Table 2 / 5. *)
@@ -1216,7 +1215,7 @@ module Partial = struct
       summed pair tallies prune to the mined table.  [oracle] (default
       empty) grades the labeled sample when the slices came from a
       generated corpus. *)
-  let finalize ?patterns ?oracle (cfg : config) (p : P.t) =
+  let finalize ?oracle (cfg : config) (p : P.t) =
     let lang = lang_of p in
     let cfg = align_config cfg p in
     if Namepath.Interned.is_frozen () then
@@ -1288,7 +1287,7 @@ module Partial = struct
             Corpus.Oracle.of_corpus
               { Corpus.lang; files = []; injections = []; benigns = []; commits = [] }
     in
-    train_digested ?patterns ?pool cfg ~lang ~shards ~stmts ~skipped
+    train_digested ?pool cfg ~lang ~shards ~stmts ~skipped
       ~n_files:(Array.length p.P.pm_files) ~n_repos:(Hashtbl.length repos)
       ~mk_pairs:(fun () -> pairs_of cfg ~lang p)
       ~oracle
@@ -1344,6 +1343,62 @@ type scan_result = {
   sr_skipped : skipped list;
       (** files dropped by per-file failure isolation, in scan order *)
 }
+
+(* ------------------------------------------------------------------ *)
+(* Rendering reports: the one text and JSON form of every scan output  *)
+(* ------------------------------------------------------------------ *)
+
+module J = Namer_util.Json
+
+let report_of_violation (v : violation) : report =
+  {
+    r_file = v.v_stmt.sctx.Features.file;
+    r_line = v.v_stmt.line;
+    r_prefix = v.v_info.Pattern.offending_prefix;
+    r_found = v.v_info.Pattern.found;
+    r_suggested = v.v_info.Pattern.suggested;
+    r_kind = kind_name v.v_pattern.Pattern.kind;
+  }
+
+let report_json ~statement (r : report) =
+  J.Obj
+    [
+      ("file", J.String r.r_file);
+      ("line", J.Int r.r_line);
+      ("statement", J.String statement);
+      ("found", J.String r.r_found);
+      ("suggested", J.String r.r_suggested);
+      ("pattern", J.String r.r_kind);
+    ]
+
+let report_text ~statement (r : report) =
+  Printf.sprintf "%s:%d: %s\n    suggested fix: %s -> %s\n" r.r_file r.r_line statement
+    r.r_found r.r_suggested
+
+let skipped_json (skipped : skipped list) =
+  J.List
+    (List.map
+       (fun s -> J.Obj [ ("file", J.String s.sk_file); ("reason", J.String s.sk_reason) ])
+       skipped)
+
+let reports_json ~statement ~max_reports reports =
+  J.List
+    (Array.to_list reports
+    |> List.filteri (fun i _ -> i < max_reports)
+    |> List.map (fun r -> report_json ~statement:(statement r) r))
+
+let scan_json_fields (m : model) ~files ~statement ~max_reports (res : scan_result) =
+  [
+    ("files", J.Int files);
+    ("model", J.String m.m_hash);
+    ("patterns", J.Int (Pattern.Store.size m.m_store));
+    ("violations", J.Int (Array.length res.sr_reports));
+    ("cache_hits", J.Int res.sr_cache_hits);
+    ("cache_misses", J.Int res.sr_cache_misses);
+    ("files_skipped", J.Int (List.length res.sr_skipped));
+    ("skipped", skipped_json res.sr_skipped);
+    ("reports", reports_json ~statement ~max_reports res.sr_reports);
+  ]
 
 let config_of_model (m : model) ~jobs ~cap_domains =
   {

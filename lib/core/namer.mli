@@ -120,21 +120,19 @@ val reset_in_flight_peak : unit -> unit
 
 val in_flight_sources_peak : unit -> int
 
-(** [build ?patterns cfg corpus] runs the full training pipeline.
-    [patterns] short-circuits mining with a pre-mined store (the
-    mine-once / scan-many workflow of the CLI).  With [cfg.jobs > 1] the
-    per-file digesting, pair mining, mining statistics, scan and feature
-    extraction run sharded on a domain pool, merged deterministically —
-    the result is bit-identical to a [jobs = 1] build. *)
-val build : ?patterns:Pattern.Store.t -> config -> Corpus.t -> t
+(** [build cfg corpus] runs the full training pipeline.  With
+    [cfg.jobs > 1] the per-file digesting, pair mining, mining statistics,
+    scan and feature extraction run sharded on a domain pool, merged
+    deterministically — the result is bit-identical to a [jobs = 1]
+    build. *)
+val build : config -> Corpus.t -> t
 
 (** [build_refs cfg ~lang refs] — the same pipeline over streaming refs:
     sources are loaded batch-by-batch and dropped after digesting, so a
     corpus far larger than memory trains in O(digest_batch × jobs) peak
     source residency.  No commit history (builtin confusing pairs apply)
     and an empty oracle — the CLI's on-disk training shape. *)
-val build_refs :
-  ?patterns:Pattern.Store.t -> config -> lang:Corpus.lang -> file_ref list -> t
+val build_refs : config -> lang:Corpus.lang -> file_ref list -> t
 
 (** Re-draw the labeled sample and re-train the classifier on the same
     violations (variance reduction for evaluation; the paper averages its
@@ -265,9 +263,7 @@ module Partial : sig
   val merge_all : t list -> t
   (** Left fold of {!merge}; {!empty} for [[]]. *)
 
-  val finalize :
-    ?patterns:Pattern.Store.t ->
-    ?oracle:(unit -> Corpus.Oracle.t) -> config -> t -> build
+  val finalize : ?oracle:(unit -> Corpus.Oracle.t) -> config -> t -> build
   (** Run mining, scanning and supervision over the partial's replayed
       statements — the build a direct train of the concatenated slices
       would produce.  [oracle] (default empty, as for directory training)
@@ -300,6 +296,39 @@ type scan_result = {
       (** files dropped by per-file isolation — skipped files are never
           written to the cache, so they are re-attempted on every scan *)
 }
+
+(** {2 Rendering}
+
+    Every scan output — the CLI's two scan modes, [namer serve] responses
+    and their client-side text form — renders reports through these
+    functions.  [statement] is the reported source line
+    ({!statement_of}). *)
+
+(** Line [line] of [src], trimmed; ["<unknown file>"] without a source,
+    ["<line out of range>"] past its end. *)
+val statement_of : src:string option -> line:int -> string
+
+(** A build's violation as a report, for rendering. *)
+val report_of_violation : violation -> report
+
+(** The first [max_reports] reports as a JSON list of
+    [{file, line, statement, found, suggested, pattern}] objects. *)
+val reports_json :
+  statement:(report -> string) -> max_reports:int -> report array -> Namer_util.Json.t
+
+(** ["file:line: statement\n    suggested fix: found -> suggested\n"];
+    [r_prefix] and [r_kind] are not shown. *)
+val report_text : statement:string -> report -> string
+
+(** [[{file, reason}, …]]. *)
+val skipped_json : skipped list -> Namer_util.Json.t
+
+(** The fields of [namer scan --model --json], in order: [files], [model],
+    [patterns], [violations], [cache_hits], [cache_misses],
+    [files_skipped], [skipped] and the first [max_reports] [reports]. *)
+val scan_json_fields :
+  model -> files:int -> statement:(report -> string) -> max_reports:int ->
+  scan_result -> (string * Namer_util.Json.t) list
 
 (** [scan_with_model m files] digests and matches [files] against the model
     — no mining, no training.  With [cache_dir], per-file reports persist

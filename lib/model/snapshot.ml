@@ -65,8 +65,9 @@ let decode ~magic ~desc ~version ?path bytes =
    sees some complete version — never a torn interleaving.  Flush errors
    must fail the write *before* the rename (renaming a torn temp would
    publish garbage over a possibly-valid entry), and a failed attempt
-   must not leak its temp file. *)
-let write ~path bytes =
+   must not leak its temp file.  [perm] is applied to the temp file before
+   the rename, so the published file never shows the temp file's 0600. *)
+let write ?perm ~path bytes =
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in
   match
@@ -78,6 +79,7 @@ let write ~path bytes =
        close_out_noerr oc;
        raise e);
     close_out oc;
+    Option.iter (Unix.chmod tmp) perm;
     Sys.rename tmp path
   with
   | () -> ()

@@ -32,8 +32,9 @@ val decode :
     returns [(sections, hash)].  [desc] names the artifact kind in errors
     ("model snapshot", "cache entry"); [path] names its origin. *)
 
-val write : path:string -> string -> unit
-(** Atomic write: temp file in the target directory, then rename. *)
+val write : ?perm:int -> path:string -> string -> unit
+(** Atomic write: temp file in the target directory, then rename.  The
+    file gets permission bits [perm] (default 0600, the temp file's). *)
 
 val read_file : desc:string -> path:string -> string
 (** Read a whole file, turning [Sys_error] into {!Error}. *)

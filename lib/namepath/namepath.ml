@@ -268,13 +268,6 @@ module Interned = struct
       ~look:(fun s -> Interner.lookup global.prefixes s)
       (prefix_key np)
 
-  (** Global path id of a path's whole canonical text (same sentinel). *)
-  let path_id np =
-    let text = to_string np in
-    if global.frozen then
-      match Interner.lookup global.paths text with Some i -> i | None -> -2
-    else intern_path global np text
-
   (** Global end id of a subtoken (same sentinel). *)
   let end_id e =
     find_or ~intern:(fun s -> intern_end global s)
@@ -284,7 +277,6 @@ module Interned = struct
   let end_name e = Interner.name global.ends e
   let prefix_name p = Interner.name global.prefixes p
   let n_ends () = Interner.size global.ends
-  let lookup_prefix s = Interner.lookup global.prefixes s
   let lookup_end s = Interner.lookup global.ends s
 
   (** Lowercase-folded end id ([lower_end e = lower_end (lower_end e)]). *)

@@ -95,14 +95,12 @@ module Interned : sig
       frozen, unknown strings map to the never-matching sentinel [-2]. *)
   val prefix_id : path -> int
 
-  val path_id : path -> int
   val end_id : string -> int
 
   (** String views (global table).  @raise Invalid_argument on unknown ids. *)
   val end_name : int -> string
 
   val prefix_name : int -> string
-  val lookup_prefix : string -> int option
   val lookup_end : string -> int option
   val n_ends : unit -> int
 

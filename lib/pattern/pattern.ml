@@ -197,18 +197,6 @@ module Stmt_paths = struct
       shared, not rebuilt per call. *)
   let prefix_ids t = t.index_prefix
 
-  (* String views for the serialization boundary; only meaningful for
-     digests interned against the global table. *)
-  let end_at t ~prefix_key =
-    match I.lookup_prefix prefix_key with
-    | None -> None
-    | Some p ->
-        let e = end_id t ~prefix:p in
-        if e < 0 then None else Some (I.end_name e)
-
-  let prefix_keys t =
-    Array.to_list (Array.map I.prefix_name t.index_prefix)
-
   (** Translate a digest built on a shard-local table into global ids. *)
   let remap (m : I.remap) t =
     {

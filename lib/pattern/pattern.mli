@@ -32,8 +32,7 @@ type t = {
 
 val make : kind:kind -> condition:Namepath.t list -> deduction:Namepath.t list -> t
 
-(** Canonical text, stable across runs; used for deduplication and
-    persistence ({!Pattern_io}). *)
+(** Canonical text, stable across runs; used for deduplication. *)
 val canonical : t -> string
 
 val pp : Format.formatter -> t -> unit
@@ -68,11 +67,6 @@ module Stmt_paths : sig
 
   (** The digest's own prefix-id index (shared array — do not mutate). *)
   val prefix_ids : t -> int array
-
-  (** String views, valid for digests interned against the global table. *)
-  val end_at : t -> prefix_key:string -> string option
-
-  val prefix_keys : t -> string list
 
   (** Translate a shard-local digest into global ids. *)
   val remap : Namepath.Interned.remap -> t -> t

@@ -1,5 +1,6 @@
 module J = Namer_util.Json
 module Stats_u = Namer_util.Stats
+module Namer = Namer_core.Namer
 
 type target = Unix_path of string | Tcp of string * int
 
@@ -111,30 +112,31 @@ let cli_json_of_scan response =
       end
   | _ -> Error "scan response is not an object"
 
+(* One JSON report back to its text form.  The JSON carries no offending
+   prefix, which the text form does not show; a missing field renders
+   empty, as a diff against real CLI output then shows. *)
+let report_text_of_json = function
+  | J.Obj fs ->
+      let str k = match List.assoc_opt k fs with Some (J.String v) -> v | _ -> "" in
+      let r_line = match List.assoc_opt "line" fs with Some (J.Int n) -> n | _ -> 0 in
+      Namer.report_text ~statement:(str "statement")
+        {
+          Namer.r_file = str "file";
+          r_line;
+          r_prefix = "";
+          r_found = str "found";
+          r_suggested = str "suggested";
+          r_kind = str "pattern";
+        }
+  | _ -> ""
+
 let cli_text_of_scan response =
   match cli_json_of_scan response with
   | Error _ as e -> e
-  | Ok (J.Obj fields) ->
-      let buf = Buffer.create 1024 in
-      (match List.assoc_opt "reports" fields with
-      | Some (J.List reports) ->
-          List.iter
-            (fun r ->
-              let s name =
-                match r with
-                | J.Obj fs -> (
-                    match List.assoc_opt name fs with
-                    | Some (J.String v) -> v
-                    | Some (J.Int v) -> string_of_int v
-                    | _ -> "")
-                | _ -> ""
-              in
-              Buffer.add_string buf
-                (Printf.sprintf "%s:%s: %s\n    suggested fix: %s -> %s\n" (s "file")
-                   (s "line") (s "statement") (s "found") (s "suggested")))
-            reports
-      | _ -> ());
-      Ok (Buffer.contents buf)
+  | Ok (J.Obj fields) -> (
+      match List.assoc_opt "reports" fields with
+      | Some (J.List reports) -> Ok (String.concat "" (List.map report_text_of_json reports))
+      | _ -> Ok "")
   | Ok _ -> Error "scan response is not an object"
 
 let scan_fingerprint response =

@@ -298,58 +298,19 @@ let scan_files (m : Namer.model) req =
       end
   | _ -> Error "scan needs one of \"sources\", \"files\" or \"dir\""
 
-let skipped_json (skipped : Namer.skipped list) =
-  J.List
-    (List.map
-       (fun (s : Namer.skipped) ->
-         J.Obj
-           [ ("file", J.String s.Namer.sk_file); ("reason", J.String s.Namer.sk_reason) ])
-       skipped)
-
-(* Mirror of the CLI's [namer scan --model --json] payload, field for
-   field, prefixed by ok/op — {!Client.cli_json_of_scan} strips the
-   prefix to recover the CLI object byte-for-byte. *)
+(* The CLI's [namer scan --model --json] fields behind the ok/op envelope;
+   {!Client.cli_json_of_scan} strips the envelope again. *)
 let scan_response (m : Namer.model) files (result : Namer.scan_result) ~max_reports =
   let sources = Hashtbl.create 256 in
   List.iter
     (fun (f : Corpus.file) -> Hashtbl.replace sources f.Corpus.path f.Corpus.source)
     files;
-  let source_line (r : Namer.report) =
-    match Hashtbl.find_opt sources r.Namer.r_file with
-    | Some src -> (
-        match List.nth_opt (String.split_on_char '\n' src) (r.Namer.r_line - 1) with
-        | Some l -> String.trim l
-        | None -> "<line out of range>")
-    | None -> "<unknown file>"
-  in
-  let reports =
-    Array.to_list result.Namer.sr_reports
-    |> List.filteri (fun i _ -> i < max_reports)
-    |> List.map (fun (r : Namer.report) ->
-           J.Obj
-             [
-               ("file", J.String r.Namer.r_file);
-               ("line", J.Int r.Namer.r_line);
-               ("statement", J.String (source_line r));
-               ("found", J.String r.Namer.r_found);
-               ("suggested", J.String r.Namer.r_suggested);
-               ("pattern", J.String r.Namer.r_kind);
-             ])
+  let statement (r : Namer.report) =
+    Namer.statement_of ~src:(Hashtbl.find_opt sources r.Namer.r_file) ~line:r.Namer.r_line
   in
   J.Obj
-    [
-      ("ok", J.Bool true);
-      ("op", J.String "scan");
-      ("files", J.Int (List.length files));
-      ("model", J.String m.Namer.m_hash);
-      ("patterns", J.Int (Pattern.Store.size m.Namer.m_store));
-      ("violations", J.Int (Array.length result.Namer.sr_reports));
-      ("cache_hits", J.Int result.Namer.sr_cache_hits);
-      ("cache_misses", J.Int result.Namer.sr_cache_misses);
-      ("files_skipped", J.Int (List.length result.Namer.sr_skipped));
-      ("skipped", skipped_json result.Namer.sr_skipped);
-      ("reports", J.List reports);
-    ]
+    (("ok", J.Bool true) :: ("op", J.String "scan")
+    :: Namer.scan_json_fields m ~files:(List.length files) ~statement ~max_reports result)
 
 let handle_scan t req =
   (* backpressure: admit or refuse *now*, never queue unboundedly behind

@@ -30,22 +30,23 @@
 
     Responses always carry [{"ok":true|false}]; failures add
     [{"code":"bad_request"|"overloaded"|"timeout"|"degraded"|"internal",
-    "error":MSG}].  A scan response mirrors the CLI's
-    [namer scan --model --json] payload field-for-field ([files], [model],
-    [patterns], [violations], [cache_hits], [cache_misses],
-    [files_skipped], [skipped], [reports]), so daemon output is
-    byte-convertible to CLI output ({!Client.cli_json_of_scan},
-    {!Client.cli_text_of_scan} — the serve-smoke CI job diffs them).
+    "error":MSG}].  A scan response carries the fields of
+    [namer scan --model --json] ([files], [model], [patterns],
+    [violations], [cache_hits], [cache_misses], [files_skipped],
+    [skipped], [reports]), built by the same
+    {!Namer_core.Namer.scan_json_fields}, so daemon output converts to
+    CLI output byte for byte ({!Client.cli_json_of_scan},
+    {!Client.cli_text_of_scan}).
 
     {2 Concurrency and the model lock}
 
     Each connection is handled by its own thread; scans fan their sharded
     digest/match phases onto one resident {!Namer_parallel.Pool} shared by
     every request ([sv_jobs > 1]).  The global name-path interner is
-    single-writer (DESIGN.md §7), so the compute section of scans that
-    digest uncached files — and model loads, which preload the interner —
-    are serialized on one model lock; cache-hit replay, request parsing
-    and response IO run fully concurrently.  The content-addressed scan
+    single-writer (DESIGN.md §7), so every scan — cache hits included —
+    and every model load, which preloads the interner, runs under one
+    model lock; request parsing, file reading and response IO run
+    concurrently.  The content-addressed scan
     cache ([sv_cache_dir]) is shared across requests and with concurrent
     CLI scans (atomic temp+rename publication, DESIGN.md §8).
 

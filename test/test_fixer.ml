@@ -68,6 +68,19 @@ let test_fixed_line_reparses () =
   | [ _ ] -> ()
   | _ -> Alcotest.fail "fixed line should be one statement"
 
+let test_fix_file_keeps_mode () =
+  let path = Filename.temp_file "namer_fix" ".py" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "a = 1\nself.assertTrue(v, 3)\n");
+  Unix.chmod path 0o640;
+  let outcomes = Fixer.fix_file ~path [ (2, "True", "Equal") ] in
+  check_bool "applied" true
+    (match outcomes with [ (_, _, _, Fixer.Applied _) ] -> true | _ -> false);
+  check_str "fixed content on disk" "a = 1\nself.assertEqual(v, 3)\n"
+    (In_channel.with_open_bin path In_channel.input_all);
+  Alcotest.(check int) "mode unchanged" 0o640 (Unix.stat path).Unix.st_perm
+
 let suite =
   [
     Alcotest.test_case "camelCase fix" `Quick test_fix_camel;
@@ -79,4 +92,5 @@ let suite =
     Alcotest.test_case "multi-line fixes" `Quick test_fix_source_multi;
     Alcotest.test_case "out-of-range line" `Quick test_fix_source_out_of_range;
     Alcotest.test_case "fixed line reparses" `Quick test_fixed_line_reparses;
+    Alcotest.test_case "file rewrite keeps mode" `Quick test_fix_file_keeps_mode;
   ]

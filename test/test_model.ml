@@ -84,6 +84,28 @@ let test_save_is_deterministic () =
   check_string "same build serializes to the same hash" m1.Namer.m_hash m2.Namer.m_hash;
   check_bool "and to the same bytes" true (String.equal b1 b2)
 
+let test_ordering_round_trip () =
+  let module Pattern = Namer_pattern.Pattern in
+  let np = Namer_namepath.Namepath.of_string in
+  let kind = Pattern.Ordering { first = "width"; second = "height" } in
+  let store = Pattern.Store.create () in
+  ignore
+    (Pattern.Store.add store
+       (Pattern.make ~kind
+          ~condition:[ np "NumArgs(2) 0 Call 0 AttributeLoad 1 Attr 0 NumST(1) 0 resize" ]
+          ~deduction:
+            [
+              np "NumArgs(2) 0 Call 1 NameLoad 0 NumST(1) 0 width";
+              np "NumArgs(2) 0 Call 2 NameLoad 0 NumST(1) 0 height";
+            ]));
+  let path = model_path () in
+  ignore (Namer.save_model { (namer ()) with Namer.store } ~path);
+  let loaded = Namer.load_model ~path in
+  Sys.remove path;
+  check_int "one pattern" 1 (Pattern.Store.size loaded.Namer.m_store);
+  check_bool "ordering kind preserved" true
+    ((Pattern.Store.get loaded.Namer.m_store 0).Pattern.kind = kind)
+
 (* -------- rejection -------- *)
 
 let expect_error name f fragment =
@@ -350,6 +372,8 @@ let suite =
     Alcotest.test_case "round trip: save → load → scan identical" `Quick
       test_round_trip_identity;
     Alcotest.test_case "save is deterministic" `Quick test_save_is_deterministic;
+    Alcotest.test_case "ordering pattern survives save/load" `Quick
+      test_ordering_round_trip;
     Alcotest.test_case "rejects truncated snapshots" `Quick test_rejects_truncated;
     Alcotest.test_case "rejects corrupted snapshots" `Quick test_rejects_corrupted;
     Alcotest.test_case "rejects wrong magic" `Quick test_rejects_bad_magic;

@@ -199,55 +199,6 @@ let suite =
     Alcotest.test_case "ϵ in conditions" `Quick test_epsilon_condition;
   ]
 
-(* ---------------- persistence ---------------- *)
-
-module Pattern_io = Namer_pattern.Pattern_io
-
-let test_io_round_trip () =
-  let store = Pattern.Store.create () in
-  ignore (Pattern.Store.add store figure2_pattern);
-  ignore (Pattern.Store.add store ex38_pattern);
-  let reloaded = Pattern_io.of_string (Pattern_io.to_string store) in
-  check_int "same size" (Pattern.Store.size store) (Pattern.Store.size reloaded);
-  (* canonical forms survive the round trip *)
-  let canon s = Pattern.Store.fold (fun acc p -> Pattern.canonical p :: acc) s [] in
-  Alcotest.(check (list string)) "same canonical forms"
-    (List.sort compare (canon store))
-    (List.sort compare (canon reloaded))
-
-let test_io_reloaded_patterns_work () =
-  let store = Pattern.Store.create () in
-  ignore (Pattern.Store.add store figure2_pattern);
-  let reloaded = Pattern_io.of_string (Pattern_io.to_string store) in
-  let s = Pattern.Stmt_paths.of_paths figure2_paths in
-  let violated =
-    Pattern.Store.candidates reloaded s
-    |> List.exists (fun p ->
-           match Pattern.check p s with Pattern.Violated _ -> true | _ -> false)
-  in
-  check_bool "reloaded pattern still fires" true violated
-
-let test_io_comments_and_blanks () =
-  let text = "# comment\n\n" ^ Pattern.canonical ex38_pattern ^ "\n" in
-  check_int "comments skipped" 1 (Pattern.Store.size (Pattern_io.of_string text))
-
-let test_io_parse_error () =
-  check_bool "garbage rejected" true
-    (try
-       ignore (Pattern_io.of_string "NOT A PATTERN\n");
-       false
-     with Pattern_io.Parse_error _ -> true)
-
-let io_suite =
-  [
-    Alcotest.test_case "io: round trip" `Quick test_io_round_trip;
-    Alcotest.test_case "io: reloaded patterns fire" `Quick test_io_reloaded_patterns_work;
-    Alcotest.test_case "io: comments and blanks" `Quick test_io_comments_and_blanks;
-    Alcotest.test_case "io: parse errors" `Quick test_io_parse_error;
-  ]
-
-let suite = suite @ io_suite
-
 (* ---------------- ordering patterns (extension) ---------------- *)
 
 let ordering_pattern =
@@ -285,23 +236,11 @@ let test_ordering_unrelated_no_match () =
   check_bool "other words are not this pattern's business" true
     (Pattern.check ordering_pattern (resize_stmt "size" "scale") = Pattern.No_match)
 
-let test_ordering_io_round_trip () =
-  let store = Pattern.Store.create () in
-  ignore (Pattern.Store.add store ordering_pattern);
-  let reloaded = Pattern_io.of_string (Pattern_io.to_string store) in
-  check_int "round trip" 1 (Pattern.Store.size reloaded);
-  check_bool "kind preserved" true
-    (Pattern.Store.fold
-       (fun acc p ->
-         acc || p.Pattern.kind = Pattern.Ordering { first = "width"; second = "height" })
-       reloaded false)
-
 let ordering_suite =
   [
     Alcotest.test_case "ordering: satisfied" `Quick test_ordering_satisfied;
     Alcotest.test_case "ordering: swap violates" `Quick test_ordering_swap_violates;
     Alcotest.test_case "ordering: unrelated no-match" `Quick test_ordering_unrelated_no_match;
-    Alcotest.test_case "ordering: io round trip" `Quick test_ordering_io_round_trip;
   ]
 
 let suite = suite @ ordering_suite
