@@ -4,7 +4,7 @@
 # skip with a notice when the tool is not installed rather than failing,
 # matching the CI jobs that install them explicitly.
 
-.PHONY: all build test fmt doc bench bench-smoke obs-smoke serve-smoke merge-smoke ci clean
+.PHONY: all build test fmt doc bench bench-smoke obs-smoke serve-smoke merge-smoke perfbench-check ci clean
 
 all: build
 
@@ -145,8 +145,16 @@ merge-smoke: build
 	"$$namer" report --dir "$$state/ledger" | grep -q ' merge '; \
 	echo "merge-smoke: OK"
 
+# Repo benchmark output checks, run as-is by the perfbench-check CI job:
+# one short untraced pass of every perfbench workload.  run.py exits
+# non-zero when an output check fails: the pinned seed-1 scan20k report
+# count and MD5, the pinned train1k patterns/violations/precision, or the
+# 16 serve-java responses that must match an in-process scan.
+perfbench-check: build
+	python3 perfbench/run.py --workload all --seed 1 --seconds 5 --trace 0
+
 # Everything the CI workflow checks, in order.
-ci: build test fmt bench-smoke obs-smoke serve-smoke merge-smoke
+ci: build test fmt bench-smoke obs-smoke serve-smoke merge-smoke perfbench-check
 
 clean:
 	dune clean

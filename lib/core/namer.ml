@@ -859,7 +859,9 @@ let encode_model ~lang ~use_analysis ~max_stmt_paths ~(store : Pattern.Store.t) 
     W.contents w
   in
   let interner =
-    let prefixes, ends = Namepath.Interned.export_global () in
+    (* whole-path ids are per-scan digest state (every scan re-derives them
+       from its input), so only prefixes and ends are part of the model *)
+    let _, prefixes, ends = Namepath.Interned.(contents global) in
     let w = W.create ~size:(1 lsl 16) () in
     W.u32 w (List.length prefixes);
     List.iter (W.str w) prefixes;

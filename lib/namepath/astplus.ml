@@ -21,8 +21,11 @@
 module Tree = Namer_tree.Tree
 module Subtoken = Namer_util.Subtoken
 
-let num_args k = Printf.sprintf "NumArgs(%d)" k
-let num_st k = Printf.sprintf "NumST(%d)" k
+(* [NumArgs(k)] / [NumST(k)] labels, built once for the common arities. *)
+let num_args_labels = Array.init 32 (Printf.sprintf "NumArgs(%d)")
+let num_st_labels = Array.init 32 (Printf.sprintf "NumST(%d)")
+let num_args k = if k < 32 then num_args_labels.(k) else Printf.sprintf "NumArgs(%d)" k
+let num_st k = if k < 32 then num_st_labels.(k) else Printf.sprintf "NumST(%d)" k
 
 (** Name of the callee for a lowered function position: the [Attr] of a
     receiver call, or the bare [NameLoad]. *)
@@ -102,20 +105,11 @@ let transform ~(origins : Origins.t) (t : Tree.t) : Tree.t =
     (* 4. variable names: decorate with the variable's origin. *)
     | kind, [ leaf ] when is_name_kind kind && Tree.is_leaf leaf ->
         Tree.node kind [ split_leaf ?origin:(origins.var_origin leaf.Tree.value) leaf.Tree.value ]
-    (* plain attribute access: decorate self/this attributes. *)
+    (* plain attribute access: the attribute name itself stays undecorated
+       (the origin belongs to the loaded value, tracked through variables). *)
     | ("AttributeLoad" | "AttributeStore"), [ recv; { Tree.value = "Attr"; children = [ leaf ] } ]
       ->
-        let origin =
-          match (recv.value, recv.children) with
-          | "NameLoad", [ r ] when r.Tree.value = "self" || r.Tree.value = "this" ->
-              (* the attribute slot itself: no origin on the name, the origin
-                 belongs to the loaded value and is used in store/compare
-                 contexts via var tracking; keep undecorated. *)
-              None
-          | _ -> None
-        in
-        Tree.node t.value
-          [ tx recv; Tree.node "Attr" [ split_leaf ?origin leaf.Tree.value ] ]
+        Tree.node t.value [ tx recv; Tree.node "Attr" [ split_leaf leaf.Tree.value ] ]
     | _, [] -> split_leaf t.value
     | _, children -> Tree.node t.value (List.map tx children)
   (* The callee position of a call: its Attr leaf is decorated with the

@@ -134,6 +134,46 @@ module Interned = struct
     sym : int;  (** pid of the symbolic form (= [pid] when already ϵ) *)
   }
 
+  (* The prefix trie behind {!extract_tree}.  Node [0] is the empty prefix
+     (the root); every other node is one step [(value, index)] below its
+     parent, so a node stands for the step list on the path down to it.
+     Children are found through an open-addressing table keyed by
+     [(parent, value, index)].  A node caches the prefix id of its
+     canonical text ([-1] until the node is first some leaf's prefix: the
+     text is rendered then, once, by walking the parent chain) and the sym
+     pid of that prefix ([-1] until known).  The [pid_*] arrays are a
+     second open-addressing table, from a [(prefix id, end id)] pair, kept
+     as two ints, to the path id. *)
+  type trie = {
+    mutable n_nodes : int;
+    mutable parent : int array;
+    mutable value : string array;
+    mutable index : int array;
+    mutable pfx : int array;
+    mutable tsym : int array;
+    mutable slots : int array;  (** node id per slot, [-1] empty *)
+    mutable pid_prefix : int array;  (** pid cache keys, [-1] empty *)
+    mutable pid_end : int array;
+    mutable pid_val : int array;
+    mutable n_pids : int;
+  }
+
+  let create_trie () =
+    let n = 64 in
+    {
+      n_nodes = 1;
+      parent = Array.make n 0;
+      value = Array.make n "";
+      index = Array.make n 0;
+      pfx = Array.make n (-1);
+      tsym = Array.make n (-1);
+      slots = Array.make (2 * n) (-1);
+      pid_prefix = Array.make (2 * n) (-1);
+      pid_end = Array.make (2 * n) 0;
+      pid_val = Array.make (2 * n) 0;
+      n_pids = 0;
+    }
+
   type table = {
     paths : Interner.t;
     prefixes : Interner.t;
@@ -142,6 +182,7 @@ module Interned = struct
     mutable by_pid : path array;  (** path id → the name path *)
     mutable rank : int array;  (** path id → canonical-text rank (frozen) *)
     mutable frozen : bool;
+    trie : trie;  (** written only while the table is not frozen *)
   }
 
   let dummy_path = { prefix = []; end_node = None }
@@ -155,6 +196,7 @@ module Interned = struct
       by_pid = Array.make 64 dummy_path;
       rank = [||];
       frozen = false;
+      trie = create_trie ();
     }
 
   let global = create_table ()
@@ -205,52 +247,198 @@ module Interned = struct
 
   let of_paths ?table nps = List.map (fun np -> of_path ?table np) nps
 
+  (* ---------------- the prefix trie ---------------- *)
+
+  let step_hash parent value index =
+    let h = Hashtbl.hash value + (parent * 65599) + (index * 31) in
+    h lxor (h lsr 17)
+
+  let pair_hash a b =
+    let h = (a * 0x9E3779B1) + (b * 0x85EBCA6B) in
+    h lxor (h lsr 16)
+
+  let grow_nodes tr =
+    let n = 2 * Array.length tr.parent in
+    tr.parent <- grow_to tr.parent n 0;
+    tr.value <- grow_to tr.value n "";
+    tr.index <- grow_to tr.index n 0;
+    tr.pfx <- grow_to tr.pfx n (-1);
+    tr.tsym <- grow_to tr.tsym n (-1);
+    (* keep the child table at most half full *)
+    let slots = Array.make (2 * n) (-1) and mask = (2 * n) - 1 in
+    for node = 1 to tr.n_nodes - 1 do
+      let i = ref (step_hash tr.parent.(node) tr.value.(node) tr.index.(node) land mask) in
+      while slots.(!i) >= 0 do
+        i := (!i + 1) land mask
+      done;
+      slots.(!i) <- node
+    done;
+    tr.slots <- slots
+
+  (* The node one step [(value, index)] below [parent], added if new. *)
+  let rec child tr parent value index =
+    let mask = Array.length tr.slots - 1 in
+    let i = ref (step_hash parent value index land mask) and found = ref (-1) in
+    while !found < 0 && tr.slots.(!i) >= 0 do
+      let node = tr.slots.(!i) in
+      if
+        tr.parent.(node) = parent
+        && tr.index.(node) = index
+        && String.equal tr.value.(node) value
+      then found := node
+      else i := (!i + 1) land mask
+    done;
+    if !found >= 0 then !found
+    else if tr.n_nodes >= Array.length tr.parent then begin
+      grow_nodes tr;
+      child tr parent value index
+    end
+    else begin
+      let node = tr.n_nodes in
+      tr.n_nodes <- node + 1;
+      tr.parent.(node) <- parent;
+      tr.value.(node) <- value;
+      tr.index.(node) <- index;
+      tr.slots.(!i) <- node;
+      node
+    end
+
+  (* Canonical text of a node's prefix ({!prefix_key} of its step list),
+     rendered right to left along the parent chain. *)
+  let render tr node =
+    let len = ref (-1) and m = ref node in
+    while !m <> 0 do
+      len :=
+        !len + String.length tr.value.(!m)
+        + String.length (string_of_int tr.index.(!m))
+        + 2;
+      m := tr.parent.(!m)
+    done;
+    if node = 0 then ""
+    else begin
+      let b = Bytes.create !len and pos = ref !len in
+      let put s =
+        pos := !pos - String.length s;
+        Bytes.blit_string s 0 b !pos (String.length s)
+      in
+      m := node;
+      while !m <> 0 do
+        put (string_of_int tr.index.(!m));
+        put " ";
+        put tr.value.(!m);
+        if !pos > 0 then put " ";
+        m := tr.parent.(!m)
+      done;
+      Bytes.unsafe_to_string b
+    end
+
+  let rec steps_of tr acc node =
+    if node = 0 then acc
+    else
+      steps_of tr ({ value = tr.value.(node); index = tr.index.(node) } :: acc) tr.parent.(node)
+
+  (* Prefix id of a node, interning its text the first time. *)
+  let node_prefix tb tr node =
+    let p = tr.pfx.(node) in
+    if p >= 0 then p
+    else begin
+      let p = Interner.intern tb.prefixes (render tr node) in
+      tr.pfx.(node) <- p;
+      p
+    end
+
+  let grow_pids tr =
+    let old_p = tr.pid_prefix and old_e = tr.pid_end and old_v = tr.pid_val in
+    let n = 2 * Array.length old_p in
+    let mask = n - 1 in
+    tr.pid_prefix <- Array.make n (-1);
+    tr.pid_end <- Array.make n 0;
+    tr.pid_val <- Array.make n 0;
+    Array.iteri
+      (fun j p ->
+        if p >= 0 then begin
+          let i = ref (pair_hash p old_e.(j) land mask) in
+          while tr.pid_prefix.(!i) >= 0 do
+            i := (!i + 1) land mask
+          done;
+          tr.pid_prefix.(!i) <- p;
+          tr.pid_end.(!i) <- old_e.(j);
+          tr.pid_val.(!i) <- old_v.(j)
+        end)
+      old_p
+
+  (* Path id of the concrete path [prefix]/[end_] at [node], interning its
+     text on a cache miss.  A new path's step list is the one already held
+     by its prefix's symbolic path when there is one. *)
+  let node_pid tb tr node ~prefix ~end_ e =
+    let mask = Array.length tr.pid_prefix - 1 in
+    let i = ref (pair_hash prefix end_ land mask) and found = ref (-1) in
+    while !found < 0 && tr.pid_prefix.(!i) >= 0 do
+      if tr.pid_prefix.(!i) = prefix && tr.pid_end.(!i) = end_ then found := tr.pid_val.(!i)
+      else i := (!i + 1) land mask
+    done;
+    if !found >= 0 then !found
+    else begin
+      let sym = tr.tsym.(node) in
+      let steps = if sym >= 0 then tb.by_pid.(sym).prefix else steps_of tr [] node in
+      let text = Interner.name tb.prefixes prefix ^ " " ^ e in
+      let pid = intern_path tb { prefix = steps; end_node = Some e } text in
+      tr.pid_prefix.(!i) <- prefix;
+      tr.pid_end.(!i) <- end_;
+      tr.pid_val.(!i) <- pid;
+      tr.n_pids <- tr.n_pids + 1;
+      if 2 * tr.n_pids > Array.length tr.pid_prefix then grow_pids tr;
+      pid
+    end
+
+  let node_sym tb tr node ~prefix ~pid =
+    let s = tr.tsym.(node) in
+    if s >= 0 then s
+    else begin
+      let np = { prefix = tb.by_pid.(pid).prefix; end_node = None } in
+      let s = intern_path tb np (Interner.name tb.prefixes prefix ^ " ϵ") in
+      tr.tsym.(node) <- s;
+      s
+    end
+
   (** Fused extract-and-intern: the concrete name paths of AST+ [tree] in
-      leaf order, already interned — semantically
-      [of_paths ?table (extract ?limit tree)], with identical dedup,
-      traversal-limit and intern-call order (so id assignment is
-      bit-identical), but each prefix's canonical text is rendered once,
-      incrementally, in a single reused buffer instead of twice via
-      [Printf.sprintf] per step.  This is the digest hot path. *)
+      leaf order, already interned — [of_paths ?table (extract ?limit tree)]
+      with the same ids: each interner sees the same first-seen sequence
+      (prefixes; whole paths, then symbolic paths; ends with their
+      lowercase forms), and a path's [np] is the table's [by_pid] entry.
+      Nothing is rendered per leaf: the walk descends the table's prefix
+      trie, a node's text is rendered once per table when it is first a
+      leaf's prefix, and [(prefix, end)] pairs map to path ids through a
+      cache.  [extract]'s per-statement prefix dedup has nothing to do
+      here: two leaves of one tree part at their lowest common ancestor
+      with different child indices, and an index is followed by a space or
+      the end of the text, so their prefix texts always differ.  A frozen
+      table is never written: the walk then uses a trie of its own, which
+      the call drops.  This is the digest hot path. *)
   let extract_tree ?(table = global) ?(limit = 10) (tree : Tree.t) : t list =
+    let tr = if table.frozen then create_trie () else table.trie in
     let out = ref [] and count = ref 0 in
-    let seen_prefix = Hashtbl.create 16 in
-    let pbuf = Buffer.create 128 in
-    let rec go rev_prefix (node : Tree.t) =
-      if !count < limit then
-        if Tree.is_leaf node then begin
-          let prefix_text = Buffer.contents pbuf in
-          if not (Hashtbl.mem seen_prefix prefix_text) then begin
-            Hashtbl.replace seen_prefix prefix_text ();
-            let np =
-              { prefix = List.rev rev_prefix; end_node = Some node.Tree.value }
-            in
-            (* same intern order as {!of_path}: prefix, whole path, end,
-               symbolic path *)
-            let prefix = Interner.intern table.prefixes prefix_text in
-            let e = node.Tree.value in
-            let pid = intern_path table np (prefix_text ^ " " ^ e) in
-            let end_ = intern_end table e in
-            let sym =
-              intern_path table { np with end_node = None } (prefix_text ^ " ϵ")
-            in
-            out := { np; pid; prefix; end_; sym } :: !out;
-            incr count
-          end
-        end
-        else
-          List.iteri
-            (fun i child ->
-              let saved = Buffer.length pbuf in
-              if saved > 0 then Buffer.add_char pbuf ' ';
-              Buffer.add_string pbuf node.Tree.value;
-              Buffer.add_char pbuf ' ';
-              Buffer.add_string pbuf (string_of_int i);
-              go ({ value = node.Tree.value; index = i } :: rev_prefix) child;
-              Buffer.truncate pbuf saved)
-            node.Tree.children
+    let leaf node e =
+      let prefix = node_prefix table tr node in
+      let end_ = intern_end table e in
+      let pid = node_pid table tr node ~prefix ~end_ e in
+      let sym = node_sym table tr node ~prefix ~pid in
+      out := { np = table.by_pid.(pid); pid; prefix; end_; sym } :: !out;
+      incr count
     in
-    go [] tree;
+    let rec go node (t : Tree.t) =
+      match t.children with
+      | [] -> leaf node t.value
+      | children -> kids node t.value 0 children
+    and kids node value i = function
+      | [] -> ()
+      | c :: rest ->
+          if !count < limit then begin
+            go (child tr node value i) c;
+            kids node value (i + 1) rest
+          end
+    in
+    if limit > 0 then go 0 tree;
     List.rev !out
 
   (* lookup-or-intern against the global table: when the table is frozen,
@@ -330,11 +518,11 @@ module Interned = struct
     Interner.iter (fun _ s -> acc := s :: !acc) i;
     List.rev !acc
 
-  (** The global prefix and end vocabularies in id order — the interner
-      state a compiled pattern store references, exported for model
-      snapshots.  Whole-path ids are per-scan digest state (every scan
-      re-derives them from its input), so they are not part of the model. *)
-  let export_global () = (interner_strings global.prefixes, interner_strings global.ends)
+  let trie_nodes tb = tb.trie.n_nodes
+
+  (** A table's whole-path, prefix and end vocabularies, each in id order. *)
+  let contents tb =
+    (interner_strings tb.paths, interner_strings tb.prefixes, interner_strings tb.ends)
 
   (** Re-populate the global table from a snapshot, in saved id order:
       interning through the same {!intern_end} recursion that produced the
@@ -375,5 +563,5 @@ module Interned = struct
 end
 
 (** Fused fast path: {!extract} and {!Interned.of_paths} in one traversal,
-    rendering each prefix's canonical text exactly once. *)
+    rendering each distinct prefix's canonical text once per table. *)
 let extract_interned = Interned.extract_tree

@@ -50,8 +50,8 @@ val extract : ?limit:int -> Namer_tree.Tree.t -> t list
 val of_string : string -> t
 
 (** Hash-consed name paths: canonical texts, prefixes and end subtokens
-    become dense integer ids, rendered exactly once at extraction time, so
-    the mining/scan hot loops compare, hash and sort machine integers.
+    become dense integer ids at extraction time, so the mining/scan hot
+    loops compare, hash and sort machine integers.
 
     Interning normally targets the implicit {!Interned.global} table.  The
     multicore contract: populate sequentially — or digest into
@@ -87,8 +87,10 @@ module Interned : sig
 
   (** Fused extract-and-intern: semantically
       [of_paths ?table (extract ?limit tree)] with bit-identical id
-      assignment, but each prefix text rendered once, incrementally — the
-      digest hot path. *)
+      assignment (and each path's [np] is the table's first path with that
+      text).  The walk follows the table's prefix trie: a prefix's text is
+      rendered once per table, not per path.  A frozen table is only read.
+      The digest hot path. *)
   val extract_tree : ?table:table -> ?limit:int -> Namer_tree.Tree.t -> t list
 
   (** Global-table ids for pattern compilation: intern when unfrozen; when
@@ -124,9 +126,14 @@ module Interned : sig
   (** Same order on bare global path ids. *)
   val compare_pids : int -> int -> int
 
-  (** Global prefix and end vocabularies in id order, for model snapshots
-      (whole-path ids are per-scan digest state and are not exported). *)
-  val export_global : unit -> string list * string list
+  (** A table's whole-path, prefix and end vocabularies, each in id order:
+      for model snapshots (which keep the global prefixes and ends) and for
+      checking that two ways of interning agree. *)
+  val contents : table -> string list * string list * string list
+
+  (** Number of nodes in a table's prefix trie, the empty prefix included
+      (for checking that a frozen table is not written). *)
+  val trie_nodes : table -> int
 
   (** Re-populate the global table from a snapshot in saved id order —
       exact id (and lowercase-fold) reproduction on an empty table, a

@@ -23,45 +23,44 @@ let is_lower c = c >= 'a' && c <= 'z'
 let is_digit c = c >= '0' && c <= '9'
 
 (** [split name] returns the subtokens of [name] in order, capitalization
-    preserved.  Boundaries are underscores, lower→upper transitions,
-    upper-run→upper-lower transitions (as in [HTTPServer] → [HTTP; Server]),
-    and letter/digit transitions.  Never returns an empty list for a
-    non-empty input; returns [[]] for the empty string. *)
+    preserved.  Boundaries are underscores (and [$]), lower→upper
+    transitions, upper-run→upper-lower transitions (as in [HTTPServer] →
+    [HTTP; Server]), and letter/digit transitions.  Returns [[]] for the
+    empty string and for a name made only of separators ([split "__"] is
+    [[]]).  A name that is one subtoken comes back as itself, not a copy. *)
 let split name =
   let n = String.length name in
-  if n = 0 then []
-  else begin
-    let out = ref [] and buf = Buffer.create 8 in
-    let flush () =
-      if Buffer.length buf > 0 then begin
-        out := Buffer.contents buf :: !out;
-        Buffer.clear buf
-      end
-    in
-    for i = 0 to n - 1 do
-      let c = name.[i] in
-      if c = '_' || c = '$' then flush ()
-      else begin
-        let prev = if i > 0 then Some name.[i - 1] else None in
-        let next = if i < n - 1 then Some name.[i + 1] else None in
-        (match prev with
-        | Some p ->
-            if
-              (is_lower p && is_upper c)
-              || (is_digit p && not (is_digit c))
-              || ((not (is_digit p)) && is_digit c)
-              (* HTTPServer: boundary before the last upper of an upper run
-                 when a lower follows. *)
-              || is_upper p && is_upper c
-                 && match next with Some nx -> is_lower nx | None -> false
-            then flush ()
-        | None -> ());
-        Buffer.add_char buf c
-      end
-    done;
-    flush ();
-    List.rev !out
-  end
+  (* [start] is the first index of the subtoken being scanned, [-1] between
+     subtokens; every subtoken is a contiguous slice of [name]. *)
+  let out = ref [] and start = ref (-1) in
+  let emit stop =
+    if !start >= 0 then begin
+      out :=
+        (if !start = 0 && stop = n then name else String.sub name !start (stop - !start))
+        :: !out;
+      start := -1
+    end
+  in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get name i in
+    if c = '_' || c = '$' then emit i
+    else begin
+      (if i > 0 then
+         let p = String.unsafe_get name (i - 1) in
+         if
+           (is_lower p && is_upper c)
+           || (is_digit p && not (is_digit c))
+           || ((not (is_digit p)) && is_digit c)
+           (* HTTPServer: boundary before the last upper of an upper run
+              when a lower follows. *)
+           || is_upper p && is_upper c && i < n - 1
+              && is_lower (String.unsafe_get name (i + 1))
+         then emit i);
+      if !start < 0 then start := i
+    end
+  done;
+  emit n;
+  List.rev !out
 
 (** Lowercased subtokens — the canonical form used for comparing naming
     vocabulary across styles. *)

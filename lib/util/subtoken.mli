@@ -6,7 +6,9 @@
 
 type style = Snake | Camel | Pascal | Screaming | Flat
 
-(** Subtokens of a name, in order; [[]] only for the empty string. *)
+(** Subtokens of a name, in order; [[]] for the empty string and for a
+    name made only of separators (e.g. ["__"]).  A one-subtoken name is
+    returned as itself. *)
 val split : string -> string list
 
 (** Lowercased subtokens — the canonical cross-style form. *)

@@ -197,6 +197,94 @@ let prop_interned_sym_sharing =
       && is_.Namepath.Interned.end_ = -1
       && (Namepath.is_symbolic p = (ip.Namepath.Interned.end_ = -1)))
 
+(* ---------------- fused extraction ≡ extract + of_paths ------------- *)
+
+module I = Namepath.Interned
+
+(* Random AST+-shaped trees over a small vocabulary, so prefixes repeat;
+   ["a 0 b"] and ["0 b"] make distinct step lists render to the same text
+   (["a 0 b 0"] is both [a 0; b 0] and [a 0 b 0]). *)
+let tree_gen =
+  let open QCheck.Gen in
+  let value = oneofl [ "Call"; "Attr"; "a"; "b"; "0 b"; "a 0 b"; "NumST(2)"; "x"; "" ] in
+  sized_size (int_range 0 4)
+  @@ fix (fun self n ->
+         if n = 0 then map Tree.leaf value
+         else
+           frequency
+             [
+               (1, map Tree.leaf value);
+               (4, map2 Tree.node value (list_size (int_range 1 5) (self (n - 1))));
+             ])
+
+let same_interned (x : I.t) (y : I.t) =
+  x.I.pid = y.I.pid && x.I.prefix = y.I.prefix && x.I.end_ = y.I.end_
+  && x.I.sym = y.I.sym
+  && String.equal (Namepath.to_string x.I.np) (Namepath.to_string y.I.np)
+
+(* One run of [trees] through a fused table and a reference table: every
+   statement's paths agree, and so do the three interners, id by id.  The
+   first tree meets cold tables, later ones (and the repeat of the first)
+   the warm trie and path-id cache. *)
+let fused_agrees ~limit trees =
+  let fused = I.create_table () and reference = I.create_table () in
+  List.for_all
+    (fun t ->
+      let a = I.extract_tree ~table:fused ~limit t
+      and b = I.of_paths ~table:reference (Namepath.extract ~limit t) in
+      List.length a = List.length b && List.for_all2 same_interned a b)
+    (trees @ [ List.hd trees ])
+  && I.contents fused = I.contents reference
+
+let prop_extract_tree_reference =
+  QCheck.Test.make ~name:"interned: extract_tree ≡ of_paths ∘ extract" ~count:500
+    QCheck.(
+      pair (int_range 1 12)
+        (make
+           ~print:(fun ts -> String.concat "\n" (List.map Tree.to_sexp ts))
+           Gen.(list_size (int_range 1 4) tree_gen)))
+    (fun (limit, trees) -> fused_agrees ~limit trees)
+
+let test_extract_tree_edges () =
+  let leaf = Tree.leaf "solo" in
+  let wide = Tree.node "R" (List.init 25 (fun i -> Tree.node "N" [ Tree.leaf (string_of_int i) ])) in
+  (* the step lists [a 0; b 0] and [a 0 b 0] both render "a 0 b 0" *)
+  let two_steps = Tree.node "a" [ Tree.node "b" [ Tree.leaf "x" ] ]
+  and one_step = Tree.node "a 0 b" [ Tree.leaf "x" ] in
+  check_bool "leaf at the root" true (fused_agrees ~limit:10 [ leaf ]);
+  check_bool "more leaves than the limit" true (fused_agrees ~limit:10 [ wide; wide ]);
+  check_bool "colliding prefix texts" true (fused_agrees ~limit:10 [ two_steps; one_step ]);
+  let tb = I.create_table () in
+  match (I.extract_tree ~table:tb two_steps, I.extract_tree ~table:tb one_step) with
+  | [ p ], [ q ] ->
+      check_int "one prefix id" p.I.prefix q.I.prefix;
+      check_int "one path id" p.I.pid q.I.pid;
+      check_bool "np is the table's first path" true (p.I.np == q.I.np)
+  | _ -> Alcotest.fail "one path per tree"
+
+(* A frozen table answers known paths and refuses unknown ones, and the
+   fused walk never writes it, not even its trie: [t] was interned through
+   [of_paths], so a walk allowed to write would add trie nodes. *)
+let test_extract_tree_frozen () =
+  let t =
+    Astplus.transform ~origins:Origins.none
+      (Tree.node "Assign"
+         [ Tree.node "NameStore" [ Tree.leaf "frozenProbe" ]; Tree.node "Num" [ Tree.leaf "1" ] ])
+  in
+  let before = I.of_paths (Namepath.extract t) in
+  let contents = I.contents I.global and nodes = I.trie_nodes I.global in
+  I.freeze ();
+  Fun.protect ~finally:I.thaw @@ fun () ->
+  let frozen = I.extract_tree t in
+  check_bool "frozen extraction agrees" true
+    (List.length before = List.length frozen && List.for_all2 same_interned before frozen);
+  check_int "trie unchanged" nodes (I.trie_nodes I.global);
+  check_bool "unknown path refused" true
+    (match I.extract_tree (Tree.node "NoSuchNode-xyzzy" [ Tree.leaf "q" ]) with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  check_bool "interners unchanged" true (I.contents I.global = contents)
+
 let test_interned_rank_order () =
   let module I = Namepath.Interned in
   let paths = [ np1; np2; np3 ] @ Namepath.extract (figure2_plus ()) in
@@ -237,4 +325,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_interned_pid_equality;
     QCheck_alcotest.to_alcotest prop_interned_sym_sharing;
     Alcotest.test_case "interned: frozen rank order" `Quick test_interned_rank_order;
+    QCheck_alcotest.to_alcotest prop_extract_tree_reference;
+    Alcotest.test_case "interned: extract_tree edge cases" `Quick test_extract_tree_edges;
+    Alcotest.test_case "interned: frozen extract_tree reads only" `Quick test_extract_tree_frozen;
   ]

@@ -26,7 +26,11 @@ let test_split_mixed () =
   check_sl "digits" [ "utf"; "8"; "decode" ] (Subtoken.split "utf8_decode");
   check_sl "screaming" [ "MAX"; "VALUE" ] (Subtoken.split "MAX_VALUE");
   check_sl "single" [ "x" ] (Subtoken.split "x");
-  check_sl "empty" [] (Subtoken.split "")
+  check_sl "empty" [] (Subtoken.split "");
+  check_sl "separators only" [] (Subtoken.split "__");
+  let name = "picture" in
+  check_bool "one subtoken is the input itself" true
+    (match Subtoken.split name with [ s ] -> s == name | _ -> false)
 
 let test_detect_style () =
   let open Subtoken in
@@ -60,6 +64,15 @@ let prop_split_round_trip =
       let style = Subtoken.detect_style s in
       let joined = Subtoken.join style (Subtoken.split s) in
       Subtoken.split_lower joined = Subtoken.split_lower s)
+
+let prop_split_matches_reference =
+  QCheck.Test.make ~name:"subtoken: split = buffer-based reference" ~count:1000
+    (QCheck.string_gen_of_size (QCheck.Gen.int_range 0 12)
+       (QCheck.Gen.oneofl
+          (List.of_seq
+             (String.to_seq
+                "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_$"))))
+    (fun s -> Subtoken.split s = Ref_subtoken.split s)
 
 (* ---------------- Edit distance ---------------- *)
 
@@ -295,6 +308,7 @@ let suite =
     Alcotest.test_case "subtoken: join" `Quick test_join;
     Alcotest.test_case "subtoken: replace subtoken" `Quick test_replace_subtoken;
     QCheck_alcotest.to_alcotest prop_split_round_trip;
+    QCheck_alcotest.to_alcotest prop_split_matches_reference;
     Alcotest.test_case "edit: levenshtein" `Quick test_levenshtein;
     Alcotest.test_case "edit: damerau transposition" `Quick test_damerau;
     Alcotest.test_case "edit: similarity" `Quick test_similarity;
