@@ -82,8 +82,9 @@ obs-smoke: build
 # Serve smoke, run as-is by the serve-smoke CI job: start the daemon on a
 # Unix socket, fire 50 concurrent requests (with a model hot-swap
 # mid-traffic) through bench/loadtest.exe, and require the responses to
-# be byte-identical to `namer scan --model`, a clean SIGTERM drain, and
-# a serve row in the run ledger.
+# be byte-identical to `namer scan --model`, the name-path interner sizes
+# in `status` to be the same before and after the run (scans never grow
+# it), a clean SIGTERM drain, and a serve row in the run ledger.
 serve-smoke: build
 	@set -eu; \
 	state=$$(mktemp -d); trap 'rm -rf "$$state"' EXIT; \
@@ -96,10 +97,15 @@ serve-smoke: build
 	  2> "$$state/daemon.err" & pid=$$!; \
 	for _ in $$(seq 1 100); do [ -S "$$state/namer.sock" ] && break; sleep 0.1; done; \
 	[ -S "$$state/namer.sock" ]; \
+	interner() { python3 -c 'import json, socket, sys; s = socket.socket(socket.AF_UNIX); s.connect(sys.argv[1]); s.sendall(b"{\"op\":\"status\"}\n"); print(json.dumps(json.loads(s.makefile().readline())["interner"], sort_keys=True))' "$$state/namer.sock"; }; \
+	before=$$(interner); \
 	"$$loadtest" --socket "$$state/namer.sock" --dir "$$state/corpus" \
 	  --clients 8 --requests 50 --max-reports 100000 \
 	  --reload-at 25 --reload-model "$$state/m.nmdl" \
 	  --expect-identical --dump-text "$$state/serve.txt" --out "$$state/loadtest.json"; \
+	after=$$(interner); \
+	echo "interner before: $$before, after: $$after"; \
+	[ "$$before" = "$$after" ]; \
 	"$$namer" scan --model "$$state/m.nmdl" --max-reports 100000 "$$state/corpus" \
 	  > "$$state/cli.txt" 2>/dev/null; \
 	diff "$$state/serve.txt" "$$state/cli.txt"; \

@@ -34,9 +34,9 @@ type config = {
           OCaml 5 and results are identical anyway.  Tests that must
           exercise real worker domains on small machines turn it off. *)
   digest_batch : int;
-      (** files per streaming digest batch (default [1024]).  [build] and
-          {!scan_refs} hold at most one batch of sources and ASTs resident
-          at a time — peak memory is O(batch × jobs), never O(corpus) —
+      (** files per streaming digest batch (default [1024]).  [build]
+          holds at most one batch of sources and ASTs resident at a time —
+          peak memory is O(batch × jobs), never O(corpus) —
           and every value produces bit-identical results (batches are
           contiguous corpus slices merged in order). *)
 }
@@ -97,10 +97,10 @@ val builtin_pairs : Corpus.lang -> (string * string) list
 (** {1 Streaming file references}
 
     The frontend never requires a corpus in memory: a {!file_ref} names a
-    file and knows how to load it.  [build]/{!build_refs}/{!scan_refs}
-    stream refs through the digest in bounded batches ([digest_batch]) —
-    the source and AST of a file exist only between its [fr_load] and the
-    end of its digest. *)
+    file and knows how to load it.  [build]/{!build_refs} stream refs
+    through the digest in bounded batches ([digest_batch]) and {!scan_refs}
+    one file per task — the source and AST of a file exist only between
+    its [fr_load] and the end of its digest. *)
 
 type file_ref = {
   fr_repo : string;  (** shard key — files of one repo stay contiguous *)
@@ -184,6 +184,9 @@ type model = {
   m_pairs : Confusing_pairs.t;
   m_classifier : Namer_ml.Pipeline.t option;
   m_hash : string;  (** checksum identity of the serialized form *)
+  m_vocab : Pattern.vocab;
+      (** the store's scan vocabulary, built once with the model: scans
+          digest against it and never read or write the global interner *)
 }
 
 (** ["consistency" | "confusing-word" | "ordering"] — the stable kind tag
@@ -336,22 +339,22 @@ val scan_json_fields :
     parse/analyze/name-path extraction entirely and replay byte-identically
     at any [jobs].  Deterministic: the report array is totally ordered.
 
-    [pool] runs the sharded digest/match phases on a caller-owned domain
-    pool instead of creating one per call — the serve daemon loads a model
-    once and multiplexes every request's scan onto one resident pool.
-    When [pool] is given, [jobs] and [cap_domains] are ignored.  Note that
-    digesting misses grows the global name-path interner; concurrent
-    callers must serialize scans of uncached files (the interner is
-    single-writer — see DESIGN.md §11). *)
+    [pool] runs the per-file tasks on a caller-owned domain pool instead of
+    creating one per call — the serve daemon loads a model once and
+    multiplexes every request's scan onto one resident pool.  When [pool]
+    is given, [jobs] and [cap_domains] are ignored.  A scan reads only the
+    model (its vocabulary included) and never the global name-path
+    interner, so concurrent scans, and a {!load_model} beside them, need no
+    lock. *)
 val scan_with_model :
   ?jobs:int -> ?cap_domains:bool -> ?pool:Namer_parallel.Pool.t ->
   ?cache_dir:string -> model -> Corpus.file list ->
   scan_result
 
-(** [scan_refs m refs] — the streaming form of {!scan_with_model}: sources
-    are loaded on worker domains batch-by-batch ([digest_batch]), cache-
-    probed, digested and dropped, so scanning a corpus never holds more
-    than O(batch × jobs) sources.  Same determinism and cache contract. *)
+(** [scan_refs m refs] — the streaming form of {!scan_with_model}: each
+    file is loaded, cache-probed, digested, matched and dropped inside one
+    task on a worker domain, so scanning a corpus never holds more than one
+    source per domain.  Same determinism and cache contract. *)
 val scan_refs :
   ?jobs:int -> ?cap_domains:bool -> ?pool:Namer_parallel.Pool.t ->
   ?cache_dir:string -> model -> file_ref list ->

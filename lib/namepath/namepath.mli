@@ -93,6 +93,20 @@ module Interned : sig
       The digest hot path. *)
   val extract_tree : ?table:table -> ?limit:int -> Namer_tree.Tree.t -> t list
 
+  (** A read-only set of prefix texts, each tagged with a caller-chosen
+      id, held in a trie of its own — no interning table is read or
+      written.  Safe to share across domains. *)
+  type prefix_set
+
+  val prefix_set : (string * int) list -> prefix_set
+
+  (** [walk_prefix_set ps ~limit tree] is [(n, kept)]: [n] is the number
+      of paths [extract ~limit tree] returns, and [kept] lists, in leaf
+      order, those of them whose prefix text is in [ps], as (id, end
+      subtoken).  Paths under other prefixes still count toward [limit].
+      Nothing is rendered unless a node value holds a space. *)
+  val walk_prefix_set : prefix_set -> limit:int -> Namer_tree.Tree.t -> int * (int * string) list
+
   (** Global-table ids for pattern compilation: intern when unfrozen; when
       frozen, unknown strings map to the never-matching sentinel [-2]. *)
   val prefix_id : path -> int
@@ -134,6 +148,9 @@ module Interned : sig
   (** Number of nodes in a table's prefix trie, the empty prefix included
       (for checking that a frozen table is not written). *)
   val trie_nodes : table -> int
+
+  (** Sizes of a table's whole-path, prefix and end interners. *)
+  val sizes : table -> int * int * int
 
   (** Re-populate the global table from a snapshot in saved id order —
       exact id (and lowercase-fold) reproduction on an empty table, a

@@ -40,14 +40,27 @@ val pp : Format.formatter -> t -> unit
 (** Whether the pattern constrains a callee name (feature 13 of Table 1). *)
 val targets_function_name : t -> bool
 
+(** A store's scan vocabulary ({!Store.vocab}): the prefixes and end words
+    its compiled patterns mention, under their compiled ids.  Immutable;
+    digesting against it reads no interning table, so any number of domains
+    share one. *)
+type vocab
+
 (** Statements pre-digested for pattern checking. *)
 module Stmt_paths : sig
+  (** How ids turn back into text: through the global table, or through
+      the digest's scan vocabulary and the end words of its index, which
+      also name its statement-local ends. *)
+  type names = Global | Vocab of vocab * string array
+
   type t = {
-    ipaths : Namepath.Interned.t array;  (** all paths, original order *)
+    ipaths : Namepath.Interned.t array;
+        (** all paths, original order; [[||]] for a vocabulary digest *)
     index_prefix : int array;
         (** distinct concrete-path prefix ids, leaf order *)
     index_end : int array;  (** end id of the first path at that prefix *)
-    n_paths : int;
+    n_paths : int;  (** paths extracted, kept or not *)
+    names : names;
   }
 
   (** Digest a path list; [table] (default the global table) lets worker
@@ -60,6 +73,15 @@ module Stmt_paths : sig
   val of_interned : Namepath.Interned.t list -> t
 
   val of_tree : ?table:Namepath.Interned.table -> ?limit:int -> Namer_tree.Tree.t -> t
+
+  (** Digest against a scan vocabulary — the model scan's path.  Of the
+      paths {!of_tree} would extract, only those whose prefix a pattern
+      mentions are indexed, with the ids {!of_tree} gives them on the table
+      the patterns were compiled against; an end word no pattern mentions
+      gets a statement-local id.  {!Store.candidates} and {!check} answer
+      both digests alike. *)
+  val of_vocab : vocab -> ?limit:int -> Namer_tree.Tree.t -> t
+
   val paths : t -> Namepath.t list
 
   (** End id at a prefix id, [-1] when absent — the hot-path lookup. *)
@@ -108,8 +130,12 @@ module Store : sig
   val add_nodedup : t -> pattern -> int
 
   (** Patterns whose deduction prefix occurs in the statement — the
-      candidate set for {!check}. *)
+      candidate set for {!check}, without repeats. *)
   val candidates : t -> Stmt_paths.t -> pattern list
+
+  (** Build the store's scan vocabulary.  Patterns added later are not in
+      it. *)
+  val vocab : t -> vocab
 
   val iter : (pattern -> unit) -> t -> unit
   val fold : ('a -> pattern -> 'a) -> t -> 'a -> 'a

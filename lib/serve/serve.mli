@@ -22,8 +22,8 @@
       sources shipped in the request;
     - optional [{"max_reports":N}] on any scan caps the rendered report
       list (the [violations] count stays exact);
-    - [{"op":"status"}] — model identity, counters, pool and latency
-      snapshot;
+    - [{"op":"status"}] — model identity, counters, pool, interner
+      sizes ([{"prefixes","ends","paths"}]) and latency snapshot;
     - [{"op":"reload"}] or [{"op":"reload","model":PATH}] — hot-swap the
       model (see below);
     - [{"op":"shutdown"}] — acknowledge, then drain and exit.
@@ -40,15 +40,18 @@
 
     {2 Concurrency and the model lock}
 
-    Each connection is handled by its own thread; scans fan their sharded
-    digest/match phases onto one resident {!Namer_parallel.Pool} shared by
-    every request ([sv_jobs > 1]).  The global name-path interner is
-    single-writer (DESIGN.md §7), so every scan — cache hits included —
-    and every model load, which preloads the interner, runs under one
-    model lock; request parsing, file reading and response IO run
-    concurrently.  The content-addressed scan
-    cache ([sv_cache_dir]) is shared across requests and with concurrent
-    CLI scans (atomic temp+rename publication, DESIGN.md §8).
+    Each connection is handled by its own thread; scans fan their
+    per-file tasks onto one resident {!Namer_parallel.Pool} shared by
+    every request ([sv_jobs > 1]).  A scan digests against its model's
+    read-only scan vocabulary and never touches the global name-path
+    interner, so scans run concurrently with each other and with a
+    reload, and the interner does not grow with novel files ([status]
+    reports its sizes under [interner]).  Model loads preload the
+    interner, which is single-writer (DESIGN.md §11), so the model lock
+    serializes reloads against each other and nothing else.  The
+    content-addressed scan cache ([sv_cache_dir]) is shared across
+    requests and with concurrent CLI scans (atomic temp+rename
+    publication, DESIGN.md §8).
 
     {2 Robustness}
 

@@ -244,3 +244,207 @@ let ordering_suite =
   ]
 
 let suite = suite @ ordering_suite
+
+(* ---------------- scan vocabulary ≡ global digest ---------------- *)
+
+module Tree = Namer_tree.Tree
+module I = Namepath.Interned
+
+(* A random store over the paths of [trees] (extracted without a limit, so
+   patterns also mention leaves past it): consistency, confusing-word and
+   ordering patterns whose conditions keep or swap their ends, or go ϵ.
+   Words come from the trees' own ends, their upper- and lower-case forms
+   and a few strangers, so lookups hit, miss and fold. *)
+let random_store ~seed trees =
+  let rng = Random.State.make [| seed |] in
+  let paths = Array.of_list (List.concat_map (Namepath.extract ~limit:1000) trees) in
+  let words =
+    Array.of_list
+      (List.concat_map
+         (fun (p : Namepath.t) ->
+           match p.Namepath.end_node with
+           | Some w -> [ w; String.uppercase_ascii w; String.lowercase_ascii w ]
+           | None -> [])
+         (Array.to_list paths)
+      @ [ "foo"; "FOO"; "zzz" ])
+  in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let store = Pattern.Store.create () in
+  if Array.length paths > 0 then
+    for _ = 1 to 1 + Random.State.int rng 8 do
+      let cond =
+        List.init (Random.State.int rng 3) (fun _ ->
+            let p = pick paths in
+            match Random.State.int rng 3 with
+            | 0 -> p
+            | 1 -> Namepath.to_symbolic p
+            | _ -> { p with Namepath.end_node = Some (pick words) })
+      in
+      let kind, deduction =
+        match Random.State.int rng 3 with
+        | 0 -> (Pattern.Consistency, [ Namepath.to_symbolic (pick paths); Namepath.to_symbolic (pick paths) ])
+        | 1 -> (Pattern.Confusing_word { correct = pick words }, [ pick paths ])
+        | _ ->
+            (Pattern.Ordering { first = pick words; second = pick words }, [ pick paths; pick paths ])
+      in
+      ignore (Pattern.Store.add store (Pattern.make ~kind ~condition:cond ~deduction))
+    done;
+  store
+
+(* Both digests of [tree] give the same candidates and, for each, the same
+   relation with the same strings. *)
+let digests_agree store vocab ~limit tree =
+  let g = Pattern.Stmt_paths.of_tree ~limit tree
+  and v = Pattern.Stmt_paths.of_vocab vocab ~limit tree in
+  let cg = Pattern.Store.candidates store g and cv = Pattern.Store.candidates store v in
+  g.Pattern.Stmt_paths.n_paths = v.Pattern.Stmt_paths.n_paths
+  && List.map (fun (p : Pattern.t) -> p.Pattern.id) cg
+     = List.map (fun (p : Pattern.t) -> p.Pattern.id) cv
+  && List.for_all (fun p -> Pattern.check p g = Pattern.check p v) cg
+
+let trees_arb =
+  QCheck.make
+    ~print:(fun (limit, seed, ts) ->
+      Printf.sprintf "limit %d, seed %d\n%s" limit seed
+        (String.concat "\n" (List.map Tree.to_sexp ts)))
+    QCheck.Gen.(
+      triple (int_range 1 12) (int_bound 1_000_000)
+        (list_size (int_range 1 4) Test_namepath.tree_gen))
+
+let prop_vocab_digest_agrees =
+  QCheck.Test.make ~name:"vocab digest ≡ of_tree digest" ~count:500 trees_arb
+    (fun (limit, seed, trees) ->
+      let store = random_store ~seed trees in
+      let vocab = Pattern.Store.vocab store in
+      List.for_all (digests_agree store vocab ~limit) trees)
+
+(* The deduplicating candidate code the store used to run: bucket by first
+   deduction prefix (latest pattern first), skip ids already taken. *)
+let old_candidates store (s : Pattern.Stmt_paths.t) =
+  let bucket pfx =
+    Pattern.Store.fold
+      (fun acc (p : Pattern.t) ->
+        match p.Pattern.deduction with
+        | d :: _ when I.prefix_id d = pfx -> p :: acc
+        | _ -> acc)
+      store []
+  in
+  let seen = Hashtbl.create 16 in
+  List.concat_map
+    (fun pfx ->
+      List.filter
+        (fun (p : Pattern.t) ->
+          if Hashtbl.mem seen p.Pattern.id then false
+          else begin
+            Hashtbl.replace seen p.Pattern.id ();
+            true
+          end)
+        (bucket pfx))
+    (Array.to_list (Pattern.Stmt_paths.prefix_ids s))
+
+let prop_candidates_unique =
+  QCheck.Test.make ~name:"candidates: no repeats, same as the deduplicating code"
+    ~count:300 trees_arb (fun (limit, seed, trees) ->
+      let store = random_store ~seed trees in
+      let vocab = Pattern.Store.vocab store in
+      let ids l = List.map (fun (p : Pattern.t) -> p.Pattern.id) l in
+      List.for_all
+        (fun t ->
+          List.for_all
+            (fun s ->
+              let c = ids (Pattern.Store.candidates store s) in
+              List.length (List.sort_uniq compare c) = List.length c
+              && c = ids (old_candidates store s))
+            [ Pattern.Stmt_paths.of_tree ~limit t; Pattern.Stmt_paths.of_vocab vocab ~limit t ])
+        trees)
+
+let store_of patterns =
+  let store = Pattern.Store.create () in
+  List.iter (fun p -> ignore (Pattern.Store.add store p)) patterns;
+  store
+
+let test_vocab_unmentioned_leaves_count () =
+  (* leaves 0–4 sit under prefixes no pattern mentions; they still use up
+     the limit, so the pattern on leaf 12 must stay out of both digests *)
+  let wide = Tree.node "R" (List.init 25 (fun i -> Tree.node "N" [ Tree.leaf (Printf.sprintf "w%d" i) ])) in
+  let path i = List.nth (Namepath.extract ~limit:100 wide) i in
+  let store =
+    store_of
+      [
+        Pattern.make ~kind:Pattern.Consistency ~condition:[]
+          ~deduction:[ Namepath.to_symbolic (path 5); Namepath.to_symbolic (path 9) ];
+        Pattern.make ~kind:(Pattern.Confusing_word { correct = "w0" }) ~condition:[ path 6 ]
+          ~deduction:[ path 12 ];
+        Pattern.make ~kind:(Pattern.Confusing_word { correct = "x" }) ~condition:[] ~deduction:[ path 7 ];
+      ]
+  in
+  let vocab = Pattern.Store.vocab store in
+  check_bool "digests agree" true (digests_agree store vocab ~limit:10 wide);
+  let v = Pattern.Stmt_paths.of_vocab vocab ~limit:10 wide in
+  check_int "all ten leaves counted" 10 v.Pattern.Stmt_paths.n_paths;
+  check_int "two candidates, not leaf 12's" 2 (List.length (Pattern.Store.candidates store v))
+
+let test_vocab_root_leaf () =
+  let leaf = Tree.leaf "solo" in
+  let store =
+    store_of
+      [
+        Pattern.make ~kind:(Pattern.Confusing_word { correct = "other" }) ~condition:[]
+          ~deduction:(Namepath.extract leaf);
+      ]
+  in
+  let vocab = Pattern.Store.vocab store in
+  check_bool "digests agree" true (digests_agree store vocab ~limit:10 leaf);
+  match Pattern.Store.candidates store (Pattern.Stmt_paths.of_vocab vocab leaf) with
+  | [ p ] -> (
+      match Pattern.check p (Pattern.Stmt_paths.of_vocab vocab leaf) with
+      | Pattern.Violated info ->
+          check_str "found" "solo" info.Pattern.found;
+          check_str "prefix" "" info.Pattern.offending_prefix
+      | _ -> Alcotest.fail "expected a violation")
+  | _ -> Alcotest.fail "one candidate"
+
+let test_vocab_case_fold () =
+  (* the model mentions "foo" only; "FOO" is a statement-local end *)
+  let stmt a b = Tree.node "S" [ Tree.leaf a; Tree.leaf b ] in
+  let paths = Namepath.extract (stmt "foo" "bar") in
+  let store =
+    store_of
+      [
+        Pattern.make ~kind:Pattern.Consistency ~condition:[]
+          ~deduction:(List.map Namepath.to_symbolic paths);
+        Pattern.make ~kind:(Pattern.Confusing_word { correct = "foo" }) ~condition:[]
+          ~deduction:[ List.hd paths ];
+      ]
+  in
+  let vocab = Pattern.Store.vocab store in
+  List.iter
+    (fun (a, b) ->
+      check_bool (a ^ "/" ^ b ^ " digests agree") true (digests_agree store vocab ~limit:10 (stmt a b)))
+    [ ("FOO", "foo"); ("foo", "FOO"); ("FOO", "bar"); ("Foo", "fOO"); ("foo", "foo") ];
+  let v = Pattern.Stmt_paths.of_vocab vocab (stmt "FOO" "foo") in
+  check_bool "a local id lies above the compiled ones" true
+    (v.Pattern.Stmt_paths.index_end.(0) > I.end_id "foo");
+  let cands = Pattern.Store.candidates store v in
+  check_int "two candidates" 2 (List.length cands);
+  let consistency, confusing =
+    List.partition (fun (p : Pattern.t) -> p.Pattern.kind = Pattern.Consistency) cands
+  in
+  check_bool "FOO ≡ foo up to case" true
+    (Pattern.check (List.hd consistency) v = Pattern.Satisfied);
+  check_bool "FOO is not the word foo" true
+    (match Pattern.check (List.hd confusing) v with
+    | Pattern.Violated { found = "FOO"; suggested = "foo"; _ } -> true
+    | _ -> false)
+
+let vocab_suite =
+  [
+    QCheck_alcotest.to_alcotest prop_vocab_digest_agrees;
+    QCheck_alcotest.to_alcotest prop_candidates_unique;
+    Alcotest.test_case "vocab: unmentioned leaves count toward the limit" `Quick
+      test_vocab_unmentioned_leaves_count;
+    Alcotest.test_case "vocab: leaf at the root" `Quick test_vocab_root_leaf;
+    Alcotest.test_case "vocab: unseen end folds to a seen one" `Quick test_vocab_case_fold;
+  ]
+
+let suite = suite @ vocab_suite

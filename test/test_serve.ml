@@ -204,25 +204,66 @@ let test_scan_matches_direct () =
          check_string "reports identical to a direct scan_with_model"
            (String.concat "\n" expected) (String.concat "\n" served)))
 
+(* Inline sources no model in this process was trained on: another seed's
+   files, and names no generator produces. *)
+let novel_payload () =
+  let files =
+    (Corpus.generate
+       {
+         (Corpus.default_config Corpus.Python) with
+         Corpus.n_repos = 2;
+         files_per_repo = (3, 3);
+         seed = 977;
+       })
+      .Corpus.files
+  in
+  let source path source = J.Obj [ ("path", J.String path); ("source", J.String source) ] in
+  J.Obj
+    [
+      ("op", J.String "scan");
+      ( "sources",
+        J.List
+          (source "novel/zq.py"
+             "class Qzx(object):\n    def __init__(self, wobbleFrob):\n        self.wobble_frob = wobbleFrob\n"
+          :: List.map (fun (f : Corpus.file) -> source f.Corpus.path f.Corpus.source) files) );
+    ]
+
+let interner_of status =
+  match field "interner" status with
+  | Some obj -> List.map (fun k -> int_f k obj) [ "prefixes"; "ends"; "paths" ]
+  | None -> []
+
 let test_concurrent_requests_identical () =
   let dir, model_a, _, _, _ = Lazy.force env in
   ignore
     (with_daemon ~model:model_a
        ~cache_dir:(temp_dir "test_serve_cache")
        (fun _ target ->
-         let spec =
-           {
-             (Client.Load.default_spec ~payload:(scan_payload dir)) with
-             Client.Load.l_clients = 4;
-             l_requests = 16;
-           }
+         let status () =
+           let c = Client.connect ~retry_for:5.0 target in
+           let s = req c (J.Obj [ ("op", J.String "status") ]) in
+           Client.close c;
+           interner_of s
          in
-         let r = Client.Load.run target spec in
-         check_int "all requests answered" 16 r.Client.Load.lr_sent;
-         check_int "all requests ok" 16 r.Client.Load.lr_ok;
-         check_int "no failures" 0 r.Client.Load.lr_failed;
-         check_bool "concurrent responses byte-identical" true
-           r.Client.Load.lr_responses_identical))
+         let before = status () in
+         check_int "status reports the interner" 3 (List.length before);
+         List.iter
+           (fun payload ->
+             let spec =
+               {
+                 (Client.Load.default_spec ~payload) with
+                 Client.Load.l_clients = 4;
+                 l_requests = 16;
+               }
+             in
+             let r = Client.Load.run target spec in
+             check_int "all requests answered" 16 r.Client.Load.lr_sent;
+             check_int "all requests ok" 16 r.Client.Load.lr_ok;
+             check_int "no failures" 0 r.Client.Load.lr_failed;
+             check_bool "concurrent responses byte-identical" true
+               r.Client.Load.lr_responses_identical)
+           [ scan_payload dir; novel_payload () ];
+         check_bool "novel files leave the interner as it was" true (status () = before)))
 
 let test_pooled_daemon_matches_sequential () =
   let dir, model_a, _, _, _ = Lazy.force env in
