@@ -23,7 +23,21 @@
     space: path frequencies are counted per pid, splits compare end ids,
     the FP-tree holds pid lists, and candidate dedup keys are pid lists —
     no canonical text is rendered until a surviving pattern reaches the
-    final store. *)
+    final store.
+
+    [pruneUncommon] matches every candidate against every statement in
+    Algorithm 1; here each statement is checked only against the
+    candidates of an {e anchor index}.  The index files each candidate
+    once: under its exact condition item — a (prefix, end) pair — that is
+    rarest in the corpus, or, when its condition has no exact item, under
+    its first deduction prefix.  A statement looks up its own index items
+    and index prefixes.  Any match needs every exact condition item and
+    the first deduction prefix in the statement's index, so the patterns
+    looked up are a superset of those that match; each is run through the
+    unchanged {!Pattern.check}, and the tallies are integer sums.  The
+    mined store, its ids and its statistics are therefore exactly those of
+    checking every candidate, at about 1/24 of the checks on a generated
+    100-repo corpus. *)
 
 module Namepath = Namer_namepath.Namepath
 module I = Namepath.Interned
@@ -242,29 +256,129 @@ module Freq_acc = struct
   let merge ~into t = Namer_util.Counter.merge ~into t
 end
 
-(** [mine ?pool ~config ~kind ~pairs stmts] runs the full pipeline:
-    frequency filter → FP-tree growth → pattern generation → pruning.
-    [stmts] are the digests of every statement in the mining corpus.
-    With [pool], the two corpus-wide counting passes (path frequencies and
-    [pruneUncommon] statistics) run sharded across its domains; both
-    accumulate commutative sums, so the mined store is identical to the
-    sequential run.  FP-tree growth stays sequential: the tree's node order
-    (and hence pattern-id assignment downstream) depends on insertion
-    order, which sharding would perturb. *)
-let mine ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
-    (stmts : Pattern.Stmt_paths.t list) : result =
-  let shards =
-    Namer_parallel.Shard.oversubscribe
-      ~jobs:(match pool with Some p -> Namer_parallel.Pool.size p | None -> 1)
+(* ------------------------------------------------------------------ *)
+(* pruneUncommon's anchor index                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A pattern can only match a statement whose index holds each of its
+   exact condition items — a (prefix, end) pair — and its first deduction
+   prefix.  The anchor index files every candidate once, under one such key
+   that is rare in the corpus, and a statement enumerates only the
+   patterns filed under its own index items and prefixes: a superset of
+   the patterns it matches, each at most once.  The index is built before
+   the prune fans out and only read by the shards.  Items and prefixes
+   share one int key space: an item packs its two ids (each below 2^31), a
+   prefix is negative. *)
+module Key_tbl = Hashtbl.Make (Int)
+
+let item_key ~prefix ~end_ = (prefix lsl 31) lor end_
+let prefix_key prefix = -1 - prefix
+
+(* The key [p] is filed under, or [None] when [p] can never match: a [-2]
+   id in its condition or deduction prefixes never holds, and a pattern
+   without a deduction prefix is never a candidate.  Among the exact
+   condition items it takes the one of lowest [rank p i] ([i] indexes
+   {!Pattern.condition_items}; the first on a tie); a condition of ϵ items
+   only, or no condition, files the pattern under its first deduction
+   prefix. *)
+let anchor_key ~rank (p : Pattern.t) =
+  let cond = Pattern.condition_items p and ded = Pattern.deduction_prefixes p in
+  if
+    Array.length ded = 0
+    || Array.exists (fun d -> d < 0) ded
+    || Array.exists (fun (pfx, want) -> pfx < 0 || want < -1) cond
+  then None
+  else begin
+    let best = ref (prefix_key ded.(0)) and best_rank = ref max_int in
+    Array.iteri
+      (fun i (pfx, want) ->
+        if want >= 0 then begin
+          let r = rank p i in
+          if r < !best_rank then begin
+            best := item_key ~prefix:pfx ~end_:want;
+            best_rank := r
+          end
+        end)
+      cond;
+    Some !best
+  end
+
+let shards_of pool =
+  Namer_parallel.Shard.oversubscribe
+    ~jobs:(match pool with Some p -> Namer_parallel.Pool.size p | None -> 1)
+
+module Anchor_acc = struct
+  (* per-shard tallies plus the number of full checks run *)
+  type t = { stats : Stats_acc.t; mutable checks : int }
+
+  let empty () = { stats = Stats_acc.empty (); checks = 0 }
+
+  let merge ~into t =
+    Stats_acc.merge ~into:into.stats t.stats;
+    into.checks <- into.checks + t.checks
+end
+
+(* Check [s] against every pattern of one anchor bucket.  Top-level loops
+   (here and in [tally_stmt]), so the prune allocates no closure per
+   statement or per bucket. *)
+let rec tally_bucket (acc : Anchor_acc.t) s = function
+  | [] -> ()
+  | (p : Pattern.t) :: rest ->
+      acc.checks <- acc.checks + 1;
+      (match Pattern.check p s with
+      | Pattern.No_match -> ()
+      | Pattern.Satisfied ->
+          let st = Stats_acc.stat acc.stats p.id in
+          st.matches <- st.matches + 1;
+          st.sats <- st.sats + 1
+      | Pattern.Violated _ ->
+          let st = Stats_acc.stat acc.stats p.id in
+          st.matches <- st.matches + 1;
+          st.viols <- st.viols + 1);
+      tally_bucket acc s rest
+
+let tally_stmt anchors acc (s : Pattern.Stmt_paths.t) =
+  let ip = s.Pattern.Stmt_paths.index_prefix and ie = s.Pattern.Stmt_paths.index_end in
+  for i = 0 to Array.length ip - 1 do
+    (match Key_tbl.find_opt anchors (item_key ~prefix:ip.(i) ~end_:ie.(i)) with
+    | Some bucket -> tally_bucket acc s bucket
+    | None -> ());
+    match Key_tbl.find_opt anchors (prefix_key ip.(i)) with
+    | Some bucket -> tally_bucket acc s bucket
+    | None -> ()
+  done
+
+let prune_tally ?pool ~rank (candidates : Pattern.Store.t) stmts =
+  (* Build the anchor index before the fan-out; shards only read it. *)
+  let anchors : Pattern.t list Key_tbl.t = Key_tbl.create (1 lsl 12) in
+  Pattern.Store.iter
+    (fun p ->
+      match anchor_key ~rank p with
+      | Some k ->
+          Key_tbl.replace anchors k
+            (p :: Option.value (Key_tbl.find_opt anchors k) ~default:[])
+      | None -> ())
+    candidates;
+  let shards = shards_of pool in
+  let acc =
+    Namer_parallel.Accumulator.sharded_reduce
+      (module Anchor_acc)
+      ?pool ~shards
+      (fun shard ->
+        let acc = Anchor_acc.empty () in
+        List.iter (tally_stmt anchors acc) shard;
+        acc)
+      stmts
   in
-  let kind_label =
-    match kind with
-    | `Consistency -> "consistency"
-    | `Confusing -> "confusing"
-    | `Ordering _ -> "ordering"
-  in
-  Telemetry.with_span ~args:[ ("kind", kind_label) ] ("mine:" ^ kind_label)
-  @@ fun () ->
+  (acc.stats, acc.checks)
+
+(* Lines 4–8 of Algorithm 1: frequency filter → FP-tree growth → pattern
+   generation.  Returns the candidates in generation order — the order
+   that assigns their ids — each with the pids of its condition paths, and
+   the line-5 path frequencies. *)
+let generate ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
+    (stmts : Pattern.Stmt_paths.t list) =
+  let shards = shards_of pool in
   (* Line 5 regularization: global path frequencies — one count per pid
      (concrete form) plus one per symbolic pid, the form consistency
      deductions are checked in. *)
@@ -363,48 +477,62 @@ let mine ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
                    if not (Hashtbl.mem seen key) then begin
                      Hashtbl.replace seen key ();
                      cand_rev :=
-                       Pattern.make ~kind:kind_v
-                         ~condition:(List.map I.path_of_pid cond_p)
-                         ~deduction
+                       ( Pattern.make ~kind:kind_v
+                           ~condition:(List.map I.path_of_pid cond_p)
+                           ~deduction,
+                         Array.of_list cond_p )
                        :: !cand_rev
                    end)
           end)
         ());
-  let n_candidates = Hashtbl.length seen in
+  (List.rev !cand_rev, freq)
+
+(* Candidates get ids 0, 1, … in generation order. *)
+let candidate_store cands =
+  let store = Pattern.Store.create () in
+  List.iter (fun (p, _) -> ignore (Pattern.Store.add_nodedup store p)) cands;
+  store
+
+let candidates ?pool ~config ~kind ~pairs stmts =
+  candidate_store (fst (generate ?pool ~config ~kind ~pairs stmts))
+
+(** [mine ?pool ~config ~kind ~pairs stmts] runs the full pipeline:
+    frequency filter → FP-tree growth → pattern generation → pruning.
+    [stmts] are the digests of every statement in the mining corpus.
+    With [pool], the two corpus-wide counting passes (path frequencies and
+    [pruneUncommon] statistics) run sharded across its domains; both
+    accumulate commutative sums, so the mined store is identical to the
+    sequential run.  FP-tree growth stays sequential: the tree's node order
+    (and hence pattern-id assignment downstream) depends on insertion
+    order, which sharding would perturb. *)
+let mine ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
+    (stmts : Pattern.Stmt_paths.t list) : result =
+  let kind_label =
+    match kind with
+    | `Consistency -> "consistency"
+    | `Confusing -> "confusing"
+    | `Ordering _ -> "ordering"
+  in
+  Telemetry.with_span ~args:[ ("kind", kind_label) ] ("mine:" ^ kind_label)
+  @@ fun () ->
+  let cands, freq = generate ?pool ~config ~kind ~pairs stmts in
   (* pruneUncommon (line 9): count matches and satisfactions over the
      corpus, keep patterns with enough support and a high enough
-     satisfaction ratio. *)
+     satisfaction ratio.  Candidates are enumerated through the anchor
+     index, a superset of the patterns that match each statement; the
+     tallies are integer sums, so they equal a full candidate scan's. *)
   Telemetry.with_span "mine:prune" @@ fun () ->
-  let candidate_store = Pattern.Store.create () in
-  List.iter
-    (fun p -> ignore (Pattern.Store.add_nodedup candidate_store p))
-    (List.rev !cand_rev);
-  (* The store is fully built and read-only from here on, so shards can
-     match against it concurrently; each shard tallies into its own table. *)
-  let counts =
-    Namer_parallel.Accumulator.sharded_reduce
-      (module Stats_acc)
-      ?pool ~shards
-      (fun shard ->
-        let counts = Stats_acc.empty () in
-        List.iter
-          (fun s ->
-            Pattern.Store.candidates candidate_store s
-            |> List.iter (fun (p : Pattern.t) ->
-                   match Pattern.check p s with
-                   | Pattern.No_match -> ()
-                   | Pattern.Satisfied ->
-                       let st = Stats_acc.stat counts p.id in
-                       st.matches <- st.matches + 1;
-                       st.sats <- st.sats + 1
-                   | Pattern.Violated _ ->
-                       let st = Stats_acc.stat counts p.id in
-                       st.matches <- st.matches + 1;
-                       st.viols <- st.viols + 1))
-          shard;
-        counts)
-      stmts
-  in
+  let candidate_store = candidate_store cands in
+  (* Rank anchors by the line-5 count of the condition path's pid.  It
+     bounds the number of statements whose index holds that item from
+     above (it also counts repeats, and paths behind the first at their
+     prefix).  On two generated 100-repo corpora it led to exactly as many
+     checks as an exact count of index items, without another corpus
+     pass. *)
+  let cond_pids = Array.of_list (List.map snd cands) in
+  let rank (p : Pattern.t) i = Namer_util.Counter.count freq cond_pids.(p.id).(i) in
+  let counts, checks = prune_tally ?pool ~rank candidate_store stmts in
+  Telemetry.count ~by:checks "mine.prune_checks";
   let store = Pattern.Store.create () in
   let dataset_stats = Hashtbl.create (1 lsl 12) in
   Pattern.Store.iter
@@ -419,4 +547,4 @@ let mine ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
             { matches = st.matches; sats = st.sats; viols = st.viols }
       | _ -> ())
     candidate_store;
-  { store; dataset_stats; n_candidates }
+  { store; dataset_stats; n_candidates = Pattern.Store.size candidate_store }

@@ -39,6 +39,34 @@ val split_paths :
     Exposed for tests. *)
 val combinations : max_subset_size:int -> 'a list -> 'a list list
 
+(** The candidate patterns {!mine} generates before pruning (Algorithm 1,
+    lines 4–8), in a store under the ids [mine] gives them.  Exposed for
+    tests. *)
+val candidates :
+  ?pool:Namer_parallel.Pool.t ->
+  config:config ->
+  kind:[ `Confusing | `Consistency | `Ordering of (string * string) list ] ->
+  pairs:Confusing_pairs.t ->
+  Pattern.Stmt_paths.t list ->
+  Pattern.Store.t
+
+(** [prune_tally ?pool ~rank candidates stmts] is [pruneUncommon]'s
+    counting pass: per candidate id, its matches, satisfactions and
+    violations over [stmts], plus the number of full {!Pattern.check}s run.
+    Candidates are found through an anchor index that files each pattern
+    under one key every statement it matches has in its index: the exact
+    condition item [i] of lowest [rank p i] ([i] indexes
+    {!Pattern.condition_items}), or its first deduction prefix when it has
+    no exact item.  So the tallies equal those of checking every
+    {!Pattern.Store.candidates} entry, under any [rank]; the rank decides
+    only how many checks run.  Exposed for tests. *)
+val prune_tally :
+  ?pool:Namer_parallel.Pool.t ->
+  rank:(Pattern.t -> int -> int) ->
+  Pattern.Store.t ->
+  Pattern.Stmt_paths.t list ->
+  (int, pattern_stats) Hashtbl.t * int
+
 (** [mine ?pool ~config ~kind ~pairs stmts] runs the full mining pipeline
     over the digests of every statement in the corpus.  With [pool], the
     corpus-wide counting passes (path frequencies, [pruneUncommon]

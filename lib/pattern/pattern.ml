@@ -139,6 +139,13 @@ let ensure_compiled p =
       p.compiled <- Some c;
       c
 
+(** The compiled condition items, [(prefix id, wanted end id)] — the want
+    is [-1] for ϵ, and [-2] anywhere is unknown-while-frozen. *)
+let condition_items p = (ensure_compiled p).c_cond
+
+(** The compiled deduction prefix ids, in deduction order. *)
+let deduction_prefixes p = (ensure_compiled p).c_ded
+
 (* ------------------------------------------------------------------ *)
 (* Scan vocabularies                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -230,13 +237,14 @@ module Stmt_paths = struct
 
   let paths t = Array.to_list (Array.map (fun (it : I.t) -> it.I.np) t.ipaths)
 
+  (* top-level, so a lookup allocates no closure *)
+  let rec slot_from (ids : int array) prefix i =
+    if i >= Array.length ids then -1
+    else if Array.unsafe_get ids i = prefix then i
+    else slot_from ids prefix (i + 1)
+
   (** Index slot of [prefix], or [-1] when the prefix does not occur. *)
-  let slot t ~prefix =
-    let n = Array.length t.index_prefix in
-    let rec go i =
-      if i >= n then -1 else if t.index_prefix.(i) = prefix then i else go (i + 1)
-    in
-    go 0
+  let slot t ~prefix = slot_from t.index_prefix prefix 0
 
   (** End id at [prefix], or [-1] when the prefix does not occur. *)
   let end_id t ~prefix =
@@ -298,19 +306,22 @@ type violation_info = {
 
 type relation = No_match | Satisfied | Violated of violation_info
 
+(* Whether condition items [i..] all hold in [s]: each prefix occurs, with
+   the wanted end unless the want is ϵ.  A top-level loop, so a check
+   allocates no closure. *)
+let rec condition_holds (s : Stmt_paths.t) (cond : (int * int) array) i =
+  i >= Array.length cond
+  ||
+  let pfx, want = Array.unsafe_get cond i in
+  let got = Stmt_paths.end_id s ~prefix:pfx in
+  got >= 0 && (want = -1 || want = got) && condition_holds s cond (i + 1)
+
 (** [check p s] classifies statement digest [s] against pattern [p].  Pure
     integer comparisons on the hot path; strings are only rendered for the
     [Violated] payload. *)
 let check (p : t) (s : Stmt_paths.t) : relation =
   let c = ensure_compiled p in
-  let condition_holds =
-    Array.for_all
-      (fun (pfx, want) ->
-        let got = Stmt_paths.end_id s ~prefix:pfx in
-        got >= 0 && (want = -1 || want = got))
-      c.c_cond
-  in
-  if not condition_holds then No_match
+  if not (condition_holds s c.c_cond 0) then No_match
   else
     match c.c_kind with
     | C_consistency ->

@@ -111,6 +111,18 @@ val check : t -> Stmt_paths.t -> relation
     and {!check}); call before sharing a pattern across domains. *)
 val ensure_compiled : t -> compiled
 
+(** The compiled condition items, [(prefix id, wanted end id)]: the want
+    is [-1] for ϵ, and a [-2] prefix or want is unknown-while-frozen and
+    never holds.  A condition holds in a digest when, for every item, the
+    digest's index has the prefix, with the wanted end unless it is ϵ.
+    Shared array — do not mutate. *)
+val condition_items : t -> (int * int) array
+
+(** The compiled deduction prefix ids, in deduction order; {!check} matches
+    only when the digest's index has the first of them.  Shared array — do
+    not mutate. *)
+val deduction_prefixes : t -> int array
+
 module Store : sig
   type pattern := t
 

@@ -1,6 +1,6 @@
 (* Aggregated test runner for the Namer reproduction. *)
 
-let () =
+let run_suites () =
   Alcotest.run "namer"
     [
       ("util", Test_util.suite);
@@ -30,3 +30,12 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("serve", Test_serve.suite);
     ]
+
+(* [model-pin JOBS PATH] trains and saves the pinned model in this fresh
+   process (see [Test_model.test_model_hash_pin]); anything else runs the
+   suites. *)
+let () =
+  match Sys.argv with
+  | [| _; "model-pin"; jobs; path |] ->
+      Test_model.pin_child ~jobs:(int_of_string jobs) ~path
+  | _ -> run_suites ()

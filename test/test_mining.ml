@@ -7,6 +7,7 @@ module Fptree = Namer_mining.Fptree
 module Miner = Namer_mining.Miner
 module Confusing_pairs = Namer_mining.Confusing_pairs
 module Tree = Namer_tree.Tree
+module I = Namepath.Interned
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -148,7 +149,7 @@ let mk_stmt word extra =
          "NumArgs(2) 0 Call 1 AttributeLoad 0 NameLoad 0 NumST(1) 0 " ^ extra;
        ])
 
-let mine_corpus () =
+let mine_corpus_inputs () =
   let pairs = Confusing_pairs.create () in
   Confusing_pairs.add_pair ~count:10 pairs ("True", "Equal");
   let stmts =
@@ -158,6 +159,10 @@ let mine_corpus () =
   let config =
     { Miner.default_config with min_support = 10; min_path_freq = 5; max_subset_size = 2 }
   in
+  (config, pairs, stmts)
+
+let mine_corpus () =
+  let config, pairs, stmts = mine_corpus_inputs () in
   (Miner.mine ~config ~kind:`Confusing ~pairs stmts, stmts)
 
 let test_miner_end_to_end () =
@@ -231,6 +236,181 @@ let test_consistency_mining_end_to_end () =
   in
   check_bool "inconsistent statement violates" true violated
 
+(* ---------------- pruneUncommon's anchor index ---------------- *)
+
+(* The tallies pruneUncommon must produce, computed the direct way: every
+   {!Pattern.Store.candidates} entry of every statement, fully checked.
+   Returns per-pattern [(id, matches, sats, viols)] rows and the number of
+   checks run. *)
+let reference_tally store stmts =
+  let t = Hashtbl.create 64 and checks = ref 0 in
+  let bump id sat viol =
+    let m, s, v = Option.value (Hashtbl.find_opt t id) ~default:(0, 0, 0) in
+    Hashtbl.replace t id (m + 1, s + sat, v + viol)
+  in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun (p : Pattern.t) ->
+          incr checks;
+          match Pattern.check p s with
+          | Pattern.No_match -> ()
+          | Pattern.Satisfied -> bump p.Pattern.id 1 0
+          | Pattern.Violated _ -> bump p.Pattern.id 0 1)
+        (Pattern.Store.candidates store s))
+    stmts;
+  let rows =
+    Hashtbl.fold (fun id (m, s, v) acc -> (id, m, s, v) :: acc) t [] |> List.sort compare
+  in
+  (rows, !checks)
+
+let tally_rows (t : (int, Miner.pattern_stats) Hashtbl.t) =
+  Hashtbl.fold
+    (fun id (s : Miner.pattern_stats) acc ->
+      (id, s.Miner.matches, s.Miner.sats, s.Miner.viols) :: acc)
+    t []
+  |> List.sort compare
+
+let total_matches rows = List.fold_left (fun acc (_, m, _, _) -> acc + m) 0 rows
+
+(* A small universe — four prefixes, four words — so random patterns match
+   random statements often.  Statements draw several paths per prefix, so
+   their index keeps only the first; a condition may want [wz], which no
+   statement carries (anchor frequency 0). *)
+let anchor_words = [| "wa"; "wb"; "wc"; "wd"; "wz" |]
+
+let anchor_path pfx word =
+  np (Printf.sprintf "Anchor 0 Slot %d Leaf 0 %s" pfx anchor_words.(word))
+
+(* How a pattern meets the frozen table: [Known] compiles every id; the
+   others compile while the table is frozen, against a string it lacks —
+   a [-2] condition prefix, condition want, deduction prefix, or correct
+   word. *)
+type unknown = Known | Cond_prefix | Cond_want | Ded_prefix | Correct_word
+
+type pat_desc = {
+  kind : int;  (** 0 consistency, 1 confusing word, 2 ordering *)
+  cond : (int * int option) list;  (** (prefix, [None] = ϵ or a word) *)
+  ded : int * int;  (** deduction prefixes (the second unused by kind 1) *)
+  words : int * int;  (** correct word / ordering pair *)
+  unknown : unknown;
+}
+
+let pat_desc_gen =
+  let open QCheck.Gen in
+  let* kind = int_range 0 2 in
+  let* cond =
+    list_size (int_range 0 3)
+      (pair (int_range 0 3) (frequency [ (1, return None); (3, map Option.some (int_range 0 4)) ]))
+  in
+  let* ded = pair (int_range 0 3) (int_range 0 3) in
+  let* words = pair (int_range 0 3) (int_range 0 3) in
+  let* unknown =
+    frequency
+      [
+        (12, return Known); (1, return Cond_prefix); (1, return Cond_want);
+        (1, return Ded_prefix); (1, return Correct_word);
+      ]
+  in
+  return { kind; cond; ded; words; unknown }
+
+let make_pattern d =
+  let word i = anchor_words.(i) in
+  let cond =
+    List.map
+      (fun (pfx, w) ->
+        match w with
+        | None -> Namepath.to_symbolic (anchor_path pfx 0)
+        | Some w -> anchor_path pfx w)
+      d.cond
+  in
+  let cond =
+    match d.unknown with
+    | Cond_prefix -> np "Anchor 0 Unseen 0 Leaf 0 wa" :: cond
+    | Cond_want -> np "Anchor 0 Slot 0 Leaf 0 unseenword" :: cond
+    | Known | Ded_prefix | Correct_word -> cond
+  in
+  let d1, d2 = d.ded and w1, w2 = d.words in
+  let ded pfx = if d.unknown = Ded_prefix then np "Anchor 0 Unseen 1 Leaf 0 wa" else anchor_path pfx w1 in
+  let kind, deduction =
+    match d.kind with
+    | 0 ->
+        ( Pattern.Consistency,
+          [ Namepath.to_symbolic (ded d1); Namepath.to_symbolic (anchor_path d2 0) ] )
+    | 1 ->
+        let correct = if d.unknown = Correct_word then "unseenword" else word w1 in
+        (Pattern.Confusing_word { correct }, [ ded d1 ])
+    | _ -> (Pattern.Ordering { first = word w1; second = word w2 }, [ ded d1; anchor_path d2 w2 ])
+  in
+  Pattern.make ~kind ~condition:cond ~deduction
+
+let stmt_gen = QCheck.Gen.(list_size (int_range 1 6) (pair (int_range 0 3) (int_range 0 3)))
+
+let prop_anchored_prune_matches_reference =
+  QCheck.Test.make ~name:"anchored prune tallies = candidates + check" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          triple
+            (list_size (int_range 1 25) pat_desc_gen)
+            (list_size (int_range 1 30) stmt_gen)
+            (int_range 0 1000)))
+    (fun (descs, stmt_descs, salt) ->
+      let stmts =
+        List.map
+          (fun ps -> Pattern.Stmt_paths.of_paths (List.map (fun (p, w) -> anchor_path p w) ps))
+          stmt_descs
+      in
+      (* intern the whole universe, then compile the unknown-id patterns
+         while the table is frozen *)
+      List.iter (fun w -> ignore (I.end_id w)) (Array.to_list anchor_words);
+      List.iter (fun p -> ignore (I.prefix_id (anchor_path p 0))) [ 0; 1; 2; 3 ];
+      let pats = List.map (fun d -> (d, make_pattern d)) descs in
+      List.iter (fun (d, p) -> if d.unknown = Known then ignore (Pattern.ensure_compiled p)) pats;
+      I.freeze ();
+      Fun.protect ~finally:I.thaw (fun () ->
+          List.iter (fun (_, p) -> ignore (Pattern.ensure_compiled p)) pats);
+      let store = Pattern.Store.create () in
+      List.iter (fun (_, p) -> ignore (Pattern.Store.add_nodedup store p)) pats;
+      let expect, _ = reference_tally store stmts in
+      let agrees rank =
+        let got, checks = Miner.prune_tally ~rank store stmts in
+        tally_rows got = expect && checks >= total_matches expect
+      in
+      (* all ties (the first exact item), then rankings full of ties *)
+      agrees (fun _ _ -> 0)
+      && agrees (fun (p : Pattern.t) i -> Hashtbl.hash (salt, p.Pattern.id, i) mod 3)
+      && agrees (fun _ i -> -i))
+
+(* On the mining corpus: the anchored prune agrees with the reference, and
+   the [mine.prune_checks] counter lies between the matches and the
+   reference's candidate checks. *)
+let test_prune_checks_counter () =
+  let module T = Namer_telemetry.Telemetry in
+  let config, pairs, stmts = mine_corpus_inputs () in
+  let was = T.enabled () in
+  T.reset ();
+  T.set_sink T.Memory;
+  let result =
+    Fun.protect
+      ~finally:(fun () -> T.set_sink (if was then T.Memory else T.Null))
+      (fun () -> Miner.mine ~config ~kind:`Confusing ~pairs stmts)
+  in
+  let checks = T.counter "mine.prune_checks" in
+  let cands = Miner.candidates ~config ~kind:`Confusing ~pairs stmts in
+  let expect, ref_checks = reference_tally cands stmts in
+  check_int "candidates = n_candidates" result.Miner.n_candidates (Pattern.Store.size cands);
+  check_bool "anchored tallies = reference" true
+    (tally_rows (fst (Miner.prune_tally ~rank:(fun _ i -> i) cands stmts)) = expect);
+  check_bool "some matches" true (total_matches expect > 0);
+  check_bool
+    (Printf.sprintf "checks %d >= matches %d" checks (total_matches expect))
+    true
+    (checks >= total_matches expect);
+  check_bool
+    (Printf.sprintf "checks %d <= reference checks %d" checks ref_checks)
+    true (checks <= ref_checks)
+
 let suite =
   [
     Alcotest.test_case "figure 3(a): tree structure" `Quick test_figure3_structure;
@@ -248,6 +428,8 @@ let suite =
     Alcotest.test_case "miner: dataset stats" `Quick test_miner_dataset_stats;
     Alcotest.test_case "miner: end to end (consistency)" `Quick
       test_consistency_mining_end_to_end;
+    QCheck_alcotest.to_alcotest prop_anchored_prune_matches_reference;
+    Alcotest.test_case "miner: prune_checks counter" `Quick test_prune_checks_counter;
   ]
 
 (* ---------------- ordering mining (extension) ---------------- *)

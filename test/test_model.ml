@@ -422,6 +422,46 @@ let test_scan_ignores_unrelated_build () =
   check_string "same model, after the build" (reports before) (reports again);
   check_string "model loaded after the build" (reports before) (reports after)
 
+(* -------- model-hash pin -------- *)
+
+(* The hash of a model trained on a fixed generated corpus, recorded before
+   the miner's anchor index went in: a miner change that alters a mined
+   store, its pattern ids or its dataset statistics changes these bytes.
+   The hash covers the global interner and a pattern order that follows
+   interned ids, both shaped by everything the process interned before, so
+   each training runs in a fresh process: this test binary re-invoked as
+   [test_main.exe model-pin JOBS PATH], which runs {!pin_child}.  No
+   classifier: its floats pass through libm, which may differ between
+   hosts. *)
+let pinned_model_hash = "744aee132a3a0fde"
+
+let pin_child ~jobs ~path =
+  let cfg = { namer_cfg with Namer.jobs; cap_domains = false } in
+  let corpus = Corpus.generate { (corpus_cfg ()) with Corpus.n_repos = 24 } in
+  let m = Namer.save_model (Namer.build cfg corpus) ~path in
+  print_string ("\nmodel-hash " ^ m.Namer.m_hash)
+
+let test_model_hash_pin () =
+  List.iter
+    (fun jobs ->
+      let path = model_path () in
+      let exe = Sys.executable_name in
+      let ic =
+        Unix.open_process_args_in exe [| exe; "model-pin"; string_of_int jobs; path |]
+      in
+      (* the hash is the last line: module set-up may print before it *)
+      let hash =
+        In_channel.input_all ic |> String.split_on_char '\n' |> List.rev |> List.hd
+      in
+      let status = Unix.close_process_in ic in
+      Sys.remove path;
+      check_bool "the training process exits 0" true (status = Unix.WEXITED 0);
+      check_string
+        (Printf.sprintf "model hash (jobs=%d)" jobs)
+        ("model-hash " ^ pinned_model_hash)
+        hash)
+    [ 1; 4 ]
+
 let suite =
   [
     Alcotest.test_case "round trip: save → load → scan identical" `Quick
@@ -452,4 +492,5 @@ let suite =
       test_scan_ignores_unrelated_build;
     Alcotest.test_case "cache: concurrent stores never torn" `Quick
       test_cache_concurrent_stores_never_torn;
+    Alcotest.test_case "model hash pin (jobs=1, jobs=4)" `Quick test_model_hash_pin;
   ]
