@@ -26,81 +26,105 @@ let fresh_counts () = { matches = 0; sats = 0; viols = 0 }
 
 (** Corpus-level aggregates, accumulated during the scan pass. *)
 module Agg = struct
-  (* All keys are dense ids ((file id, hash), (pattern id, repo id), …):
-     int-pair hashing in the scan hot loop, no string keys. *)
-  type t = {
+  module Int_tbl = Hashtbl.Make (Int)
+
+  (* One shard's aggregates.  Keys are dense ids: a (pattern, file) or
+     (pattern, repo) pair packs into one int; (file, statement hash) stays
+     a pair, since the hash uses every bit. *)
+  type part = {
     identical_file : (int * int, int) Hashtbl.t;  (** (file id, hash) → count *)
     identical_repo : (int * int, int) Hashtbl.t;  (** (repo id, hash) → count *)
-    per_file : (int * int, counts) Hashtbl.t;  (** (pattern, file id) *)
-    per_repo : (int * int, counts) Hashtbl.t;  (** (pattern, repo id) *)
-    dataset : (int, counts) Hashtbl.t;  (** pattern → corpus-wide *)
+    per_file : counts Int_tbl.t;  (** (pattern, file id) *)
+    per_repo : counts Int_tbl.t;  (** (pattern, repo id) *)
+    dataset : counts Int_tbl.t;  (** pattern → corpus-wide *)
+    mutable n_stmts : int;  (** statements recorded since the last flush *)
+    mutable n_matches : int;  (** matches recorded since the last flush *)
   }
 
+  (* Aggregates are written into their first part and read as the sum of
+     all: every tally is an integer sum, so summing shards at read time
+     equals merging them first, with no serial merge pass. *)
+  type t = part array
+
   let create () =
-    {
-      identical_file = Hashtbl.create (1 lsl 12);
-      identical_repo = Hashtbl.create (1 lsl 12);
-      per_file = Hashtbl.create (1 lsl 12);
-      per_repo = Hashtbl.create (1 lsl 12);
-      dataset = Hashtbl.create (1 lsl 10);
-    }
+    [|
+      {
+        identical_file = Hashtbl.create (1 lsl 12);
+        identical_repo = Hashtbl.create (1 lsl 12);
+        per_file = Int_tbl.create (1 lsl 12);
+        per_repo = Int_tbl.create (1 lsl 12);
+        dataset = Int_tbl.create (1 lsl 10);
+        n_stmts = 0;
+        n_matches = 0;
+      };
+    |]
+
+  let sum = function [] -> create () | ts -> Array.concat ts
+
+  let pack pattern_id id = (pattern_id lsl 31) lor (id land 0x7FFF_FFFF)
 
   let bump tbl key =
     Hashtbl.replace tbl key (1 + Option.value (Hashtbl.find_opt tbl key) ~default:0)
 
   (** Record one scanned statement (for identical-statement counts). *)
-  let add_stmt t (s : stmt_ctx) =
-    Namer_telemetry.Telemetry.count "agg.stmts";
-    bump t.identical_file (s.file_id, s.tree_hash);
-    bump t.identical_repo (s.repo_id, s.tree_hash)
+  let add_stmt (t : t) (s : stmt_ctx) =
+    let a = t.(0) in
+    a.n_stmts <- a.n_stmts + 1;
+    bump a.identical_file (s.file_id, s.tree_hash);
+    bump a.identical_repo (s.repo_id, s.tree_hash)
 
-  let counts_of tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some c -> c
-    | None ->
-        let c = fresh_counts () in
-        Hashtbl.replace tbl key c;
-        c
+  let add_counts tbl key (rel : Pattern.relation) =
+    let c =
+      match Int_tbl.find tbl key with
+      | c -> c
+      | exception Not_found ->
+          let c = fresh_counts () in
+          Int_tbl.add tbl key c;
+          c
+    in
+    c.matches <- c.matches + 1;
+    match rel with
+    | Pattern.Satisfied -> c.sats <- c.sats + 1
+    | Pattern.Violated _ -> c.viols <- c.viols + 1
+    | Pattern.No_match -> ()
 
   (** Record one pattern check outcome on a statement. *)
-  let add_outcome t (s : stmt_ctx) ~(pattern_id : int) (rel : Pattern.relation) =
+  let add_outcome (t : t) (s : stmt_ctx) ~(pattern_id : int) (rel : Pattern.relation) =
     match rel with
     | Pattern.No_match -> ()
-    | _ ->
-        Namer_telemetry.Telemetry.count "agg.pattern_matches";
-        let update c =
-          c.matches <- c.matches + 1;
-          match rel with
-          | Pattern.Satisfied -> c.sats <- c.sats + 1
-          | Pattern.Violated _ -> c.viols <- c.viols + 1
-          | Pattern.No_match -> ()
-        in
-        update (counts_of t.per_file (pattern_id, s.file_id));
-        update (counts_of t.per_repo (pattern_id, s.repo_id));
-        update (counts_of t.dataset pattern_id)
+    | Pattern.Satisfied | Pattern.Violated _ ->
+        let a = t.(0) in
+        a.n_matches <- a.n_matches + 1;
+        add_counts a.per_file (pack pattern_id s.file_id) rel;
+        add_counts a.per_repo (pack pattern_id s.repo_id) rel;
+        add_counts a.dataset pattern_id rel
 
-  let lookup tbl key =
-    Option.value (Hashtbl.find_opt tbl key) ~default:(fresh_counts ())
+  let flush_counts (t : t) =
+    Array.iter
+      (fun a ->
+        Namer_telemetry.Telemetry.count ~by:a.n_stmts "agg.stmts";
+        Namer_telemetry.Telemetry.count ~by:a.n_matches "agg.pattern_matches";
+        a.n_stmts <- 0;
+        a.n_matches <- 0)
+      t
 
-  (** [merge ~into t] sums [t]'s aggregates into [into].  All five tables
-      accumulate integer tallies, so the merge commutes and a sharded scan
-      (one [Agg.t] per shard, merged afterwards) reproduces the sequential
-      aggregates exactly. *)
-  let merge ~into (t : t) =
-    let add_int tbl key n =
-      Hashtbl.replace tbl key (n + Option.value (Hashtbl.find_opt tbl key) ~default:0)
-    in
-    Hashtbl.iter (fun k n -> add_int into.identical_file k n) t.identical_file;
-    Hashtbl.iter (fun k n -> add_int into.identical_repo k n) t.identical_repo;
-    let add_counts tbl key (c : counts) =
-      let d = counts_of tbl key in
-      d.matches <- d.matches + c.matches;
-      d.sats <- d.sats + c.sats;
-      d.viols <- d.viols + c.viols
-    in
-    Hashtbl.iter (fun k c -> add_counts into.per_file k c) t.per_file;
-    Hashtbl.iter (fun k c -> add_counts into.per_repo k c) t.per_repo;
-    Hashtbl.iter (fun k c -> add_counts into.dataset k c) t.dataset
+  let identical (t : t) tbl key =
+    Array.fold_left
+      (fun acc a -> acc + Option.value (Hashtbl.find_opt (tbl a) key) ~default:0)
+      0 t
+
+  let lookup (t : t) tbl key =
+    let c = fresh_counts () in
+    Array.iter
+      (fun a ->
+        match Int_tbl.find (tbl a) key with
+        | d ->
+            c.matches <- c.matches + d.matches;
+            c.sats <- c.sats + d.sats;
+            c.viols <- c.viols + d.viols
+        | exception Not_found -> ())
+      t;
+    c
 end
 
 let n_features = 17
@@ -132,9 +156,11 @@ let names =
 let extract (agg : Agg.t) (pairs : Confusing_pairs.t) (s : stmt_ctx)
     (p : Pattern.t) (info : Pattern.violation_info) : float array =
   let fi = float_of_int in
-  let file_c = Agg.lookup agg.Agg.per_file (p.id, s.file_id) in
-  let repo_c = Agg.lookup agg.Agg.per_repo (p.id, s.repo_id) in
-  let data_c = Agg.lookup agg.Agg.dataset p.id in
+  let file_c = Agg.lookup agg (fun a -> a.Agg.per_file) (Agg.pack p.id s.file_id) in
+  let repo_c = Agg.lookup agg (fun a -> a.Agg.per_repo) (Agg.pack p.id s.repo_id) in
+  let data_c = Agg.lookup agg (fun a -> a.Agg.dataset) p.id in
+  (* a statement not recorded counts itself once *)
+  let identical tbl key = match Agg.identical agg tbl key with 0 -> 1 | n -> n in
   let rate (c : counts) = if c.matches = 0 then 0.0 else fi c.sats /. fi c.matches in
   let n_cond = List.length p.condition in
   let n_ded = List.length p.deduction in
@@ -144,8 +170,8 @@ let extract (agg : Agg.t) (pairs : Confusing_pairs.t) (s : stmt_ctx)
   in
   [|
     (* 1 *) fi s.n_paths;
-    (* 2 *) fi (Option.value (Hashtbl.find_opt agg.Agg.identical_file (s.file_id, s.tree_hash)) ~default:1);
-    (* 3 *) fi (Option.value (Hashtbl.find_opt agg.Agg.identical_repo (s.repo_id, s.tree_hash)) ~default:1);
+    (* 2 *) fi (identical (fun a -> a.Agg.identical_file) (s.file_id, s.tree_hash));
+    (* 3 *) fi (identical (fun a -> a.Agg.identical_repo) (s.repo_id, s.tree_hash));
     (* 4 *) rate file_c;
     (* 5 *) rate repo_c;
     (* 6 *) rate data_c;

@@ -16,29 +16,30 @@ type stmt_ctx = {
   n_paths : int;  (** number of extracted name paths (feature 1) *)
 }
 
-type counts = { mutable matches : int; mutable sats : int; mutable viols : int }
-
-(** Corpus-level aggregates, accumulated during the scan pass. *)
+(** Corpus-level aggregates, accumulated during the scan pass: per
+    (pattern, file), (pattern, repo) and pattern match tallies, and
+    identical-statement counts per file and repo. *)
 module Agg : sig
-  type t = {
-    identical_file : (int * int, int) Hashtbl.t;  (** (file id, hash) *)
-    identical_repo : (int * int, int) Hashtbl.t;  (** (repo id, hash) *)
-    per_file : (int * int, counts) Hashtbl.t;  (** (pattern id, file id) *)
-    per_repo : (int * int, counts) Hashtbl.t;  (** (pattern id, repo id) *)
-    dataset : (int, counts) Hashtbl.t;
-  }
+  type t
 
   val create : unit -> t
 
   (** Record one scanned statement (identical-statement counts, f2/f3). *)
   val add_stmt : t -> stmt_ctx -> unit
 
-  (** Record one pattern-check outcome (f4–f12). *)
+  (** Record one pattern-check outcome (f4–f12); [No_match] is ignored. *)
   val add_outcome : t -> stmt_ctx -> pattern_id:int -> Pattern.relation -> unit
 
-  (** [merge ~into t] sums [t]'s aggregates into [into] (monoid merge for
-      the sharded scan; commutative). *)
-  val merge : into:t -> t -> unit
+  (** [sum ts] reads as the sum of [ts]'s tallies — a sharded scan keeps
+      one aggregate per shard and sums them here, at no merge cost:
+      {!extract} adds up the shards on each lookup.  The result shares
+      [ts]'s tables; a later [add_*] on it records into the first. *)
+  val sum : t list -> t
+
+  (** Add the statements and matches recorded since the last flush to the
+      [agg.stmts] and [agg.pattern_matches] telemetry counters — once per
+      shard, not once per outcome. *)
+  val flush_counts : t -> unit
 end
 
 val n_features : int

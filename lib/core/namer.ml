@@ -470,6 +470,20 @@ let digest_refs ?pool ~shards ~(cfg : config) ~lang (refs : file_ref list) :
   Log.info (fun m -> m "digested %d statements" (List.length stmts));
   (stmts, skipped)
 
+(* [runs_by_file stmts] splits a statement list into its runs of one
+   file, in order. *)
+let runs_by_file stmts =
+  let close run acc = if run = [] then acc else List.rev run :: acc in
+  let rec go run acc = function
+    | [] -> List.rev (close run acc)
+    | s :: rest -> (
+        match run with
+        | prev :: _ when prev.sctx.Features.file_id <> s.sctx.Features.file_id ->
+            go [ s ] (close run acc) rest
+        | _ -> go (s :: run) acc rest)
+  in
+  go [] [] stmts
+
 (* Stages 2–6 over already-digested statements — everything downstream of
    the frontend, shared by [build_core] (fresh digests) and
    [Partial.finalize] (statements replayed from merged partials).
@@ -498,7 +512,7 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
   Telemetry.count ~by:(Confusing_pairs.total_pairs pairs) "build.confusing_pairs";
   Log.info (fun m -> m "mined %d confusing pairs" (Confusing_pairs.total_pairs pairs));
   (* 3. mine all three pattern types *)
-  let store, n_candidates =
+  let store, n_candidates, cond_counts =
     Telemetry.with_span "pattern-mining" @@ fun () ->
     let digests = List.map (fun s -> s.digest) stmts in
     let consistency =
@@ -511,68 +525,75 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
       Miner.mine ?pool ~config:cfg.miner ~kind:(`Ordering cfg.ordering_vocab) ~pairs
         digests
     in
-    let store = Pattern.Store.create () in
+    let store = Pattern.Store.create () and cond_counts_rev = ref [] in
     List.iter
       (fun (r : Miner.result) ->
         Pattern.Store.iter
-          (fun p -> ignore (Pattern.Store.add store { p with id = -1 }))
+          (fun p ->
+            let n = Pattern.Store.size store in
+            if Pattern.Store.add store { p with id = -1 } = n then
+              cond_counts_rev := r.Miner.cond_counts.(p.Pattern.id) :: !cond_counts_rev)
           r.Miner.store)
       [ consistency; confusing; ordering ];
     ( store,
       consistency.Miner.n_candidates + confusing.Miner.n_candidates
-      + ordering.Miner.n_candidates )
+      + ordering.Miner.n_candidates,
+      Array.of_list (List.rev !cond_counts_rev) )
   in
   Telemetry.count ~by:n_candidates "build.pattern_candidates";
   Telemetry.count ~by:(Pattern.Store.size store) "build.patterns_kept";
   Log.info (fun m -> m "kept %d patterns" (Pattern.Store.size store));
   (* 4. scan: aggregates + violations.  The store is read-only during the
-     scan, so shards match concurrently, each into a private aggregate and
-     violation list; aggregates merge commutatively and violation lists
-     concatenate in shard order, reproducing the sequential scan order. *)
-  let agg = Features.Agg.create () in
-  let violating_files : (int, unit) Hashtbl.t = Hashtbl.create 64
-  and violating_repos : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let violations_in_order =
+     scan, so shards match concurrently.  Shards split on file boundaries,
+     so each file is matched and deduplicated whole in one task; each shard
+     keeps its own aggregate, and [Features.Agg.sum] adds them up when
+     features read them.  The anchor table ranks items by their line-5
+     counts from mining. *)
+  let agg, violations_in_order =
     Telemetry.with_span "scan" @@ fun () ->
+    let matcher =
+      Pattern.Matcher.create ~rank:(fun p i -> cond_counts.(p.Pattern.id).(i)) store
+    in
     let parts =
       Accumulator.sharded_map ?pool ~shards
+        ~key:(fun s -> s.sctx.Features.file)
         (fun shard ->
           let agg = Features.Agg.create () in
-          let viols_rev = ref [] in
-          let vfiles = Hashtbl.create 64 and vrepos = Hashtbl.create 64 in
-          List.iter
-            (fun s ->
-              Features.Agg.add_stmt agg s.sctx;
-              Pattern.Store.candidates store s.digest
-              |> List.iter (fun (p : Pattern.t) ->
-                     let rel = Pattern.check p s.digest in
-                     Features.Agg.add_outcome agg s.sctx ~pattern_id:p.id rel;
-                     match rel with
-                     | Pattern.Violated info ->
-                         Hashtbl.replace vfiles s.sctx.Features.file_id ();
-                         Hashtbl.replace vrepos s.sctx.Features.repo_id ();
-                         viols_rev :=
-                           { v_stmt = s; v_pattern = p; v_info = info; v_features = [||] }
-                           :: !viols_rev
-                     | _ -> ()))
-            shard;
-          (agg, List.rev !viols_rev, vfiles, vrepos))
+          let on_match s (p : Pattern.t) rel =
+            Features.Agg.add_outcome agg s.sctx ~pattern_id:p.id rel
+          in
+          let checks = ref 0 and raw = ref 0 in
+          let viols =
+            List.concat_map
+              (fun file ->
+                List.iter (fun s -> Features.Agg.add_stmt agg s.sctx) file;
+                let r =
+                  Pattern.Matcher.match_file matcher ~digest:(fun s -> s.digest)
+                    ~line:(fun s -> s.line) ~on_match file
+                in
+                checks := !checks + r.checks;
+                raw := !raw + r.raw;
+                List.map
+                  (fun (s, p, info) ->
+                    { v_stmt = s; v_pattern = p; v_info = info; v_features = [||] })
+                  r.violations)
+              (runs_by_file shard)
+          in
+          Features.Agg.flush_counts agg;
+          Telemetry.count ~by:!checks "build.scan_checks";
+          Telemetry.count ~by:!raw "build.violations_raw";
+          (agg, viols))
         stmts
     in
-    List.concat_map
-      (fun (part_agg, part_viols, part_files, part_repos) ->
-        Features.Agg.merge ~into:agg part_agg;
-        Hashtbl.iter (fun k () -> Hashtbl.replace violating_files k ()) part_files;
-        Hashtbl.iter (fun k () -> Hashtbl.replace violating_repos k ()) part_repos;
-        part_viols)
-      parts
+    (Features.Agg.sum (List.map fst parts), List.concat_map snd parts)
   in
-  Telemetry.count ~by:(List.length violations_in_order) "build.violations_raw";
-  (* Deduplicate: subset-condition variants of one rule all fire on the same
-     statement with the same fix; a user sees one report per
-     (statement, offending name, suggestion, pattern type).  Keep the variant
-     with the largest condition — the most specific match — so features 14
-     and 15 describe the strongest evidence. *)
+  (* One report per (file, statement line, offending name, suggestion,
+     pattern type): subset-condition variants of one rule all fire on the
+     same statement with the same fix, and the matcher kept the one with
+     the largest condition — the most specific match — so features 14 and
+     15 describe the strongest evidence.  The table only fixes the order
+     of the sort's ties: its keys enter in first-seen order, as they always
+     have. *)
   let dedup = Hashtbl.create 1024 in
   List.iter
     (fun (v : violation) ->
@@ -586,12 +607,7 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
           | Pattern.Confusing_word _ -> 1
           | Pattern.Ordering _ -> 2 )
       in
-      match Hashtbl.find_opt dedup key with
-      | Some prev
-        when List.length prev.v_pattern.Pattern.condition
-             >= List.length v.v_pattern.Pattern.condition ->
-          ()
-      | _ -> Hashtbl.replace dedup key v)
+      Hashtbl.replace dedup key v)
     violations_in_order;
   let violations =
     Hashtbl.fold (fun _ v acc -> v :: acc) dedup []
@@ -601,6 +617,13 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
              (b.v_stmt.sctx.Features.file, b.v_stmt.line, b.v_info.Pattern.offending_prefix))
     |> Array.of_list
   in
+  let violating_files : (int, unit) Hashtbl.t = Hashtbl.create 64
+  and violating_repos : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  Array.iter
+    (fun v ->
+      Hashtbl.replace violating_files v.v_stmt.sctx.Features.file_id ();
+      Hashtbl.replace violating_repos v.v_stmt.sctx.Features.repo_id ())
+    violations;
   Telemetry.count ~by:(Array.length violations) "build.violations_deduped";
   Log.info (fun m -> m "triggered %d violations (deduplicated)" (Array.length violations));
   (* 5. features: every vector is independent (agg and pairs are read-only
@@ -839,6 +862,7 @@ type model = {
   m_hash : string;  (** checksum identity of the serialized form *)
   m_vocab : Pattern.vocab;
       (** read-only: scans digest against it, never against the global table *)
+  m_matcher : Pattern.Matcher.t;  (** read-only: scans match through it *)
 }
 
 let model_magic = "NAMERMDL"
@@ -946,6 +970,7 @@ let model_of_build (t : t) ~hash : model =
     m_classifier = t.classifier;
     m_hash = hash;
     m_vocab = Pattern.Store.vocab t.store;
+    m_matcher = Pattern.Matcher.of_store t.store;
   }
 
 let model_of (t : t) : model =
@@ -1079,6 +1104,7 @@ let load_model ~path : model =
     m_classifier = classifier;
     m_hash = hash;
     m_vocab = Pattern.Store.vocab store;
+    m_matcher = Pattern.Matcher.of_store store;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1409,42 +1435,43 @@ let config_of_model (m : model) ~jobs ~cap_domains =
     miner = { Miner.default_config with Miner.max_stmt_paths = m.m_max_stmt_paths };
   }
 
-(* Match one digested file against the store and render its deduplicated,
-   sorted reports — the per-file unit of work the cache persists.  Same
-   dedup rule as [build]: one report per (line, offending name, suggestion,
-   pattern type), keeping the most specific condition, first wins ties. *)
-let match_stmts (m : model) stmts : Scan_cache.entry list =
-  let raw = ref [] in
-  List.iter
-    (fun s ->
-      Pattern.Store.candidates m.m_store s.digest
-      |> List.iter (fun (p : Pattern.t) ->
-             match Pattern.check p s.digest with
-             | Pattern.Violated info -> raw := (s, p, info) :: !raw
-             | _ -> ()))
-    stmts;
-  let dedup = Hashtbl.create 16 in
-  List.iter
-    (fun ((s, (p : Pattern.t), (info : Pattern.violation_info)) as v) ->
-      let key =
-        (s.line, info.Pattern.offending_prefix, info.Pattern.suggested, kind_name p.kind)
-      in
-      match Hashtbl.find_opt dedup key with
-      | Some (_, (prev : Pattern.t), _)
-        when List.length prev.Pattern.condition >= List.length p.Pattern.condition ->
-          ()
-      | _ -> Hashtbl.replace dedup key v)
-    (List.rev !raw);
-  Hashtbl.fold (fun _ v acc -> v :: acc) dedup []
-  |> List.map (fun (s, (p : Pattern.t), (info : Pattern.violation_info)) ->
-         {
-           Scan_cache.e_line = s.line;
-           e_prefix = info.Pattern.offending_prefix;
-           e_found = info.Pattern.found;
-           e_suggested = info.Pattern.suggested;
-           e_kind = kind_name p.kind;
-         })
-  |> List.sort compare
+(* Match one digested file against the model and render its deduplicated,
+   sorted reports — the per-file unit of work the cache persists — with
+   the number of checks run.  Same matcher and dedup rule as [build]: one
+   report per (line, offending name, suggestion, pattern type), keeping
+   the most specific condition. *)
+let match_stmts (m : model) stmts : Scan_cache.entry list * int =
+  let r =
+    Pattern.Matcher.match_file m.m_matcher ~digest:(fun s -> s.digest)
+      ~line:(fun s -> s.line) ~on_match:(fun _ _ _ -> ()) stmts
+  in
+  ( List.map
+      (fun (s, (p : Pattern.t), (info : Pattern.violation_info)) ->
+        {
+          Scan_cache.e_line = s.line;
+          e_prefix = info.Pattern.offending_prefix;
+          e_found = info.Pattern.found;
+          e_suggested = info.Pattern.suggested;
+          e_kind = kind_name p.kind;
+        })
+      r.violations
+    |> List.sort compare,
+    r.checks )
+
+(* A model scan's digest of one file: its statements against the model's
+   scan vocabulary. *)
+let digest_with_model (m : model) ~cfg ~repo ~path source =
+  digest_source
+    ~digest:(Pattern.Stmt_paths.of_vocab m.m_vocab ~limit:m.m_max_stmt_paths)
+    ~cfg ~lang:m.m_lang ~repo ~path source
+
+let digest_for_model (m : model) (f : Corpus.file) =
+  match
+    digest_with_model m ~cfg:(config_of_model m ~jobs:1 ~cap_domains:true)
+      ~repo:f.Corpus.repo ~path:f.Corpus.path f.Corpus.source
+  with
+  | stmts, None -> Some stmts
+  | _, Some _ -> None
 
 (** [scan_refs m refs] reports the violations of [refs] against a trained
     model: digest (parse → analyze → AST+ → name paths) only, no mining, no
@@ -1462,8 +1489,6 @@ let match_stmts (m : model) stmts : Scan_cache.entry list =
 let scan_refs ?(jobs = 1) ?(cap_domains = true) ?pool ?cache_dir (m : model)
     (refs : file_ref list) : scan_result =
   let cfg = config_of_model m ~jobs ~cap_domains in
-  let lang = m.m_lang in
-  let digest = Pattern.Stmt_paths.of_vocab m.m_vocab ~limit:m.m_max_stmt_paths in
   Telemetry.with_span "scan:model" @@ fun () ->
   (* a caller-owned pool (the serve daemon's, shared across requests)
      short-circuits the per-call pool lifecycle; otherwise one pool lives
@@ -1481,9 +1506,11 @@ let scan_refs ?(jobs = 1) ?(cap_domains = true) ?pool ?cache_dir (m : model)
       (Shard.oversubscribe ~jobs:(match pool with Some p -> Pool.size p | None -> 1))
       (List.length refs / 64)
   in
-  let scan_source (r : file_ref) source =
-    let stmts, skip = digest_source ~digest ~cfg ~lang ~repo:r.fr_repo ~path:r.fr_path source in
-    (Telemetry.with_span "scan" @@ fun () -> match_stmts m stmts), skip
+  let scan_source checks (r : file_ref) source =
+    let stmts, skip = digest_with_model m ~cfg ~repo:r.fr_repo ~path:r.fr_path source in
+    let entries, n = Telemetry.with_span "scan" @@ fun () -> match_stmts m stmts in
+    checks := !checks + n;
+    (entries, skip)
   in
   (* one file: load it, probe the cache on its content digest, digest and
      match on a miss, and store the reports of a cleanly scanned file — the
@@ -1492,7 +1519,7 @@ let scan_refs ?(jobs = 1) ?(cap_domains = true) ?pool ?cache_dir (m : model)
      never cached: caching its (empty) report list would make later warm
      scans replay it as cleanly scanned, hiding the degradation; it is
      re-attempted on every scan instead. *)
-  let process (r : file_ref) =
+  let process checks (r : file_ref) =
     match r.fr_load () with
     | exception Out_of_memory -> raise Out_of_memory
     | exception e ->
@@ -1503,19 +1530,27 @@ let scan_refs ?(jobs = 1) ?(cap_domains = true) ?pool ?cache_dir (m : model)
         Fun.protect ~finally:gauge_exit @@ fun () ->
         match cache_dir with
         | None ->
-            let entries, skip = scan_source r source in
+            let entries, skip = scan_source checks r source in
             (r.fr_path, entries, skip, false)
         | Some dir -> (
             let d = Scan_cache.src_digest source in
             match Scan_cache.find ~dir ~model_hash:m.m_hash ~src_digest:d with
             | Some entries -> (r.fr_path, entries, None, true)
             | None ->
-                let entries, skip = scan_source r source in
+                let entries, skip = scan_source checks r source in
                 if skip = None then
                   Scan_cache.store ~dir ~model_hash:m.m_hash ~src_digest:d entries;
                 (r.fr_path, entries, skip, false)))
   in
-  let rows = Accumulator.sharded_concat_map ?pool ~shards (List.map process) refs in
+  let rows =
+    Accumulator.sharded_concat_map ?pool ~shards
+      (fun files ->
+        let checks = ref 0 in
+        let rows = List.map (process checks) files in
+        Telemetry.count ~by:!checks "scan.match_checks";
+        rows)
+      refs
+  in
   let n_hits, n_misses =
     match cache_dir with
     | None -> (0, 0)

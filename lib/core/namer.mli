@@ -187,6 +187,10 @@ type model = {
   m_vocab : Pattern.vocab;
       (** the store's scan vocabulary, built once with the model: scans
           digest against it and never read or write the global interner *)
+  m_matcher : Pattern.Matcher.t;
+      (** the store's anchor table, built with the model and ranked from
+          the store alone ({!Pattern.Matcher.of_store}), so a loaded model
+          and the model of a build run the same checks *)
 }
 
 (** ["consistency" | "confusing-word" | "ordering"] — the stable kind tag
@@ -350,6 +354,12 @@ val scan_with_model :
   ?jobs:int -> ?cap_domains:bool -> ?pool:Namer_parallel.Pool.t ->
   ?cache_dir:string -> model -> Corpus.file list ->
   scan_result
+
+(** [digest_for_model m file] — [file]'s statements digested as a model
+    scan digests them, against the model's scan vocabulary; [None] when
+    the scan would skip the file.  For checking the scan's matcher against
+    a reference. *)
+val digest_for_model : model -> Corpus.file -> scanned_stmt list option
 
 (** [scan_refs m refs] — the streaming form of {!scan_with_model}: each
     file is loaded, cache-probed, digested, matched and dropped inside one

@@ -243,8 +243,42 @@ let permutation ~rng (m : Namer.model) files =
           (String.length base) (String.length permuted) }
 
 (* ------------------------------------------------------------------ *)
-(* Oracle 4: build / scan_with_model agreement                         *)
+(* Oracle 4: build / scan_with_model / reference agreement             *)
 (* ------------------------------------------------------------------ *)
+
+(* One file's reports the plain way, independent of the anchored matcher
+   that build and model scans share: every {!Pattern.Store.candidates}
+   entry of every statement checked, then one report per (line, offending
+   name, suggestion, kind), the first of the longest condition in
+   statement order and candidate order. *)
+let reference_reports (m : Namer.model) (f : Corpus.file) =
+  match Namer.digest_for_model m f with
+  | None -> []
+  | Some stmts ->
+      let best = Hashtbl.create 16 in
+      List.iter
+        (fun (s : Namer.scanned_stmt) ->
+          List.iter
+            (fun (p : Pattern.t) ->
+              match Pattern.check p s.Namer.digest with
+              | Pattern.Violated info -> (
+                  let key =
+                    ( s.Namer.line, info.Pattern.offending_prefix, info.Pattern.suggested,
+                      Namer.kind_name p.Pattern.kind )
+                  in
+                  match Hashtbl.find_opt best key with
+                  | Some ((prev : Pattern.t), _)
+                    when List.length prev.Pattern.condition
+                         >= List.length p.Pattern.condition ->
+                      ()
+                  | _ -> Hashtbl.replace best key (p, info))
+              | _ -> ())
+            (Pattern.Store.candidates m.Namer.m_store s.Namer.digest))
+        stmts;
+      Hashtbl.fold
+        (fun (line, prefix, suggested, kind) (_, (info : Pattern.violation_info)) acc ->
+          (f.Corpus.path, line, prefix, info.Pattern.found, suggested, kind) :: acc)
+        best []
 
 let model_agreement (t : Namer.t) (m : Namer.model) files =
   let name = "model-agreement" in
@@ -270,17 +304,23 @@ let model_agreement (t : Namer.t) (m : Namer.model) files =
     Array.to_list sr.Namer.sr_reports |> List.map tuple_of_report
     |> List.sort compare
   in
-  if from_build = from_scan then
-    { o_name = name; o_pass = true;
-      o_detail = Printf.sprintf "%d reports agree" (List.length from_build) }
-  else
+  let from_reference = List.concat_map (reference_reports m) files |> List.sort compare in
+  let differ what expect got =
     let describe (f, l, _, found, sugg, _) = Printf.sprintf "%s:%d %s->%s" f l found sugg in
-    let missing = List.filter (fun x -> not (List.mem x from_scan)) from_build in
-    let extra = List.filter (fun x -> not (List.mem x from_build)) from_scan in
+    let missing = List.filter (fun x -> not (List.mem x got)) expect in
+    let extra = List.filter (fun x -> not (List.mem x expect)) got in
     let first = match missing @ extra with x :: _ -> describe x | [] -> "?" in
     { o_name = name; o_pass = false;
-      o_detail = Printf.sprintf "build %d vs scan %d reports; first diff %s"
-          (List.length from_build) (List.length from_scan) first }
+      o_detail = Printf.sprintf "%s %d vs scan %d reports; first diff %s"
+          what (List.length expect) (List.length got) first }
+  in
+  if from_build <> from_scan then differ "build" from_build from_scan
+  else if from_reference <> from_scan then differ "reference match" from_reference from_scan
+  else
+    { o_name = name; o_pass = true;
+      o_detail =
+        Printf.sprintf "%d reports agree (build, model scan, reference match)"
+          (List.length from_build) }
 
 (* ------------------------------------------------------------------ *)
 (* Oracle 5: random corpus split → merged partials                     *)

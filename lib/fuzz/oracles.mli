@@ -23,7 +23,11 @@
     {- {b model agreement} — a build's own violation set equals
        {!Namer_core.Namer.scan_with_model} of the same files against
        {!Namer_core.Namer.model_of} of that build.  The train-once /
-       scan-many split must not change what is reported.}
+       scan-many split must not change what is reported.  Both share one
+       anchored matcher ({!Namer_pattern.Pattern.Matcher}), so the scan is
+       also compared with a plain re-match of every file: each
+       {!Namer_pattern.Pattern.Store.candidates} entry checked and the
+       reports deduplicated independently.}
     {- {b merge split} — dealing the corpus into random slices, training
        each into a partial model, merging the partials in a shuffled
        order and finalizing must scan the corpus byte-identically to the

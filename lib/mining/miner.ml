@@ -25,19 +25,23 @@
     no canonical text is rendered until a surviving pattern reaches the
     final store.
 
+    Candidates are compiled from the ids of the paths the miner holds
+    ({!Pattern.of_ids}), so no prefix text is rendered to compile them.
+
     [pruneUncommon] matches every candidate against every statement in
     Algorithm 1; here each statement is checked only against the
-    candidates of an {e anchor index}.  The index files each candidate
-    once: under its exact condition item — a (prefix, end) pair — that is
-    rarest in the corpus, or, when its condition has no exact item, under
-    its first deduction prefix.  A statement looks up its own index items
-    and index prefixes.  Any match needs every exact condition item and
-    the first deduction prefix in the statement's index, so the patterns
-    looked up are a superset of those that match; each is run through the
-    unchanged {!Pattern.check}, and the tallies are integer sums.  The
-    mined store, its ids and its statistics are therefore exactly those of
-    checking every candidate, at about 1/24 of the checks on a generated
-    100-repo corpus. *)
+    candidates of an {e anchor table} ({!Pattern.Matcher}, the one
+    training's scan and model scans use too).  The table files each
+    candidate once: under its exact condition item — a (prefix, end) pair
+    — that is rarest in the corpus, or, when its condition has no exact
+    item, under its first deduction prefix.  A statement looks up its own
+    index items and index prefixes.  Any match needs every exact condition
+    item and the first deduction prefix in the statement's index, so the
+    patterns looked up are a superset of those that match; each is run
+    through the unchanged {!Pattern.check}, and the tallies are integer
+    sums.  The mined store, its ids and its statistics are therefore
+    exactly those of checking every candidate, at about 1/24 of the checks
+    on a generated 100-repo corpus. *)
 
 module Namepath = Namer_namepath.Namepath
 module I = Namepath.Interned
@@ -71,6 +75,9 @@ type result = {
   store : Pattern.Store.t;
   dataset_stats : (int, pattern_stats) Hashtbl.t;  (** pattern id → stats *)
   n_candidates : int;  (** patterns generated before pruning *)
+  cond_counts : int array array;
+      (** pattern id → the line-5 count of each condition path, the rank
+          training's scan gives anchor items *)
 }
 
 (* Ends that cannot take part in a consistency deduction: literal
@@ -256,53 +263,6 @@ module Freq_acc = struct
   let merge ~into t = Namer_util.Counter.merge ~into t
 end
 
-(* ------------------------------------------------------------------ *)
-(* pruneUncommon's anchor index                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* A pattern can only match a statement whose index holds each of its
-   exact condition items — a (prefix, end) pair — and its first deduction
-   prefix.  The anchor index files every candidate once, under one such key
-   that is rare in the corpus, and a statement enumerates only the
-   patterns filed under its own index items and prefixes: a superset of
-   the patterns it matches, each at most once.  The index is built before
-   the prune fans out and only read by the shards.  Items and prefixes
-   share one int key space: an item packs its two ids (each below 2^31), a
-   prefix is negative. *)
-module Key_tbl = Hashtbl.Make (Int)
-
-let item_key ~prefix ~end_ = (prefix lsl 31) lor end_
-let prefix_key prefix = -1 - prefix
-
-(* The key [p] is filed under, or [None] when [p] can never match: a [-2]
-   id in its condition or deduction prefixes never holds, and a pattern
-   without a deduction prefix is never a candidate.  Among the exact
-   condition items it takes the one of lowest [rank p i] ([i] indexes
-   {!Pattern.condition_items}; the first on a tie); a condition of ϵ items
-   only, or no condition, files the pattern under its first deduction
-   prefix. *)
-let anchor_key ~rank (p : Pattern.t) =
-  let cond = Pattern.condition_items p and ded = Pattern.deduction_prefixes p in
-  if
-    Array.length ded = 0
-    || Array.exists (fun d -> d < 0) ded
-    || Array.exists (fun (pfx, want) -> pfx < 0 || want < -1) cond
-  then None
-  else begin
-    let best = ref (prefix_key ded.(0)) and best_rank = ref max_int in
-    Array.iteri
-      (fun i (pfx, want) ->
-        if want >= 0 then begin
-          let r = rank p i in
-          if r < !best_rank then begin
-            best := item_key ~prefix:pfx ~end_:want;
-            best_rank := r
-          end
-        end)
-      cond;
-    Some !best
-  end
-
 let shards_of pool =
   Namer_parallel.Shard.oversubscribe
     ~jobs:(match pool with Some p -> Namer_parallel.Pool.size p | None -> 1)
@@ -318,47 +278,22 @@ module Anchor_acc = struct
     into.checks <- into.checks + t.checks
 end
 
-(* Check [s] against every pattern of one anchor bucket.  Top-level loops
-   (here and in [tally_stmt]), so the prune allocates no closure per
-   statement or per bucket. *)
-let rec tally_bucket (acc : Anchor_acc.t) s = function
-  | [] -> ()
-  | (p : Pattern.t) :: rest ->
-      acc.checks <- acc.checks + 1;
-      (match Pattern.check p s with
-      | Pattern.No_match -> ()
-      | Pattern.Satisfied ->
-          let st = Stats_acc.stat acc.stats p.id in
-          st.matches <- st.matches + 1;
-          st.sats <- st.sats + 1
-      | Pattern.Violated _ ->
-          let st = Stats_acc.stat acc.stats p.id in
-          st.matches <- st.matches + 1;
-          st.viols <- st.viols + 1);
-      tally_bucket acc s rest
-
-let tally_stmt anchors acc (s : Pattern.Stmt_paths.t) =
-  let ip = s.Pattern.Stmt_paths.index_prefix and ie = s.Pattern.Stmt_paths.index_end in
-  for i = 0 to Array.length ip - 1 do
-    (match Key_tbl.find_opt anchors (item_key ~prefix:ip.(i) ~end_:ie.(i)) with
-    | Some bucket -> tally_bucket acc s bucket
-    | None -> ());
-    match Key_tbl.find_opt anchors (prefix_key ip.(i)) with
-    | Some bucket -> tally_bucket acc s bucket
-    | None -> ()
-  done
+(* Tally one match; with [acc] applied once per shard, the prune makes no
+   closure per statement. *)
+let tally (acc : Anchor_acc.t) (p : Pattern.t) = function
+  | Pattern.No_match -> ()
+  | Pattern.Satisfied ->
+      let st = Stats_acc.stat acc.stats p.id in
+      st.matches <- st.matches + 1;
+      st.sats <- st.sats + 1
+  | Pattern.Violated _ ->
+      let st = Stats_acc.stat acc.stats p.id in
+      st.matches <- st.matches + 1;
+      st.viols <- st.viols + 1
 
 let prune_tally ?pool ~rank (candidates : Pattern.Store.t) stmts =
-  (* Build the anchor index before the fan-out; shards only read it. *)
-  let anchors : Pattern.t list Key_tbl.t = Key_tbl.create (1 lsl 12) in
-  Pattern.Store.iter
-    (fun p ->
-      match anchor_key ~rank p with
-      | Some k ->
-          Key_tbl.replace anchors k
-            (p :: Option.value (Key_tbl.find_opt anchors k) ~default:[])
-      | None -> ())
-    candidates;
+  (* Build the anchor table before the fan-out; shards only read it. *)
+  let matcher = Pattern.Matcher.create ~rank candidates in
   let shards = shards_of pool in
   let acc =
     Namer_parallel.Accumulator.sharded_reduce
@@ -366,11 +301,18 @@ let prune_tally ?pool ~rank (candidates : Pattern.Store.t) stmts =
       ?pool ~shards
       (fun shard ->
         let acc = Anchor_acc.empty () in
-        List.iter (tally_stmt anchors acc) shard;
+        let f = tally acc in
+        List.iter
+          (fun s -> acc.checks <- acc.checks + Pattern.Matcher.iter_matches matcher f s)
+          shard;
         acc)
       stmts
   in
   (acc.stats, acc.checks)
+
+(* A pid's compiled form: its (prefix id, end id), read off the table —
+   the ids compiling its rendered text would look up. *)
+let ids_of_pid pid = (I.prefix_of_pid pid, I.end_of_pid pid)
 
 (* Lines 4–8 of Algorithm 1: frequency filter → FP-tree growth → pattern
    generation.  Returns the candidates in generation order — the order
@@ -458,6 +400,7 @@ let generate ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
             in
             let conds_p, ded_p = split_at (n - n_deduct) path_items in
             let deduction = List.map I.path_of_pid ded_p in
+            let ded = Array.of_list (List.map ids_of_pid ded_p) in
             let kind_v =
               match (kind, deduction) with
               | `Consistency, _ -> Pattern.Consistency
@@ -477,9 +420,11 @@ let generate ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
                    if not (Hashtbl.mem seen key) then begin
                      Hashtbl.replace seen key ();
                      cand_rev :=
-                       ( Pattern.make ~kind:kind_v
+                       ( Pattern.of_ids ~kind:kind_v
                            ~condition:(List.map I.path_of_pid cond_p)
-                           ~deduction,
+                           ~deduction
+                           ~cond:(Array.of_list (List.map ids_of_pid cond_p))
+                           ~ded,
                          Array.of_list cond_p )
                        :: !cand_rev
                    end)
@@ -534,7 +479,7 @@ let mine ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
   let counts, checks = prune_tally ?pool ~rank candidate_store stmts in
   Telemetry.count ~by:checks "mine.prune_checks";
   let store = Pattern.Store.create () in
-  let dataset_stats = Hashtbl.create (1 lsl 12) in
+  let dataset_stats = Hashtbl.create (1 lsl 12) and cond_counts_rev = ref [] in
   Pattern.Store.iter
     (fun p ->
       match Hashtbl.find_opt counts p.id with
@@ -542,9 +487,18 @@ let mine ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
         when st.matches >= config.min_support
              && float_of_int st.sats /. float_of_int st.matches
                 >= config.min_satisfaction_ratio ->
+          let n = Pattern.Store.size store in
           let new_id = Pattern.Store.add store { p with id = -1 } in
+          if new_id = n then
+            cond_counts_rev :=
+              Array.map (Namer_util.Counter.count freq) cond_pids.(p.id) :: !cond_counts_rev;
           Hashtbl.replace dataset_stats new_id
             { matches = st.matches; sats = st.sats; viols = st.viols }
       | _ -> ())
     candidate_store;
-  { store; dataset_stats; n_candidates = Pattern.Store.size candidate_store }
+  {
+    store;
+    dataset_stats;
+    n_candidates = Pattern.Store.size candidate_store;
+    cond_counts = Array.of_list (List.rev !cond_counts_rev);
+  }

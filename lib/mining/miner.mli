@@ -24,6 +24,10 @@ type result = {
   store : Pattern.Store.t;  (** patterns surviving [pruneUncommon] *)
   dataset_stats : (int, pattern_stats) Hashtbl.t;  (** pattern id → stats *)
   n_candidates : int;  (** patterns generated before pruning *)
+  cond_counts : int array array;
+      (** pattern id → the corpus count of each condition path (the line-5
+          path frequencies), in condition order: anchor ranks for a
+          {!Pattern.Matcher} over the mined patterns *)
 }
 
 (** All (condition, deduction) splits of one statement's paths
@@ -53,11 +57,8 @@ val candidates :
 (** [prune_tally ?pool ~rank candidates stmts] is [pruneUncommon]'s
     counting pass: per candidate id, its matches, satisfactions and
     violations over [stmts], plus the number of full {!Pattern.check}s run.
-    Candidates are found through an anchor index that files each pattern
-    under one key every statement it matches has in its index: the exact
-    condition item [i] of lowest [rank p i] ([i] indexes
-    {!Pattern.condition_items}), or its first deduction prefix when it has
-    no exact item.  So the tallies equal those of checking every
+    Candidates are found through a {!Pattern.Matcher} built with [rank],
+    so the tallies equal those of checking every
     {!Pattern.Store.candidates} entry, under any [rank]; the rank decides
     only how many checks run.  Exposed for tests. *)
 val prune_tally :

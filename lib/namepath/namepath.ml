@@ -180,6 +180,8 @@ module Interned = struct
     ends : Interner.t;
     mutable lower : int array;  (** end id → end id of the lowercased form *)
     mutable by_pid : path array;  (** path id → the name path *)
+    mutable pid_prefix_id : int array;  (** path id → its prefix id *)
+    mutable pid_end_id : int array;  (** path id → its end id, [-1] for ϵ *)
     mutable rank : int array;  (** path id → canonical-text rank (frozen) *)
     mutable frozen : bool;
     trie : trie;  (** written only while the table is not frozen *)
@@ -194,6 +196,8 @@ module Interned = struct
       ends = Interner.create ();
       lower = Array.make 64 (-1);
       by_pid = Array.make 64 dummy_path;
+      pid_prefix_id = Array.make 64 (-1);
+      pid_end_id = Array.make 64 (-1);
       rank = [||];
       frozen = false;
       trie = create_trie ();
@@ -220,13 +224,17 @@ module Interned = struct
         tb.lower.(id) <- lid;
         id
 
-  let intern_path tb np text =
+  let intern_path tb np text ~prefix ~end_ =
     match Interner.lookup tb.paths text with
     | Some id -> id
     | None ->
         let id = Interner.intern tb.paths text in
         tb.by_pid <- grow_to tb.by_pid (id + 1) dummy_path;
         tb.by_pid.(id) <- np;
+        tb.pid_prefix_id <- grow_to tb.pid_prefix_id (id + 1) (-1);
+        tb.pid_prefix_id.(id) <- prefix;
+        tb.pid_end_id <- grow_to tb.pid_end_id (id + 1) (-1);
+        tb.pid_end_id.(id) <- end_;
         id
 
   (** Intern one name path: renders its prefix/whole/symbolic texts exactly
@@ -237,12 +245,17 @@ module Interned = struct
     let prefix = Interner.intern table.prefixes prefix_text in
     match np.end_node with
     | None ->
-        let pid = intern_path table np (prefix_text ^ " ϵ") in
+        let pid = intern_path table np (prefix_text ^ " ϵ") ~prefix ~end_:(-1) in
         { np; pid; prefix; end_ = -1; sym = pid }
     | Some e ->
-        let pid = intern_path table np (prefix_text ^ " " ^ e) in
+        (* ends and paths are separate interners, so interning the end
+           first leaves both first-seen sequences as they were *)
         let end_ = intern_end table e in
-        let sym = intern_path table { np with end_node = None } (prefix_text ^ " ϵ") in
+        let pid = intern_path table np (prefix_text ^ " " ^ e) ~prefix ~end_ in
+        let sym =
+          intern_path table { np with end_node = None } (prefix_text ^ " ϵ") ~prefix
+            ~end_:(-1)
+        in
         { np; pid; prefix; end_; sym }
 
   let of_paths ?table nps = List.map (fun np -> of_path ?table np) nps
@@ -390,7 +403,7 @@ module Interned = struct
       let sym = tr.tsym.(node) in
       let steps = if sym >= 0 then tb.by_pid.(sym).prefix else steps_of tr [] node in
       let text = Interner.name tb.prefixes prefix ^ " " ^ e in
-      let pid = intern_path tb { prefix = steps; end_node = Some e } text in
+      let pid = intern_path tb { prefix = steps; end_node = Some e } text ~prefix ~end_ in
       tr.pid_prefix.(!i) <- prefix;
       tr.pid_end.(!i) <- end_;
       tr.pid_val.(!i) <- pid;
@@ -404,7 +417,7 @@ module Interned = struct
     if s >= 0 then s
     else begin
       let np = { prefix = tb.by_pid.(pid).prefix; end_node = None } in
-      let s = intern_path tb np (Interner.name tb.prefixes prefix ^ " ϵ") in
+      let s = intern_path tb np (Interner.name tb.prefixes prefix ^ " ϵ") ~prefix ~end_:(-1) in
       tr.tsym.(node) <- s;
       s
     end
@@ -587,6 +600,9 @@ module Interned = struct
   (** The name path behind a global path id. *)
   let path_of_pid pid = global.by_pid.(pid)
 
+  let prefix_of_pid pid = global.pid_prefix_id.(pid)
+  let end_of_pid pid = global.pid_end_id.(pid)
+
   (** Freeze the global table read-only and precompute the canonical-text
       rank of every path id: after this, sorting paths by [rank] is
       sorting by canonical text, with no string comparison. *)
@@ -663,7 +679,12 @@ module Interned = struct
     Interner.iter (fun id e -> end_map.(id) <- intern_end global e) local.ends;
     let path_map = Array.make (Interner.size local.paths) (-1) in
     Interner.iter
-      (fun id text -> path_map.(id) <- intern_path global local.by_pid.(id) text)
+      (fun id text ->
+        let e = local.pid_end_id.(id) in
+        path_map.(id) <-
+          intern_path global local.by_pid.(id) text
+            ~prefix:prefix_map.(local.pid_prefix_id.(id))
+            ~end_:(if e < 0 then -1 else end_map.(e)))
       local.paths;
     { path_map; prefix_map; end_map }
 

@@ -126,6 +126,12 @@ module Interned : sig
   (** The name path behind a global path id. *)
   val path_of_pid : int -> path
 
+  (** The prefix id and the end id ([-1] for ϵ) of a global path id —
+      what {!of_path} gives that path, read back without rendering it. *)
+  val prefix_of_pid : int -> int
+
+  val end_of_pid : int -> int
+
   (** Freeze the global table read-only and precompute canonical-text ranks
       so {!compare_rank} is an integer comparison.  Pair with {!thaw}. *)
   val freeze : unit -> unit

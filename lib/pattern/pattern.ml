@@ -139,6 +139,28 @@ let ensure_compiled p =
       p.compiled <- Some c;
       c
 
+(** [make] with the compiled form given rather than derived: [cond] holds
+    the condition items in condition order, [ded] the (prefix id, end id)
+    of each deduction path.  For callers whose paths are already interned
+    (the miner): nothing is rendered or looked up.  The kind's word ids are
+    the deduction ends — what {!compile} finds for a mined pattern, whose
+    words are those ends. *)
+let of_ids ~kind ~condition ~deduction ~cond ~ded =
+  let c_kind =
+    match (kind, Array.length ded) with
+    | Consistency, 2 -> C_consistency
+    | Confusing_word _, 1 -> C_confusing (snd ded.(0))
+    | Ordering _, 2 -> C_ordering (snd ded.(0), snd ded.(1))
+    | _ -> C_malformed
+  in
+  {
+    kind;
+    condition;
+    deduction;
+    id = -1;
+    compiled = Some { c_cond = cond; c_ded = Array.map fst ded; c_kind };
+  }
+
 (** The compiled condition items, [(prefix id, wanted end id)] — the want
     is [-1] for ϵ, and [-2] anywhere is unknown-while-frozen. *)
 let condition_items p = (ensure_compiled p).c_cond
@@ -443,11 +465,15 @@ module Store = struct
       {!add}'s canonical dedup. *)
   let add_nodedup t p = insert t p
 
-  (** All patterns whose deduction prefix occurs in the statement — the
-      candidate set for a full {!check}.  Drives off the digest's prefix-id
-      index; no strings, no per-call key list.  Nothing repeats: a pattern
-      is filed under its first deduction prefix only, and a digest's index
-      holds each prefix id once. *)
+  (** All patterns whose deduction prefix occurs in the statement — a
+      superset of the patterns {!check} matches.  Drives off the digest's
+      prefix-id index; no strings, no per-call key list.  Nothing repeats:
+      a pattern is filed under its first deduction prefix only, and a
+      digest's index holds each prefix id once.  Scans enumerate candidates
+      through {!Matcher}'s anchor table instead; this is the plain
+      reference it is tested against, and its order — index slot of the
+      first deduction prefix, then descending pattern id — is the order
+      {!Matcher.match_file} keeps among one statement's violations. *)
   let candidates t (s : Stmt_paths.t) =
     let acc = ref [] in
     Array.iter
@@ -504,4 +530,187 @@ module Store = struct
     let acc = ref init in
     iter (fun p -> acc := f !acc p) t;
     !acc
+end
+
+(* ------------------------------------------------------------------ *)
+(* The anchored matcher                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A pattern can only match a statement whose index holds each of its exact
+   condition items — a (prefix, end) pair — and its first deduction
+   prefix.  The anchor table files every pattern once, under one such key
+   that is rare, and a statement enumerates only the patterns filed under
+   its own index items and prefixes: a superset of the patterns it
+   matches, each at most once.  The table is built once and only read, so
+   any number of domains share it.  Items and prefixes share one int key
+   space: an item packs its two ids (each below 2^31), a prefix is
+   negative.  A statement makes two lookups per index slot, and most
+   miss, so the table is open-addressed: a lookup is a multiply, a mask
+   and a few loads, with no hashing call and no allocation. *)
+module Matcher = struct
+  module Key_tbl = Hashtbl.Make (Int)
+
+  type pattern = t
+
+  type nonrec t = {
+    keys : int array;  (** anchor key per slot, [free] when empty *)
+    buckets : pattern array array;  (** the patterns filed under [keys.(i)] *)
+    mask : int;  (** slots - 1; at most half the slots are used *)
+  }
+
+  let free = min_int
+
+  let home mask k =
+    let h = k * 0x9E3779B97F4A7C1 in
+    (h lxor (h lsr 32)) land mask
+
+  (* The slot holding key [k], or [-1]; top-level, so a probe allocates
+     nothing. *)
+  let rec probe m k i =
+    let key = Array.unsafe_get m.keys i in
+    if key = k then i else if key = free then -1 else probe m k ((i + 1) land m.mask)
+
+  let item_key ~prefix ~end_ = (prefix lsl 31) lor end_
+  let prefix_key prefix = -1 - prefix
+
+  let anchor_key ~rank (p : pattern) =
+    let cond = condition_items p and ded = deduction_prefixes p in
+    if
+      Array.length ded = 0
+      || Array.exists (fun d -> d < 0) ded
+      || Array.exists (fun (pfx, want) -> pfx < 0 || want < -1) cond
+    then None
+    else begin
+      let best = ref (prefix_key ded.(0)) and best_rank = ref max_int in
+      Array.iteri
+        (fun i (pfx, want) ->
+          if want >= 0 then begin
+            let r = rank p i in
+            if r < !best_rank then begin
+              best := item_key ~prefix:pfx ~end_:want;
+              best_rank := r
+            end
+          end)
+        cond;
+      Some !best
+    end
+
+  let create ~rank store =
+    let lists = Key_tbl.create (1 lsl 12) in
+    Store.iter
+      (fun p ->
+        match anchor_key ~rank p with
+        | Some k ->
+            Key_tbl.replace lists k
+              (p :: (try Key_tbl.find lists k with Not_found -> []))
+        | None -> ())
+      store;
+    let size = ref 16 in
+    while !size < 2 * Key_tbl.length lists do
+      size := 2 * !size
+    done;
+    let m = { keys = Array.make !size free; buckets = Array.make !size [||]; mask = !size - 1 } in
+    Key_tbl.iter
+      (fun k l ->
+        let i = ref (home m.mask k) in
+        while m.keys.(!i) <> free do
+          i := (!i + 1) land m.mask
+        done;
+        m.keys.(!i) <- k;
+        m.buckets.(!i) <- Array.of_list (List.rev l))
+      lists;
+    m
+
+  (* Without corpus counts, an item is ranked by how many of the store's
+     conditions hold it: mined patterns combine frequent paths, so an item
+     few patterns share tends to be rare in code too. *)
+  let of_store store =
+    let uses = Key_tbl.create (1 lsl 12) in
+    let key (pfx, want) = item_key ~prefix:pfx ~end_:want in
+    Store.iter
+      (fun p ->
+        Array.iter
+          (fun ((pfx, want) as it) ->
+            if pfx >= 0 && want >= 0 then
+              let k = key it in
+              Key_tbl.replace uses k (1 + try Key_tbl.find uses k with Not_found -> 0))
+          (condition_items p))
+      store;
+    create ~rank:(fun p i -> Key_tbl.find uses (key (condition_items p).(i))) store
+
+  (* Check [s] against the patterns of one bucket from [i] on, handing each
+     match to [f]; returns [checks] plus the checks run.  Top-level, so a
+     bucket walk allocates no closure. *)
+  let rec check_bucket f s (bucket : pattern array) i checks =
+    if i >= Array.length bucket then checks
+    else begin
+      let p = Array.unsafe_get bucket i in
+      (match check p s with No_match -> () | rel -> f p rel);
+      check_bucket f s bucket (i + 1) (checks + 1)
+    end
+
+  let iter_matches m f (s : Stmt_paths.t) =
+    let ip = s.Stmt_paths.index_prefix and ie = s.Stmt_paths.index_end in
+    let checks = ref 0 in
+    for i = 0 to Array.length ip - 1 do
+      let k = item_key ~prefix:ip.(i) ~end_:ie.(i) in
+      let j = probe m k (home m.mask k) in
+      if j >= 0 then checks := check_bucket f s m.buckets.(j) 0 !checks;
+      let k = prefix_key ip.(i) in
+      let j = probe m k (home m.mask k) in
+      if j >= 0 then checks := check_bucket f s m.buckets.(j) 0 !checks
+    done;
+    !checks
+
+  let kind_tag p = match p.kind with Consistency -> 0 | Confusing_word _ -> 1 | Ordering _ -> 2
+
+  (* {!Store.candidates} order: the index slot of the first deduction
+     prefix, then the higher pattern id first *)
+  let candidate_order s ((p : pattern), _) ((q : pattern), _) =
+    let slot (x : pattern) = Stmt_paths.slot s ~prefix:(deduction_prefixes x).(0) in
+    let c = compare (slot p) (slot q) in
+    if c <> 0 then c else compare q.id p.id
+
+  type 's file_matches = {
+    violations : ('s * pattern * violation_info) list;
+    raw : int;
+    checks : int;
+  }
+
+  let match_file m ~digest ~line ~on_match stmts =
+    let winners = Hashtbl.create 16 and keys_rev = ref [] in
+    let raw = ref 0 and checks = ref 0 in
+    let offer st ((p : pattern), info) =
+      incr raw;
+      let key = (line st, info.offending_prefix, info.suggested, kind_tag p) in
+      match Hashtbl.find_opt winners key with
+      | Some (_, (prev : pattern), _)
+        when Array.length (condition_items prev) >= Array.length (condition_items p) ->
+          ()
+      | Some _ -> Hashtbl.replace winners key (st, p, info)
+      | None ->
+          Hashtbl.replace winners key (st, p, info);
+          keys_rev := key :: !keys_rev
+    in
+    List.iter
+      (fun st ->
+        let s = digest st in
+        let viols = ref [] in
+        checks :=
+          !checks
+          + iter_matches m
+              (fun p rel ->
+                on_match st p rel;
+                match rel with Violated info -> viols := (p, info) :: !viols | _ -> ())
+              s;
+        match !viols with
+        | [] -> ()
+        | [ v ] -> offer st v
+        | vs -> List.iter (offer st) (List.sort (candidate_order s) vs))
+      stmts;
+    {
+      violations = List.rev_map (Hashtbl.find winners) !keys_rev;
+      raw = !raw;
+      checks = !checks;
+    }
 end

@@ -107,6 +107,20 @@ type relation = No_match | Satisfied | Violated of violation_info
     integer comparisons only on the hot path. *)
 val check : t -> Stmt_paths.t -> relation
 
+(** [make] with the compiled form given rather than derived: [cond] holds
+    the condition items as {!condition_items} returns them, [ded] the
+    (prefix id, end id) of each deduction path, in order.  For callers
+    whose paths are already interned (the miner), so compiling renders and
+    looks up nothing.  A [Confusing_word] or [Ordering] kind's word ids
+    are taken from the deduction ends, so its words must be those ends. *)
+val of_ids :
+  kind:kind ->
+  condition:Namepath.t list ->
+  deduction:Namepath.t list ->
+  cond:(int * int) array ->
+  ded:(int * int) array ->
+  t
+
 (** Force the memoized compiled form (done automatically by {!Store.add}
     and {!check}); call before sharing a pattern across domains. *)
 val ensure_compiled : t -> compiled
@@ -141,8 +155,14 @@ module Store : sig
       deduplicated in id space (the miner's candidate store). *)
   val add_nodedup : t -> pattern -> int
 
-  (** Patterns whose deduction prefix occurs in the statement — the
-      candidate set for {!check}, without repeats. *)
+  (** Patterns whose deduction prefix occurs in the statement, without
+      repeats: a superset of those {!check} matches.  Scans use
+      {!Matcher}; this stays as the reference the matcher is tested
+      against, and because the benchmark's traced composition
+      ([perfbench/compose.ml]) times it.  Its
+      order — index slot of the first deduction prefix, then descending
+      pattern id — is the order {!Matcher.match_file} keeps among one
+      statement's violations. *)
   val candidates : t -> Stmt_paths.t -> pattern list
 
   (** Build the store's scan vocabulary.  Patterns added later are not in
@@ -151,4 +171,60 @@ module Store : sig
 
   val iter : (pattern -> unit) -> t -> unit
   val fold : ('a -> pattern -> 'a) -> t -> 'a -> 'a
+end
+
+(** The anchored matcher: the one way the prune, training's scan and model
+    scans find a statement's matches.  An anchor table files each pattern
+    once, under a key every statement it matches has in its index: the
+    exact condition item ([(prefix, end)], wanted end not ϵ) of lowest
+    rank, or, when there is none, its first deduction prefix.  A statement
+    looks up its own index items and prefixes and runs {!check} on what it
+    finds — a superset of the patterns it matches, each once — so the
+    matches are those of {!Store.candidates} + {!check} under any rank;
+    the rank decides only how many checks run. *)
+module Matcher : sig
+  type pattern := t
+  type t
+
+  (** The key [p] is filed under — an exact condition item [(p, e)] as
+      [(p lsl 31) lor e], a deduction prefix [d] as [-1 - d] — or [None]
+      when [p] can never match: a [-2] id in its condition or deduction
+      prefixes never holds, and a pattern without deduction prefix is never
+      a candidate.  Among exact items it takes the one of lowest [rank p i]
+      ([i] indexes {!condition_items}), the first on a tie. *)
+  val anchor_key : rank:(pattern -> int -> int) -> pattern -> int option
+
+  (** An anchor table over every pattern of the store.  Patterns added to
+      the store later are not in it. *)
+  val create : rank:(pattern -> int -> int) -> Store.t -> t
+
+  (** [create] ranking each exact item by the number of the store's
+      conditions that hold it — for a loaded model, which has no corpus
+      counts. *)
+  val of_store : Store.t -> t
+
+  (** [iter_matches m f s] calls [f p rel] for every pattern [p] that
+      matches [s] ([rel] is [Satisfied] or [Violated]), in table order, and
+      returns the number of {!check}s run. *)
+  val iter_matches : t -> (pattern -> relation -> unit) -> Stmt_paths.t -> int
+
+  type 's file_matches = {
+    violations : ('s * pattern * violation_info) list;
+        (** after dedup, in the order their keys first occur *)
+    raw : int;  (** violations before dedup *)
+    checks : int;  (** {!check}s run *)
+  }
+
+  (** [match_file m ~digest ~line ~on_match stmts] matches one file's
+      statements, in order: [on_match] sees every match, and violations are
+      deduplicated to one per (line, offending prefix, suggestion, kind) —
+      the first, in statement order and within a statement in
+      {!Store.candidates} order, of those with the longest condition. *)
+  val match_file :
+    t ->
+    digest:('s -> Stmt_paths.t) ->
+    line:('s -> int) ->
+    on_match:('s -> pattern -> relation -> unit) ->
+    's list ->
+    's file_matches
 end

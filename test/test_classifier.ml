@@ -89,10 +89,75 @@ let test_unseen_pattern_zero_counts () =
 let test_names_cover_features () =
   check_int "17 names" Features.n_features (Array.length Features.names)
 
+(* Lazy: compiling interns into the global table, which the model hash
+   pin's child process (this executable) must find as it always has. *)
+let agg_patterns =
+  lazy
+    (let store = Pattern.Store.create () in
+     List.init 3 (fun i ->
+         let p =
+           Pattern.make
+             ~kind:(Pattern.Confusing_word { correct = "Equal" })
+             ~condition:[ np (Printf.sprintf "A 0 B 0 c%d" i) ]
+             ~deduction:[ np "A 2 D 0 Equal" ]
+         in
+         Pattern.Store.get store (Pattern.Store.add store p)))
+
+(* Aggregates kept per shard and summed when read give every feature
+   vector one aggregate fed every event gives, including statements and
+   patterns no event mentions (features 2/3 then count the statement
+   itself once). *)
+let prop_agg_sum_at_read =
+  let ctx (file, hash) : Features.stmt_ctx =
+    { file = ""; repo = ""; file_id = file; repo_id = file / 2; tree_hash = hash; n_paths = 3 }
+  in
+  let event =
+    QCheck.Gen.(
+      pair (int_range 0 3)
+        (oneof
+           [
+             map (fun s -> `Stmt s) (pair (int_range 0 3) (int_range 0 2));
+             map
+               (fun (s, (p, sat)) -> `Outcome (s, p, sat))
+               (pair (pair (int_range 0 3) (int_range 0 2)) (pair (int_range 0 2) bool));
+           ]))
+  in
+  QCheck.Test.make ~name:"aggregates summed at read = one merged aggregate" ~count:300
+    QCheck.(make Gen.(list_size (int_range 0 60) event))
+    (fun events ->
+      let one = Features.Agg.create () and shards = Array.init 4 (fun _ -> Features.Agg.create ()) in
+      let record agg = function
+        | `Stmt s -> Features.Agg.add_stmt agg (ctx s)
+        | `Outcome (s, p, sat) ->
+            let rel = if sat then Pattern.Satisfied else Pattern.Violated info in
+            Features.Agg.add_outcome agg (ctx s)
+              ~pattern_id:(List.nth (Lazy.force agg_patterns) p).Pattern.id rel
+      in
+      List.iter
+        (fun (shard, e) ->
+          record one e;
+          record shards.(shard) e)
+        events;
+      let summed = Features.Agg.sum (Array.to_list shards) in
+      let pairs = Confusing_pairs.create () in
+      (* one more file and hash than any event uses *)
+      List.for_all
+        (fun file ->
+          List.for_all
+            (fun hash ->
+              List.for_all
+                (fun p ->
+                  Features.extract one pairs (ctx (file, hash)) p info
+                  = Features.extract summed pairs (ctx (file, hash)) p info)
+                (Lazy.force agg_patterns))
+            [ 0; 1; 2; 3 ])
+        [ 0; 1; 2; 3; 4 ])
+
 let suite =
   [
     Alcotest.test_case "table 1 feature vector" `Quick test_feature_vector;
     Alcotest.test_case "feature 17 requires a mined pair" `Quick test_feature_no_pair;
     Alcotest.test_case "defaults for unseen patterns" `Quick test_unseen_pattern_zero_counts;
     Alcotest.test_case "feature names" `Quick test_names_cover_features;
+    QCheck_alcotest.to_alcotest prop_agg_sum_at_read;
   ]

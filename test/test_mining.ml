@@ -411,6 +411,174 @@ let test_prune_checks_counter () =
     (Printf.sprintf "checks %d <= reference checks %d" checks ref_checks)
     true (checks <= ref_checks)
 
+(* ---------------- the anchored matcher ---------------- *)
+
+let kind_tag (p : Pattern.t) =
+  match p.Pattern.kind with
+  | Pattern.Consistency -> "consistency"
+  | Pattern.Confusing_word _ -> "confusing-word"
+  | Pattern.Ordering _ -> "ordering"
+
+(* What {!Pattern.Matcher.match_file} must produce, the plain way: every
+   {!Pattern.Store.candidates} entry of every statement checked, in order,
+   and violations deduplicated to one per (line, offending prefix,
+   suggestion, kind) — the first of the longest condition.  Statements are
+   [(index, line, digest)].  Returns the matches [(index, pattern id,
+   satisfied)], sorted, and the surviving violations [(index, pattern id,
+   info)] in the order their keys first occur. *)
+let reference_match_file store stmts =
+  let matches = ref [] and best = Hashtbl.create 16 and keys_rev = ref [] in
+  List.iter
+    (fun (i, line, s) ->
+      List.iter
+        (fun (p : Pattern.t) ->
+          match Pattern.check p s with
+          | Pattern.No_match -> ()
+          | Pattern.Satisfied -> matches := (i, p.Pattern.id, true) :: !matches
+          | Pattern.Violated info -> (
+              matches := (i, p.Pattern.id, false) :: !matches;
+              let key = (line, info.Pattern.offending_prefix, info.Pattern.suggested, kind_tag p) in
+              let v = (i, p, info) in
+              match Hashtbl.find_opt best key with
+              | Some (_, (prev : Pattern.t), _)
+                when List.length prev.Pattern.condition >= List.length p.Pattern.condition ->
+                  ()
+              | Some _ -> Hashtbl.replace best key v
+              | None ->
+                  Hashtbl.replace best key v;
+                  keys_rev := key :: !keys_rev))
+        (Pattern.Store.candidates store s))
+    stmts;
+  let viols =
+    List.rev_map
+      (fun k ->
+        let i, (p : Pattern.t), info = Hashtbl.find best k in
+        (i, p.Pattern.id, info))
+      !keys_rev
+  in
+  (List.sort compare !matches, viols)
+
+let anchored_match_file m stmts =
+  let matches = ref [] in
+  let r =
+    Pattern.Matcher.match_file m
+      ~digest:(fun (_, _, s) -> s)
+      ~line:(fun (_, line, _) -> line)
+      ~on_match:(fun (i, _, _) (p : Pattern.t) rel ->
+        matches := (i, p.Pattern.id, rel = Pattern.Satisfied) :: !matches)
+      stmts
+  in
+  let viols =
+    List.map (fun ((i, _, _), (p : Pattern.t), info) -> (i, p.Pattern.id, info)) r.violations
+  in
+  (List.sort compare !matches, viols, r.checks)
+
+(* The model scan's entries: what a report keeps of a violation. *)
+let entries store stmts viols =
+  List.map
+    (fun (i, id, (info : Pattern.violation_info)) ->
+      let _, line, _ = List.nth stmts i in
+      ( line, info.Pattern.offending_prefix, info.Pattern.found, info.Pattern.suggested,
+        kind_tag (Pattern.Store.get store id) ))
+    viols
+  |> List.sort compare
+
+let prop_matcher_matches_reference =
+  QCheck.Test.make ~name:"anchored matcher = candidates + check + dedup" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          triple
+            (list_size (int_range 1 25) pat_desc_gen)
+            (list_size (int_range 1 12) (pair (int_range 0 2) stmt_gen))
+            (int_range 0 1000)))
+    (fun (descs, stmt_descs, salt) ->
+      (* statements of one file, several to a line *)
+      let stmts =
+        List.mapi
+          (fun i (line, ps) ->
+            ( i,
+              line,
+              Pattern.Stmt_paths.of_paths (List.map (fun (p, w) -> anchor_path p w) ps) ))
+          stmt_descs
+      in
+      List.iter (fun w -> ignore (I.end_id w)) (Array.to_list anchor_words);
+      List.iter (fun p -> ignore (I.prefix_id (anchor_path p 0))) [ 0; 1; 2; 3 ];
+      let pats = List.map (fun d -> (d, make_pattern d)) descs in
+      List.iter (fun (d, p) -> if d.unknown = Known then ignore (Pattern.ensure_compiled p)) pats;
+      I.freeze ();
+      Fun.protect ~finally:I.thaw (fun () ->
+          List.iter (fun (_, p) -> ignore (Pattern.ensure_compiled p)) pats);
+      let store = Pattern.Store.create () in
+      List.iter (fun (_, p) -> ignore (Pattern.Store.add_nodedup store p)) pats;
+      let expect_matches, expect_viols = reference_match_file store stmts in
+      let agrees m =
+        let got_matches, got_viols, checks = anchored_match_file m stmts in
+        got_matches = expect_matches
+        && got_viols = expect_viols
+        && entries store stmts got_viols = entries store stmts expect_viols
+        && checks >= List.length got_matches
+      in
+      agrees (Pattern.Matcher.of_store store)
+      && agrees (Pattern.Matcher.create ~rank:(fun _ _ -> 0) store)
+      && agrees
+           (Pattern.Matcher.create
+              ~rank:(fun (p : Pattern.t) i -> Hashtbl.hash (salt, p.Pattern.id, i) mod 3)
+              store)
+      && agrees (Pattern.Matcher.create ~rank:(fun _ i -> -i) store))
+
+(* The miner compiles its candidates from the ids of the paths it holds;
+   compiling the same patterns from their text must give the same ids and
+   the same answers. *)
+let test_candidates_compile_from_ids () =
+  let config, pairs, stmts = mine_corpus_inputs () in
+  let ordering_stmts =
+    List.init 12 (fun i ->
+        Pattern.Stmt_paths.of_paths
+          (List.map np
+             [
+               "NumArgs(2) 0 Call 0 AttributeLoad 1 Attr 0 NumST(1) 0 resize";
+               "NumArgs(2) 0 Call 1 NameLoad 0 NumST(1) 0 "
+               ^ if i = 0 then "height" else "width";
+               "NumArgs(2) 0 Call 2 NameLoad 0 NumST(1) 0 "
+               ^ if i = 0 then "width" else "height";
+             ]))
+  in
+  let consistency_stmts =
+    List.init 12 (fun i ->
+        Pattern.Stmt_paths.of_paths
+          (List.map np
+             [
+               "Assign 0 AttributeStore 0 NameLoad 0 NumST(1) 0 self";
+               "Assign 0 AttributeStore 1 Attr 0 NumST(1) 0 limit";
+               ("Assign 1 NameLoad 0 NumST(1) 0 " ^ if i = 0 then "limits" else "limit");
+             ]))
+  in
+  let config = { config with min_path_freq = 5 } in
+  List.iter
+    (fun (kind, stmts) ->
+      let cands = Miner.candidates ~config ~kind ~pairs stmts in
+      check_bool "some candidates" true (Pattern.Store.size cands > 0);
+      Pattern.Store.iter
+        (fun p ->
+          let q =
+            Pattern.make ~kind:p.Pattern.kind ~condition:p.Pattern.condition
+              ~deduction:p.Pattern.deduction
+          in
+          check_bool "same condition items" true
+            (Pattern.condition_items p = Pattern.condition_items q);
+          check_bool "same deduction prefixes" true
+            (Pattern.deduction_prefixes p = Pattern.deduction_prefixes q);
+          List.iter
+            (fun s -> check_bool "same check" true (Pattern.check p s = Pattern.check q s))
+            stmts)
+        cands)
+    [
+      (`Confusing, stmts);
+      (`Consistency, consistency_stmts);
+      (`Ordering [ ("width", "height") ], ordering_stmts);
+    ]
+
 let suite =
   [
     Alcotest.test_case "figure 3(a): tree structure" `Quick test_figure3_structure;
@@ -430,6 +598,9 @@ let suite =
       test_consistency_mining_end_to_end;
     QCheck_alcotest.to_alcotest prop_anchored_prune_matches_reference;
     Alcotest.test_case "miner: prune_checks counter" `Quick test_prune_checks_counter;
+    QCheck_alcotest.to_alcotest prop_matcher_matches_reference;
+    Alcotest.test_case "miner: candidates compiled from ids" `Quick
+      test_candidates_compile_from_ids;
   ]
 
 (* ---------------- ordering mining (extension) ---------------- *)

@@ -462,6 +462,114 @@ let test_model_hash_pin () =
         hash)
     [ 1; 4 ]
 
+(* -------- the anchored matcher -------- *)
+
+(* On a small corpus, the build's [build.scan_checks] and a model scan's
+   [scan.match_checks] lie between the number of matches and the checks of
+   the plain reference — every {!Pattern.Store.candidates} entry of every
+   statement. *)
+let test_match_checks_counters () =
+  let module Pattern = Namer_pattern.Pattern in
+  let c = corpus () in
+  let was = Telemetry.enabled () in
+  Telemetry.reset ();
+  Telemetry.set_sink Telemetry.Memory;
+  Fun.protect ~finally:(fun () ->
+      Telemetry.set_sink (if was then Telemetry.Memory else Telemetry.Null))
+  @@ fun () ->
+  let t = Namer.build namer_cfg c in
+  let build_checks = Telemetry.counter "build.scan_checks"
+  and build_matches = Telemetry.counter "agg.pattern_matches" in
+  let m = Namer.model_of t in
+  Telemetry.reset ();
+  ignore (Namer.scan_with_model ~jobs:1 m c.Corpus.files);
+  let scan_checks = Telemetry.counter "scan.match_checks" in
+  let ref_checks = ref 0 and ref_matches = ref 0 in
+  List.iter
+    (fun f ->
+      match Namer.digest_for_model m f with
+      | None -> ()
+      | Some stmts ->
+          List.iter
+            (fun (s : Namer.scanned_stmt) ->
+              List.iter
+                (fun p ->
+                  incr ref_checks;
+                  if Pattern.check p s.Namer.digest <> Pattern.No_match then incr ref_matches)
+                (Pattern.Store.candidates t.Namer.store s.Namer.digest))
+            stmts)
+    c.Corpus.files;
+  check_bool "some matches" true (!ref_matches > 0);
+  check_int "the build matched what the reference matches" !ref_matches build_matches;
+  let between name n =
+    check_bool
+      (Printf.sprintf "%s: matches %d <= checks %d <= reference checks %d" name !ref_matches n
+         !ref_checks)
+      true
+      (!ref_matches <= n && n <= !ref_checks)
+  in
+  between "build.scan_checks" build_checks;
+  between "scan.match_checks" scan_checks
+
+(* Two statements on one line violate one pattern with the same offending
+   prefix, suggestion and kind but different found words: the report keeps
+   the first statement's, so the matcher must keep statement order. *)
+let test_same_line_statements_keep_order () =
+  let module Pattern = Namer_pattern.Pattern in
+  let module Namepath = Namer_namepath.Namepath in
+  let module Frontend = Namer_core.Frontend in
+  let src = "self.assertTrue(a, b); self.assertEquals(a, b)\n" in
+  let parsed = Frontend.parse_file Corpus.Python ~use_analysis:true src in
+  check_int "two statements" 2 (List.length parsed.Frontend.stmts);
+  (* the deduction: the first callee's second subtoken, which must be Equal *)
+  let first = List.hd parsed.Frontend.stmts in
+  let paths =
+    Namepath.extract
+      (Namer_namepath.Astplus.transform
+         ~origins:(parsed.Frontend.origins ~cls:first.Frontend.cls ~fn:first.Frontend.fn)
+         first.Frontend.tree)
+  in
+  let d = List.find (fun (np : Namepath.t) -> np.Namepath.end_node = Some "True") paths in
+  let store = Pattern.Store.create () in
+  ignore
+    (Pattern.Store.add store
+       (Pattern.make
+          ~kind:(Pattern.Confusing_word { correct = "Equal" })
+          ~condition:[]
+          ~deduction:[ { d with Namepath.end_node = Some "Equal" } ]));
+  let path = model_path () in
+  ignore (Namer.save_model { (namer ()) with Namer.store } ~path);
+  let m = Namer.load_model ~path in
+  Sys.remove path;
+  let files = [ { Corpus.repo = "r"; path = "f.py"; source = src } ] in
+  let statement (r : Namer.report) = Namer.statement_of ~src:(Some src) ~line:r.Namer.r_line in
+  List.iter
+    (fun jobs ->
+      let res = Namer.scan_with_model ~jobs ~cap_domains:false m files in
+      let text =
+        Array.to_list res.Namer.sr_reports
+        |> List.map (fun r -> Namer.report_text ~statement:(statement r) r)
+        |> String.concat ""
+      in
+      check_string "scan --model text"
+        "f.py:1: self.assertTrue(a, b); self.assertEquals(a, b)\n\
+        \    suggested fix: True -> Equal\n"
+        text;
+      check_string "scan --model JSON reports"
+        "[\n\
+        \  {\n\
+        \    \"file\": \"f.py\",\n\
+        \    \"line\": 1,\n\
+        \    \"statement\": \"self.assertTrue(a, b); self.assertEquals(a, b)\",\n\
+        \    \"found\": \"True\",\n\
+        \    \"suggested\": \"Equal\",\n\
+        \    \"pattern\": \"confusing-word\"\n\
+        \  }\n\
+         ]"
+        (Namer_util.Json.to_string ~indent:2
+           (Namer.reports_json ~statement ~max_reports:10 res.Namer.sr_reports)))
+    [ 1; 4 ]
+
 let suite =
   [
     Alcotest.test_case "round trip: save → load → scan identical" `Quick
@@ -493,4 +601,7 @@ let suite =
     Alcotest.test_case "cache: concurrent stores never torn" `Quick
       test_cache_concurrent_stores_never_torn;
     Alcotest.test_case "model hash pin (jobs=1, jobs=4)" `Quick test_model_hash_pin;
+    Alcotest.test_case "matcher: check counters bounded" `Quick test_match_checks_counters;
+    Alcotest.test_case "matcher: same-line statements keep order" `Quick
+      test_same_line_statements_keep_order;
   ]
