@@ -67,38 +67,15 @@ module Deque = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Futures                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type 'a state = Pending | Done of 'a | Failed of exn
-
-type 'a future = { fm : Mutex.t; fc : Condition.t; mutable state : 'a state }
-
-let await fut =
-  Mutex.lock fut.fm;
-  while fut.state = Pending do
-    Condition.wait fut.fc fut.fm
-  done;
-  let st = fut.state in
-  Mutex.unlock fut.fm;
-  match st with
-  | Done v -> v
-  | Failed e -> raise e
-  | Pending -> assert false
-
-let resolve fut st =
-  Mutex.lock fut.fm;
-  fut.state <- st;
-  Condition.broadcast fut.fc;
-  Mutex.unlock fut.fm
-
-(* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
 (* ------------------------------------------------------------------ *)
 
 type t = {
   deques : (unit -> unit) Deque.t array;
   mutable workers : unit Domain.t array;
+  mutable members : int array;
+      (** a run-pool's domain per worker slot (slot 0 = the caller); empty
+          for a created pool, whose awaiters only block *)
   m : Mutex.t;  (** protects [stop] and the sleep condition *)
   work : Condition.t;
   mutable stop : bool;
@@ -133,27 +110,86 @@ let find_task t i =
       in
       sweep 1
 
+(* Run one taken task as worker [i] — a spawned domain or a run-pool's
+   awaiting caller. *)
+let run_task t i task =
+  (* count before running: [task ()] resolves a future someone may be
+     awaiting, and the counters must already include that task when the
+     awaiter wakes up *)
+  Atomic.incr t.n_executed.(i);
+  (* containment: [task] is the [submit] wrapper, which settles its future
+     under a catch-all — but a worker must survive even an exception that
+     escapes the wrapper (asynchronous exceptions, [resolve] itself
+     failing), or one poisoned task takes the whole pool (or the caller's
+     await) down with it *)
+  try task ()
+  with _ ->
+    Telemetry.count "pool.task_escapes";
+    Events.emit ~fields:[ ("worker", Namer_util.Json.Int i) ] Events.Warn "pool.task_escape"
+
+(* ------------------------------------------------------------------ *)
+(* Futures                                                             *)
+(* ------------------------------------------------------------------ *)
+
+type 'a state = Pending | Done of 'a | Failed of exn
+
+type 'a future = { fm : Mutex.t; fc : Condition.t; mutable state : 'a state; pool : t }
+
+let pending fut = match fut.state with Pending -> true | Done _ | Failed _ -> false
+
+(* The awaiting domain's worker slot in a run-pool, if it has one. *)
+let slot_of t =
+  let self = (Domain.self () :> int) in
+  let rec go i =
+    if i >= Array.length t.members then None
+    else if t.members.(i) = self then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let await fut =
+  (* a worker of a run-pool (its caller, or a task awaiting a nested
+     [map_list]) helps until the future settles: it runs queued tasks, its
+     own deque first, then steals.  The unlocked read of [state] may be
+     stale; that costs one more task or a trip through the lock below,
+     never a lost wakeup. *)
+  (match slot_of fut.pool with
+  | None -> ()
+  | Some i ->
+      let rec help () =
+        if pending fut then
+          match find_task fut.pool i with
+          | Some task ->
+              run_task fut.pool i task;
+              help ()
+          | None -> ()
+      in
+      help ());
+  (* nothing left to help with: the future is running elsewhere (or done) *)
+  Mutex.lock fut.fm;
+  while pending fut do
+    Condition.wait fut.fc fut.fm
+  done;
+  let st = fut.state in
+  Mutex.unlock fut.fm;
+  match st with
+  | Done v -> v
+  | Failed e -> raise e
+  | Pending -> assert false
+
+let resolve fut st =
+  Mutex.lock fut.fm;
+  fut.state <- st;
+  Condition.broadcast fut.fc;
+  Mutex.unlock fut.fm
+
 let worker t i () =
   Telemetry.with_span ~args:[ ("worker", string_of_int i) ] "domain-worker"
   @@ fun () ->
   let rec loop () =
     match find_task t i with
     | Some task ->
-        (* count before running: [task ()] resolves a future someone may be
-           awaiting, and the counters must already include that task when
-           the awaiter wakes up *)
-        Atomic.incr t.n_executed.(i);
-        (* containment: [task] is the [submit] wrapper, which settles its
-           future under a catch-all — but a worker domain must survive even
-           an exception that escapes the wrapper (asynchronous exceptions,
-           [resolve] itself failing), or one poisoned task takes the whole
-           pool down with it *)
-        (try task ()
-         with _ ->
-           Telemetry.count "pool.task_escapes";
-           Events.emit
-             ~fields:[ ("worker", Namer_util.Json.Int i) ]
-             Events.Warn "pool.task_escape");
+        run_task t i task;
         loop ()
     | None ->
         Mutex.lock t.m;
@@ -172,12 +208,15 @@ let worker t i () =
   in
   loop ()
 
-let create ~domains () =
-  let n = max 1 domains in
+(* [n] worker slots; with [caller_works] slot 0 is the creating domain and
+   only slots 1..n-1 get a domain of their own. *)
+let make ~caller_works n =
+  let n = max 1 n in
   let t =
     {
       deques = Array.init n (fun _ -> Deque.create ());
       workers = [||];
+      members = [||];
       m = Mutex.create ();
       work = Condition.create ();
       stop = false;
@@ -187,12 +226,22 @@ let create ~domains () =
       n_executed = Array.init n (fun _ -> Atomic.make 0);
     }
   in
-  t.workers <- Array.init n (fun i -> Domain.spawn (worker t i));
-  Telemetry.count ~by:n "pool.domains_spawned";
+  let first = if caller_works then 1 else 0 in
+  t.workers <- Array.init (n - first) (fun k -> Domain.spawn (worker t (first + k)));
+  (* written before any task exists: a worker reads [members] only inside a
+     task, which it took from a deque after [submit] pushed it *)
+  if caller_works then
+    t.members <-
+      Array.append
+        [| (Domain.self () :> int) |]
+        (Array.map (fun d -> (Domain.get_id d :> int)) t.workers);
+  Telemetry.count ~by:(n - first) "pool.domains_spawned";
   t
 
+let create ~domains () = make ~caller_works:false domains
+
 let submit ?on t f =
-  let fut = { fm = Mutex.create (); fc = Condition.create (); state = Pending } in
+  let fut = { fm = Mutex.create (); fc = Condition.create (); state = Pending; pool = t } in
   (* span-context propagation: capture the submitter's trace/span here, on
      the submitting domain, so the task runs on its worker domain under a
      child span of the submitter — same trace, fresh span.  Captured only
@@ -262,6 +311,6 @@ let run ?(cap_to_cores = false) ~jobs f =
   in
   if jobs <= 1 then f None
   else begin
-    let pool = create ~domains:jobs () in
+    let pool = make ~caller_works:true jobs in
     Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f (Some pool))
   end

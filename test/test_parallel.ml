@@ -1,7 +1,8 @@
 (* Tests for Namer_parallel: deque LIFO/FIFO discipline, pool submit/join
-   under contention, exception propagation, work-stealing smoke, shard-plan
-   determinism properties, and the headline guarantee — a jobs=4 build is
-   byte-identical to the jobs=1 build on the same corpus. *)
+   under contention, exception propagation, work-stealing smoke, who works
+   in a run-pool (the caller as worker 0) and in a created pool, shard-plan
+   determinism properties, and the headline guarantee — a jobs=2 and a
+   jobs=4 build are byte-identical to the jobs=1 build on the same corpus. *)
 
 module Pool = Namer_parallel.Pool
 module Shard = Namer_parallel.Shard
@@ -10,6 +11,8 @@ module Counter = Namer_util.Counter
 module Corpus = Namer_corpus.Corpus
 module Namer = Namer_core.Namer
 module Pattern = Namer_pattern.Pattern
+module Telemetry = Namer_telemetry.Telemetry
+module Fault = Namer_util.Fault
 
 let with_pool ~domains f =
   let pool = Pool.create ~domains () in
@@ -112,6 +115,185 @@ let test_run_sequential_path () =
       | None -> Alcotest.fail "jobs=3 must give a pool"
       | Some p -> Alcotest.(check int) "pool size" 3 (Pool.size p))
 
+(* ---------------- who works ---------------- *)
+
+let self_id () = (Domain.self () :> int)
+
+(* Run [f] on a fresh domain and fail, instead of hanging the suite, if it
+   has not returned within [seconds].  A deadlocked body leaks its domain,
+   which stays blocked until the test process exits. *)
+let with_watchdog ~seconds f =
+  let result = Atomic.make None in
+  let d = Domain.spawn (fun () -> Atomic.set result (Some (try Ok (f ()) with e -> Error e))) in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match Atomic.get result with
+    | Some r ->
+        Domain.join d;
+        r
+    | None ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "no result after %.0f s: the pool deadlocked" seconds;
+        Unix.sleepf 0.005;
+        wait ()
+  in
+  match wait () with Ok v -> v | Error e -> raise e
+
+(* Occupy every spawned worker of a run-pool with a task that spins until
+   released, then run [f]: whatever [f] submits and awaits can only be
+   run by the caller. *)
+let with_workers_parked pool f =
+  let spawned = Pool.size pool - 1 in
+  let parked = Atomic.make 0 and release = Atomic.make false in
+  let blockers =
+    List.init spawned (fun i ->
+        Pool.submit ~on:(i + 1) pool (fun () ->
+            Atomic.incr parked;
+            while not (Atomic.get release) do
+              Domain.cpu_relax ()
+            done))
+  in
+  while Atomic.get parked < spawned do
+    Domain.cpu_relax ()
+  done;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set release true;
+      List.iter Pool.await blockers)
+    f
+
+let with_telemetry f =
+  let was = Telemetry.enabled () in
+  Telemetry.reset ();
+  Telemetry.set_sink Telemetry.Memory;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_sink (if was then Telemetry.Memory else Telemetry.Null))
+    f
+
+let test_run_caller_is_worker_0 () =
+  List.iter
+    (fun n ->
+      let caller = self_id () in
+      let executed =
+        with_telemetry @@ fun () ->
+        let executed =
+          Pool.run ~jobs:n @@ function
+          | None -> Alcotest.fail "jobs>1 must give a pool"
+          | Some pool ->
+              Alcotest.(check int) (Printf.sprintf "jobs=%d: size" n) n (Pool.size pool);
+              (* workers parked: the caller runs all 5 of these, in its await *)
+              let ran_on =
+                with_workers_parked pool @@ fun () ->
+                Pool.map_list pool (fun _ -> self_id ()) (List.init 5 Fun.id)
+              in
+              Alcotest.(check (list int))
+                (Printf.sprintf "jobs=%d: parked workers, the caller runs every task" n)
+                (List.init 5 (fun _ -> caller))
+                ran_on;
+              Alcotest.(check int)
+                (Printf.sprintf "jobs=%d: slot 0 counts the caller's tasks" n)
+                5 (Pool.executed pool).(0);
+              (* free-running: whoever ran a task counted it in its own slot *)
+              let before = Pool.executed pool in
+              let ran_on = Pool.map_list pool (fun _ -> self_id ()) (List.init 200 Fun.id) in
+              let after = Pool.executed pool in
+              Alcotest.(check int)
+                (Printf.sprintf "jobs=%d: slot 0 = tasks run on the caller's domain" n)
+                (List.length (List.filter (( = ) caller) ran_on))
+                (after.(0) - before.(0));
+              after
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "jobs=%d: domains spawned" n)
+          (n - 1)
+          (Telemetry.counter "pool.domains_spawned");
+        executed
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "jobs=%d: executed sums to the tasks submitted" n)
+        (n - 1 + 5 + 200)
+        (Array.fold_left ( + ) 0 executed))
+    [ 2; 3 ]
+
+let test_run_caller_contains_failures () =
+  List.iter
+    (fun n ->
+      let caller = self_id () in
+      Pool.run ~jobs:n @@ function
+      | None -> Alcotest.fail "jobs>1 must give a pool"
+      | Some pool ->
+          with_workers_parked pool @@ fun () ->
+          let ran_on = Array.make 6 (-1) in
+          let results =
+            Pool.map_list_results pool
+              (fun i ->
+                ran_on.(i) <- self_id ();
+                if i = 3 then failwith "task 3 blew up";
+                i * 10)
+              (List.init 6 Fun.id)
+          in
+          List.iteri
+            (fun i r ->
+              let what = Printf.sprintf "jobs=%d: task %d" n i in
+              match r with
+              | Ok v when i <> 3 -> Alcotest.(check int) what (i * 10) v
+              | Error (Failure m) when i = 3 ->
+                  Alcotest.(check string) what "task 3 blew up" m
+              | Ok _ | Error _ -> Alcotest.failf "%s: wrong outcome" what)
+            results;
+          Alcotest.(check (array int))
+            (Printf.sprintf "jobs=%d: the caller ran them" n)
+            (Array.make 6 caller) ran_on;
+          (* a poisoned task: the next pass through the fault point fires,
+             and only the task it fires in fails *)
+          Fault.reset ();
+          Fun.protect ~finally:Fault.reset @@ fun () ->
+          Fault.arm "pool.task";
+          let results = Pool.map_list_results pool (fun i -> i + 1) (List.init 6 Fun.id) in
+          Alcotest.(check int) (Printf.sprintf "jobs=%d: fault fired" n) 1 (Fault.fired ());
+          let failed =
+            List.filter_map
+              (function
+                | Ok _ -> None
+                | Error (Fault.Injected p) -> Some p
+                | Error e -> Alcotest.failf "unexpected %s" (Printexc.to_string e))
+              results
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "jobs=%d: one task failed, by the injected fault" n)
+            [ "pool.task" ] failed;
+          List.iteri
+            (fun i r ->
+              match r with
+              | Ok v -> Alcotest.(check int) (Printf.sprintf "task %d" i) (i + 1) v
+              | Error _ -> ())
+            results)
+    [ 2; 3 ]
+
+let test_run_nested_map_list () =
+  (* at jobs=2 both tasks may sit on a worker while awaiting their
+     subtasks: only an awaiter that helps lets those subtasks run *)
+  let sums =
+    with_watchdog ~seconds:60.0 @@ fun () ->
+    Pool.run ~jobs:2 @@ function
+    | None -> Alcotest.fail "jobs=2 must give a pool"
+    | Some pool ->
+        Pool.map_list pool
+          (fun k ->
+            List.fold_left ( + ) 0
+              (Pool.map_list pool (fun j -> (10 * k) + j) [ 1; 2; 3; 4 ]))
+          [ 1; 2 ]
+  in
+  Alcotest.(check (list int)) "both nested map_lists complete" [ 50; 90 ] sums
+
+let test_create_caller_never_works () =
+  with_pool ~domains:2 @@ fun pool ->
+  let caller = self_id () in
+  let ran_on = Pool.map_list pool (fun _ -> self_id ()) (List.init 100 Fun.id) in
+  Alcotest.(check bool) "no task ran on the submitting domain" true
+    (List.for_all (( <> ) caller) ran_on);
+  Alcotest.(check int) "every task ran" 100 (Array.fold_left ( + ) 0 (Pool.executed pool))
+
 (* ---------------- shards ---------------- *)
 
 let test_shard_concat_identity () =
@@ -206,16 +388,23 @@ let test_jobs_byte_equality () =
       { Namer.default_config with Namer.use_classifier = false; jobs; cap_domains = false }
       corpus
   in
-  let seq = build ~jobs:1 and par = build ~jobs:4 in
-  Alcotest.(check int) "same pattern count"
-    (Pattern.Store.size seq.Namer.store)
-    (Pattern.Store.size par.Namer.store);
-  Alcotest.(check int) "same violation count"
-    (Array.length seq.Namer.violations)
-    (Array.length par.Namer.violations);
-  Alcotest.(check string) "byte-identical reports (features included)"
-    (render_reports seq) (render_reports par);
-  Alcotest.(check int) "same aggregate stmt totals" seq.Namer.n_stmts par.Namer.n_stmts
+  let seq = build ~jobs:1 in
+  (* jobs=2: the caller and one spawned worker split the tasks *)
+  List.iter
+    (fun jobs ->
+      let par = build ~jobs in
+      let what s = Printf.sprintf "jobs=%d: %s" jobs s in
+      Alcotest.(check int) (what "same pattern count")
+        (Pattern.Store.size seq.Namer.store)
+        (Pattern.Store.size par.Namer.store);
+      Alcotest.(check int) (what "same violation count")
+        (Array.length seq.Namer.violations)
+        (Array.length par.Namer.violations);
+      Alcotest.(check string) (what "byte-identical reports (features included)")
+        (render_reports seq) (render_reports par);
+      Alcotest.(check int) (what "same aggregate stmt totals") seq.Namer.n_stmts
+        par.Namer.n_stmts)
+    [ 2; 4 ]
 
 let suite =
   [
@@ -226,6 +415,11 @@ let suite =
     Alcotest.test_case "exception propagation" `Quick test_pool_exception;
     Alcotest.test_case "work stealing drains a pinned worker" `Quick test_pool_stealing;
     Alcotest.test_case "run: sequential vs pooled path" `Quick test_run_sequential_path;
+    Alcotest.test_case "run: the caller is worker 0" `Quick test_run_caller_is_worker_0;
+    Alcotest.test_case "run: caller-run tasks contain failures" `Quick
+      test_run_caller_contains_failures;
+    Alcotest.test_case "run: nested map_list completes" `Quick test_run_nested_map_list;
+    Alcotest.test_case "create: the caller never works" `Quick test_create_caller_never_works;
     Alcotest.test_case "shard concat identity" `Quick test_shard_concat_identity;
     Alcotest.test_case "sharding never splits a key run" `Quick test_shard_by_key_runs;
     QCheck_alcotest.to_alcotest prop_shard_merge_deterministic;
