@@ -47,7 +47,9 @@ bench-smoke:
 # records, event logs whose every line is JSON with a trace/span context,
 # a --quiet warm scan that is silent on stderr yet logs its cache line and
 # hits >= 90% of files with identical output, OpenMetrics exports that
-# validate, and a report that shows both scans without flagging them.
+# validate, a report that shows both scans without flagging them, and a
+# --trace scan (own ledger) whose Chrome trace parses and holds one parse
+# event per file its ledger record counts in frontend.files_parsed.
 obs-smoke: build
 	@set -eu; \
 	state=$$(mktemp -d); trap 'rm -rf "$$state"' EXIT; \
@@ -77,6 +79,10 @@ obs-smoke: build
 	"$$namer" report --check > "$$state/report.txt"; \
 	cat "$$state/report.txt"; \
 	test "$$(grep -c ' scan ' "$$state/report.txt")" -eq 2; \
+	"$$namer" scan --model "$$state/m.nmdl" --jobs 2 --quiet --trace "$$state/trace.json" \
+	  --ledger "$$state/trace-ledger" "$$state/corpus" > /dev/null; \
+	python3 -c 'import json, sys; events = json.load(open(sys.argv[1]))["traceEvents"]; parsed = json.loads(open(sys.argv[2]).readlines()[-1])["counters"]["frontend.files_parsed"]; n = sum(e["name"] == "parse" for e in events); print("trace: %d parse events, %d files parsed" % (n, parsed)); sys.exit(0 if n == parsed > 0 else "trace parse events differ from frontend.files_parsed")' \
+	  "$$state/trace.json" "$$state/trace-ledger/ledger.jsonl"; \
 	echo "obs-smoke: OK ($$hits/$$((hits + misses)) warm cache hits)"
 
 # Serve smoke, run as-is by the serve-smoke CI job: start the daemon on a

@@ -16,6 +16,10 @@ module Corpus = Namer_corpus.Corpus
 module Namer = Namer_core.Namer
 module Telemetry = Namer_telemetry.Telemetry
 
+(* wall clock and program-wide allocation at start-up: the ledger record
+   carries the whole run's *)
+let run_start = (Unix.gettimeofday (), Telemetry.program_alloc_mb ())
+
 (* Instrumented end-to-end build on a 15-repo Python corpus, once with
    jobs=1 and once with jobs=N (--jobs, default 4): prints the sequential
    per-stage cost table, verifies the two runs report identical violations,
@@ -583,6 +587,8 @@ let telemetry_bench ~jobs_parallel ~scale:(scale_json, scale_ok)
             ( "argv",
               J.List (List.map (fun a -> J.String a) (Array.to_list Sys.argv)) );
             ("git", J.String (Ledger.git_describe ()));
+            ("wall_s", J.Float (Unix.gettimeofday () -. fst run_start));
+            ("alloc_mb", J.Float (Telemetry.program_alloc_mb () -. snd run_start));
             ("stages", Telemetry.stages_to_json stages_seq);
             ("speedup", J.Float speedup);
             ("reports_identical", J.Bool reports_identical);

@@ -157,10 +157,11 @@ let obs_setup ~cmd obs =
   in
   if telemetry_on then begin
     Telemetry.reset ();
-    Telemetry.set_sink Telemetry.Memory
+    (* closed spans are kept only for the Chrome trace *)
+    Telemetry.set_sink (if obs.o_trace <> None then Telemetry.Trace else Telemetry.Memory)
   end;
   let argv = Array.to_list Sys.argv in
-  let t_start = Unix.gettimeofday () in
+  let t_start = Unix.gettimeofday () and alloc_start = Telemetry.program_alloc_mb () in
   Events.emit
     ~fields:[ ("cmd", J.String cmd); ("argv", J.List (List.map (fun a -> J.String a) argv)) ]
     Events.Info "cli.start";
@@ -215,14 +216,13 @@ let obs_setup ~cmd obs =
                  ("schema", J.Int Ledger.schema_version);
                  ("ts", J.Float t_start);
                  ("wall_s", J.Float (Unix.gettimeofday () -. t_start));
+                 ("alloc_mb", J.Float (Telemetry.program_alloc_mb () -. alloc_start));
                  ("cmd", J.String cmd);
                  ("argv", J.List (List.map (fun a -> J.String a) argv));
                  ("git", J.String (Ledger.git_describe ()));
                  ("trace", J.String (Events.current ()).Events.trace);
                  ("stages", Telemetry.stages_json ());
-                 ( "counters",
-                   J.Obj
-                     (List.map (fun (k, v) -> (k, J.Int v)) (Telemetry.counters ())) );
+                 ("counters", Telemetry.counters_json ());
                  ("peak_rss_kb", J.Int (Ledger.peak_rss_kb ()));
                ]
               @ extra)

@@ -6,8 +6,8 @@ type row = {
   ts : float;
   cmd : string;
   git : string;
-  wall_ms : float;
-  alloc_mb : float;
+  wall_ms : float option;
+  alloc_mb : float option;
   cache_hits : int;
   cache_misses : int;
   skipped : int;
@@ -29,31 +29,19 @@ let int_field j name = match number (assoc name j) with Some f -> int_of_float f
 let string_field j name ~default =
   match assoc name j with Some (J.String s) -> s | _ -> default
 
-(* Total instrumented wall/alloc: sum over the record's stage aggregates. *)
-let stage_totals j =
-  match assoc "stages" j with
-  | Some (J.Obj stages) ->
-      List.fold_left
-        (fun (w, a) (_, s) ->
-          ( w +. Option.value ~default:0.0 (number (assoc "wall_ms" s)),
-            a +. Option.value ~default:0.0 (number (assoc "alloc_mb" s)) ))
-        (0.0, 0.0) stages
-  | _ -> (0.0, 0.0)
-
 let row_of_record j =
   match number (assoc "schema" j) with
   | Some v when int_of_float v = Ledger.schema_version -> (
       match (number (assoc "ts" j), assoc "cmd" j) with
       | Some ts, Some (J.String cmd) ->
           let cache = match assoc "cache" j with Some c -> c | None -> J.Obj [] in
-          let wall_ms, alloc_mb = stage_totals j in
           Some
             {
               ts;
               cmd;
               git = string_field j "git" ~default:"unknown";
-              wall_ms;
-              alloc_mb;
+              wall_ms = Option.map (fun s -> s *. 1000.0) (number (assoc "wall_s" j));
+              alloc_mb = number (assoc "alloc_mb" j);
               cache_hits = int_field cache "hits";
               cache_misses = int_field cache "misses";
               skipped = int_field j "skipped";
@@ -79,10 +67,11 @@ let fmt_time ts =
     tm.Unix.tm_sec
 
 let fmt_delta cur prev =
-  if prev = 0.0 then "-"
-  else
-    let pct = (cur -. prev) /. prev *. 100.0 in
-    Printf.sprintf "%+.1f%%" pct
+  match (cur, prev) with
+  | Some cur, Some prev when prev <> 0.0 -> Printf.sprintf "%+.1f%%" ((cur -. prev) /. prev *. 100.0)
+  | _ -> "-"
+
+let fmt_opt = function Some v -> Printf.sprintf "%.1f" v | None -> "-"
 
 let fmt_hit_rate r =
   match hit_rate r with
@@ -115,9 +104,9 @@ let table ?(last = 10) rows =
           fmt_time r.ts;
           r.cmd;
           r.git;
-          Printf.sprintf "%.1f" r.wall_ms;
+          fmt_opt r.wall_ms;
           d (fun r -> r.wall_ms);
-          Printf.sprintf "%.1f" r.alloc_mb;
+          fmt_opt r.alloc_mb;
           d (fun r -> r.alloc_mb);
           fmt_hit_rate r;
           string_of_int r.skipped;
@@ -131,9 +120,7 @@ let table ?(last = 10) rows =
       [ "when"; "cmd"; "git"; "wall ms"; "dwall%"; "alloc MB"; "dalloc%"; "hit"; "skip"; "RSS MB" ]
     body
 
-let mean = function
-  | [] -> 0.0
-  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+let mean = Namer_util.Stats.mean
 
 let check ?(last = 10) ?(thresholds = default_thresholds) rows =
   (* group chronologically per subcommand *)
@@ -157,22 +144,21 @@ let check ?(last = 10) ?(thresholds = default_thresholds) rows =
           let baseline =
             take_last last (List.filteri (fun i _ -> i < List.length history - 1) history)
           in
-          let flag what cur base limit_pct =
-            if base > 0.0 then
-              let pct = (cur -. base) /. base *. 100.0 in
-              if pct > limit_pct then
-                failures :=
-                  Printf.sprintf
-                    "%s: %s regressed %.1f%% (%.1f vs baseline mean %.1f, limit +%.1f%%)"
-                    cmd what pct cur base limit_pct
-                  :: !failures
+          (* a record without the field is left out of that gate *)
+          let flag what field limit_pct =
+            match (field latest, mean (List.filter_map field baseline)) with
+            | Some cur, base when base > 0.0 ->
+                let pct = (cur -. base) /. base *. 100.0 in
+                if pct > limit_pct then
+                  failures :=
+                    Printf.sprintf
+                      "%s: %s regressed %.1f%% (%.1f vs baseline mean %.1f, limit +%.1f%%)"
+                      cmd what pct cur base limit_pct
+                    :: !failures
+            | _ -> ()
           in
-          flag "wall clock (ms)" latest.wall_ms
-            (mean (List.map (fun r -> r.wall_ms) baseline))
-            thresholds.wall_pct;
-          flag "allocation (MB)" latest.alloc_mb
-            (mean (List.map (fun r -> r.alloc_mb) baseline))
-            thresholds.alloc_pct;
+          flag "wall clock (ms)" (fun r -> r.wall_ms) thresholds.wall_pct;
+          flag "allocation (MB)" (fun r -> r.alloc_mb) thresholds.alloc_pct;
           (match (hit_rate latest, List.filter_map hit_rate baseline) with
           | Some cur, (_ :: _ as base_rates) ->
               let base = mean base_rates in

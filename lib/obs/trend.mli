@@ -8,14 +8,16 @@
     the latest run of each subcommand is compared against the mean of its
     previous runs, and regressions past the configured thresholds are
     reported as failures (the history-based counterpart of
-    [check_bench]'s single-baseline gate). *)
+    [check_bench]'s single-baseline gate).  Wall clock and allocation are
+    the run's own ([wall_s], [alloc_mb]), never a sum of stage rows, which
+    nest and under [--jobs] add up the time of several domains. *)
 
 type row = {
   ts : float;  (** wall-clock timestamp of the run (seconds since epoch) *)
   cmd : string;  (** subcommand: train/scan/fuzz/bench/... *)
   git : string;  (** [git describe] at run time *)
-  wall_ms : float;  (** total instrumented wall clock, ms *)
-  alloc_mb : float;  (** total instrumented GC allocation, MB *)
+  wall_ms : float option;  (** the record's [wall_s], in ms *)
+  alloc_mb : float option;  (** the record's program-wide [alloc_mb] *)
   cache_hits : int;
   cache_misses : int;
   skipped : int;
@@ -54,6 +56,7 @@ val table : ?last:int -> row list -> string
 val check :
   ?last:int -> ?thresholds:thresholds -> row list -> (unit, string list) result
 (** Gate the latest run of each subcommand against the mean of up to
-    [last] (default 10) preceding runs of that subcommand.  [Ok ()] when
-    nothing regressed or there is no history to compare against;
+    [last] (default 10) preceding runs of that subcommand.  A record
+    without [wall_s] or [alloc_mb] is left out of that field's gate.
+    [Ok ()] when nothing regressed or there is no history to compare against;
     [Error msgs] with one human-readable message per regression. *)

@@ -1,6 +1,5 @@
 module J = Namer_util.Json
 module Fault = Namer_util.Fault
-module Stats_u = Namer_util.Stats
 module Telemetry = Namer_telemetry.Telemetry
 module Events = Namer_obs.Events
 module Pool = Namer_parallel.Pool
@@ -72,10 +71,6 @@ let stats_json (s : stats) =
   ]
   |> fun fields -> J.Obj fields
 
-(* Latency reservoir: the most recent [lat_cap] request latencies, enough
-   for stable p50/p99 without unbounded growth in a long-lived daemon. *)
-let lat_cap = 4096
-
 type t = {
   cfg : config;
   listen_fd : Unix.file_descr;
@@ -107,8 +102,8 @@ type t = {
   mutable c_errors : int;
   mutable c_degraded : int;
   mutable c_reloads : int;
-  lat : float array;
-  mutable lat_n : int;
+  (* request latencies for [status], ledger on or off; guarded by [lock] *)
+  latency : Telemetry.Histogram.t;
   conns : (int, Unix.file_descr * Thread.t) Hashtbl.t;
   mutable next_conn : int;
   t_start : float;
@@ -119,20 +114,11 @@ let locked t f = Mutex.protect t.lock f
 let model_hash t = locked t (fun () -> t.model.Namer.m_hash)
 let endpoint t = t.resolved
 
-let record_latency t ms =
-  locked t (fun () ->
-      t.lat.(t.lat_n mod lat_cap) <- ms;
-      t.lat_n <- t.lat_n + 1)
-
-let latencies t =
-  locked t (fun () ->
-      let n = min t.lat_n lat_cap in
-      List.init n (fun i -> t.lat.(i)))
-
-let percentiles t =
-  match latencies t with
-  | [] -> (0.0, 0.0)
-  | xs -> (Stats_u.percentile 50.0 xs, Stats_u.percentile 99.0 xs)
+(* [(n, p50, p99)] of the request latencies, zeros before any request *)
+let latency t =
+  match locked t (fun () -> Telemetry.Histogram.summarize [ t.latency ]) with
+  | Some s -> (s.Telemetry.n, s.Telemetry.p50, s.Telemetry.p99)
+  | None -> (0, 0.0, 0.0)
 
 (* ---------------- socket setup ---------------- *)
 
@@ -211,8 +197,7 @@ let create cfg =
     c_errors = 0;
     c_degraded = 0;
     c_reloads = 0;
-    lat = Array.make lat_cap 0.0;
-    lat_n = 0;
+    latency = Telemetry.Histogram.create ();
     conns = Hashtbl.create 64;
     next_conn = 0;
     t_start = Unix.gettimeofday ();
@@ -363,7 +348,7 @@ let handle_scan t req =
             error_response ~op:"scan" "bad_request" msg)
 
 let handle_status t =
-  let p50, p99 = percentiles t in
+  let n, p50, p99 = latency t in
   let c f = locked t (fun () -> f t) in
   let m = locked t (fun () -> t.model) in
   J.Obj
@@ -411,13 +396,7 @@ let handle_status t =
                 ("hits", J.Int (c (fun t -> t.c_cache_hits)));
                 ("misses", J.Int (c (fun t -> t.c_cache_misses)));
               ] );
-      ( "latency_ms",
-        J.Obj
-          [
-            ("p50", J.Float p50);
-            ("p99", J.Float p99);
-            ("n", J.Int (locked t (fun () -> t.lat_n)));
-          ] );
+      ("latency_ms", J.Obj [ ("p50", J.Float p50); ("p99", J.Float p99); ("n", J.Int n) ]);
     ]
 
 let handle_reload t req =
@@ -507,7 +486,7 @@ let handle_request t ~conn_id ~req_id line =
             (error_response ~op "internal" (Printexc.to_string e), true, op))
   in
   let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-  record_latency t ms;
+  locked t (fun () -> Telemetry.Histogram.add t.latency ms);
   Telemetry.observe "serve.request_ms" ms;
   let ok = match field "ok" response with Some (J.Bool b) -> b | _ -> false in
   Events.emit
@@ -658,7 +637,7 @@ let drain_conns t =
   loop ()
 
 let stats_of t =
-  let p50, p99 = percentiles t in
+  let _, p50, p99 = latency t in
   locked t (fun () ->
       {
         st_connections = t.c_connections;

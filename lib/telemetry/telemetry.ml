@@ -1,31 +1,31 @@
-(** Pipeline telemetry: hierarchical spans, process-wide counters and
-    histograms, and two exporters (a human-readable stage table and Chrome
-    [trace_event] JSON loadable in chrome://tracing / Perfetto).
+(** Pipeline telemetry: hierarchical spans, counters and histograms, and
+    two exporters (a human-readable stage table and Chrome [trace_event]
+    JSON loadable in chrome://tracing / Perfetto).
 
     The instrumented pipeline (see {!Namer_core.Namer.build}) opens one span
     per stage — parse → analyze → astplus → namepaths → pair-mining →
     pattern-mining → scan → classifier — so that a single scan produces both
     an aggregate per-stage cost table and a zoomable timeline.
 
-    Telemetry is disabled by default: the sink starts as {!Null} and every
-    entry point ({!with_span}, {!count}, {!observe}) begins with a single
-    load of an [enabled] flag, so instrumented code pays one branch and no
-    allocation when telemetry is off.  When the sink is {!Memory}, all state
-    lives behind one mutex, making the recorder safe to call from multiple
-    domains; span nesting depth is tracked per domain (domain-local
-    storage), and every span records the id of the domain that opened it
-    ([tid]), so a parallel [--jobs N] run exports one timeline lane per
-    domain in the Chrome trace. *)
+    The sink starts as {!Null}, where every entry point ({!with_span},
+    {!count}, {!observe}) is one branch on the sink.  Under
+    {!Memory} each domain records into its own registry — counters, one
+    aggregate per stage name, fixed-capacity histograms — behind a lock that
+    only systhreads sharing the domain (serve's connection threads) contend;
+    readers merge the registries.  Telemetry memory is thus bounded by live
+    domains × (stage + counter names + histogram names × {!Histogram.capacity}
+    floats), however many spans close.  {!Trace} also keeps every closed span,
+    tagged with its domain, so a [--jobs N] run exports one timeline lane per
+    domain. *)
 
-type sink = Null | Memory
+type sink = Null | Memory | Trace
 
-(* ------------------------------------------------------------------ *)
-(* Recorder state                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(** One closed span.  [ts_us] is microseconds since {!set_sink}/{!reset};
-    [alloc_bytes] is the Gc allocation delta ([minor + major - promoted]
-    words, scaled to bytes) over the span's extent, including children. *)
+(** One closed span, kept only under {!Trace}.  [ts_us] is microseconds
+    since {!set_sink}/{!reset}; [alloc_bytes] is what the opening domain
+    allocated (its own minor + major - promoted words, scaled to bytes)
+    over the span's extent, children included.  Another
+    domain's allocation is never counted, so a span around a parallel
+    phase reports only its own domain's share. *)
 type span = {
   name : string;
   ts_us : float;
@@ -48,7 +48,8 @@ type summary = {
 }
 
 (** Per-stage aggregate: every span with the same name folded together,
-    ordered by first occurrence. *)
+    ordered by first start.  [alloc_mb] sums each span's own-domain
+    allocation (see {!span}). *)
 type stage = {
   stage : string;
   s_count : int;
@@ -56,67 +57,144 @@ type stage = {
   alloc_mb : float;
 }
 
-let mutex = Mutex.create ()
-let enabled_flag = ref false
+(** A fixed-capacity histogram: [n] and the sum cover every observation,
+    the percentiles the most recent {!capacity} of them.  Not synchronized:
+    the registry's lock (or the owner's) guards it. *)
+module Histogram = struct
+  let capacity = 4096
+
+  type t = { window : float array; mutable n : int; mutable sum : float }
+
+  let create () = { window = Array.make capacity 0.0; n = 0; sum = 0.0 }
+
+  let add h v =
+    h.window.(h.n mod capacity) <- v;
+    h.n <- h.n + 1;
+    h.sum <- h.sum +. v
+
+  let copy h = { h with window = Array.copy h.window }
+
+  (** One summary of several histograms (e.g. one per domain): [n], sum and
+      mean over all their observations, percentiles over their windows;
+      [None] before the first observation. *)
+  let summarize hs =
+    let n = List.fold_left (fun acc h -> acc + h.n) 0 hs in
+    let total = List.fold_left (fun acc h -> acc +. h.sum) 0.0 hs in
+    let retained = List.concat_map (fun h -> List.init (min h.n capacity) (Array.get h.window)) hs in
+    let p q = Namer_util.Stats.percentile q retained in
+    if n = 0 then None
+    else Some { n; total; mean = total /. float_of_int n; p50 = p 50.0; p90 = p 90.0; p99 = p 99.0 }
+end
+
+(* ------------------------------------------------------------------ *)
+(* Recorder state                                                      *)
+(* ------------------------------------------------------------------ *)
+
+type agg = {
+  mutable count : int;
+  mutable wall_us : float;
+  mutable alloc_bytes : float;
+  mutable first : float * int;  (** earliest start: [ts_us], open sequence *)
+}
+
+type registry = {
+  lock : Mutex.t;
+  counts : (string, int) Hashtbl.t;
+  aggs : (string, agg) Hashtbl.t;
+  hists : (string, Histogram.t) Hashtbl.t;
+  mutable trace : span list;  (** closed spans, newest first; {!Trace} only *)
+  (* span nesting depth, and the open sequence that orders stages first
+     started in the same microsecond; a registry serves one live domain *)
+  mutable depth : int;
+  mutable seq : int;
+}
+
+let sink = ref Null
 let epoch = ref 0.0
-let spans_rev : span list ref = ref []
 
-(* Span nesting depth is a per-domain notion: each domain nests its own
-   spans independently, so depth lives in domain-local storage rather than
-   behind the mutex. *)
-let depth_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
-let hists_tbl : (string, float list ref) Hashtbl.t = Hashtbl.create 16
+(* Every registry ever handed out, and those whose domain has exited.  A
+   newly started domain takes over a retired registry, contents and all
+   (readers sum registries, so which domain recorded a value does not
+   matter): the number of registries is the peak number of live domains,
+   not the number of domains a long process has spawned. *)
+let registries_lock = Mutex.create ()
+let registries : registry list ref = ref []
+let retired : registry list ref = ref []
 
-let locked f =
-  Mutex.lock mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
-
-(* Counters are sharded per domain: [count] fires in scan/mining hot loops
-   (e.g. once per pattern match) from every worker, and a process-wide
-   mutex per increment serializes the domains exactly where the pipeline is
-   supposed to be parallel.  Each domain owns a DLS table it increments
-   lock-free; tables are registered (under the mutex, once per domain) in
-   [counter_tables] and summed at read time.  Reads happen after the domain
-   pool has been joined, so the merged view is consistent; a mid-flight
-   read would at worst miss in-progress increments, never corrupt. *)
-let counter_tables : (string, int ref) Hashtbl.t list ref = ref []
-
-let counters_key : (string, int ref) Hashtbl.t Domain.DLS.key =
+let registry_key : registry Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let tbl = Hashtbl.create 64 in
-      locked (fun () -> counter_tables := tbl :: !counter_tables);
-      tbl)
+      let r =
+        Mutex.protect registries_lock (fun () ->
+            match !retired with
+            | r :: rest -> retired := rest; r
+            | [] ->
+                let r = { lock = Mutex.create (); counts = Hashtbl.create 64; aggs = Hashtbl.create 32;
+                          hists = Hashtbl.create 8; trace = []; depth = 0; seq = 0 } in
+                registries := r :: !registries;
+                r)
+      in
+      Domain.at_exit (fun () ->
+          Mutex.protect registries_lock (fun () -> retired := r :: !retired));
+      r)
 
-let clear_unlocked () =
-  spans_rev := [];
-  Domain.DLS.get depth_key := 0;
-  (* Clear contents but keep every table registered: live domains hold DLS
-     references to theirs and would otherwise increment orphans. *)
-  List.iter Hashtbl.reset !counter_tables;
-  Hashtbl.reset hists_tbl;
-  epoch := Unix.gettimeofday ()
+let registry () = Domain.DLS.get registry_key
+let locked r f = Mutex.protect r.lock f
+let all_registries () = Mutex.protect registries_lock (fun () -> !registries)
 
-(** [set_sink s] switches recording on ([Memory]) or off ([Null]).
+(** [set_sink s] switches recording off ([Null]), to aggregates only
+    ([Memory]) or to aggregates plus every closed span ([Trace]).
     Switching does not discard already-recorded data; use {!reset} for a
     clean slate. *)
 let set_sink (s : sink) =
-  locked (fun () ->
-      (match s with
-      | Memory -> if !epoch = 0.0 then epoch := Unix.gettimeofday ()
-      | Null -> ());
-      enabled_flag := s = Memory)
+  if s <> Null && !epoch = 0.0 then epoch := Unix.gettimeofday ();
+  sink := s
 
-let enabled () = !enabled_flag
+let enabled () = !sink <> Null
 
-(** Drop all recorded spans, counters and histograms and restart the clock. *)
-let reset () = locked clear_unlocked
+(** Drop all recorded spans, counters and histograms and restart the clock.
+    Registries stay registered: live domains hold references to theirs. *)
+let reset () =
+  List.iter
+    (fun r ->
+      locked r (fun () ->
+          Hashtbl.reset r.counts;
+          Hashtbl.reset r.aggs;
+          Hashtbl.reset r.hists;
+          r.trace <- []))
+    (all_registries ());
+  (registry ()).depth <- 0;
+  epoch := Unix.gettimeofday ()
 
 (* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let alloc_words (g : Gc.stat) = g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
 let bytes_per_word = float_of_int (Sys.word_size / 8)
+
+(* What the calling domain has allocated so far.  [Gc.quick_stat] covers
+   the whole program and moves only at minor collections, and in OCaml 5.1
+   [Gc.counters] counts the live minor heap at an eighth of its size, so
+   the minor words come from [Gc.minor_words], which is exact. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. bytes_per_word
+
+(* [tbl]'s entry for [name], added by [make] on first use *)
+let slot tbl name make =
+  match Hashtbl.find_opt tbl name with
+  | Some v -> v
+  | None ->
+      let v = make () in
+      Hashtbl.replace tbl name v;
+      v
+
+(** MB allocated so far by the whole program, exited domains included.  It
+    moves only at minor collections: a difference of two readings, such as
+    a ledger record's [alloc_mb], is exact to within one minor heap per
+    live domain. *)
+let program_alloc_mb () =
+  let s = Gc.quick_stat () in
+  (s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words) *. bytes_per_word /. 1048576.0
 
 (** [with_span name f] runs [f ()] inside a span.  When telemetry is
     disabled this is a single branch around [f].  [record_ms] additionally
@@ -124,152 +202,100 @@ let bytes_per_word = float_of_int (Sys.word_size / 8)
     per-file latency distributions.  The span is closed (and recorded) even
     when [f] raises. *)
 let with_span ?(args = []) ?record_ms name f =
-  if not !enabled_flag then f ()
+  if !sink = Null then f ()
   else begin
-    let depth_ref = Domain.DLS.get depth_key in
-    let d = !depth_ref in
-    depth_ref := d + 1;
-    let tid = (Domain.self () :> int) in
-    let g0 = alloc_words (Gc.quick_stat ()) in
+    let r = registry () in
+    let d = r.depth and seq = r.seq in
+    r.depth <- d + 1;
+    r.seq <- seq + 1;
+    let a0 = allocated_bytes () in
     let t0 = Unix.gettimeofday () in
     let finish () =
       let t1 = Unix.gettimeofday () in
-      let g1 = alloc_words (Gc.quick_stat ()) in
-      depth_ref := d;
-      locked (fun () ->
-          spans_rev :=
-            {
-              name;
-              ts_us = (t0 -. !epoch) *. 1e6;
-              dur_us = (t1 -. t0) *. 1e6;
-              depth = d;
-              tid;
-              alloc_bytes = (g1 -. g0) *. bytes_per_word;
-              args;
-            }
-            :: !spans_rev;
-          match record_ms with
-          | None -> ()
-          | Some h -> (
-              let v = (t1 -. t0) *. 1e3 in
-              match Hashtbl.find_opt hists_tbl h with
-              | Some r -> r := v :: !r
-              | None -> Hashtbl.replace hists_tbl h (ref [ v ])))
+      let alloc = allocated_bytes () -. a0 in
+      r.depth <- d;
+      let ts_us = (t0 -. !epoch) *. 1e6 and dur_us = (t1 -. t0) *. 1e6 in
+      locked r (fun () ->
+          let a =
+            slot r.aggs name (fun () ->
+                { count = 0; wall_us = 0.0; alloc_bytes = 0.0; first = (infinity, 0) })
+          in
+          a.count <- a.count + 1;
+          a.wall_us <- a.wall_us +. dur_us;
+          a.alloc_bytes <- a.alloc_bytes +. alloc;
+          if (ts_us, seq) < a.first then a.first <- (ts_us, seq);
+          Option.iter (fun h -> Histogram.add (slot r.hists h Histogram.create) (dur_us /. 1e3)) record_ms;
+          if !sink = Trace then
+            r.trace <-
+              { name; ts_us; dur_us; depth = d; tid = (Domain.self () :> int);
+                alloc_bytes = alloc; args }
+              :: r.trace)
     in
     Fun.protect ~finally:finish f
   end
 
-(** Increment the named process-wide counter — lock-free on the calling
-    domain's own shard. *)
+(** Increment the named counter in the calling domain's registry. *)
 let count ?(by = 1) name =
-  if !enabled_flag then begin
-    let tbl = Domain.DLS.get counters_key in
-    match Hashtbl.find_opt tbl name with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.replace tbl name (ref by)
+  if !sink <> Null then begin
+    let r = registry () in
+    locked r (fun () ->
+        Hashtbl.replace r.counts name (by + Option.value (Hashtbl.find_opt r.counts name) ~default:0))
   end
 
 (** Record one observation into the named histogram. *)
 let observe name v =
-  if !enabled_flag then
-    locked (fun () ->
-        match Hashtbl.find_opt hists_tbl name with
-        | Some r -> r := v :: !r
-        | None -> Hashtbl.replace hists_tbl name (ref [ v ]))
+  if !sink <> Null then begin
+    let r = registry () in
+    locked r (fun () -> Histogram.add (slot r.hists name Histogram.create) v)
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Reading back                                                        *)
+(* Reading back: registries merged                                     *)
 (* ------------------------------------------------------------------ *)
 
-(** All closed spans in chronological (start-time) order. *)
+(* [merged items combine] folds every registry's [items] (read under its
+   lock) into one list, combining the values of a name that several
+   domains recorded. *)
+let merged items combine =
+  let acc = Hashtbl.create 32 in
+  List.iter
+    (fun r ->
+      locked r (fun () ->
+          Seq.iter
+            (fun (k, v) ->
+              Hashtbl.replace acc k
+                (match Hashtbl.find_opt acc k with Some a -> combine a v | None -> v))
+            (items r)))
+    (all_registries ());
+  Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
+
+(** All closed spans in chronological (start-time) order; empty unless the
+    sink is {!Trace}. *)
 let spans () =
-  locked (fun () -> !spans_rev)
+  List.concat_map (fun r -> locked r (fun () -> r.trace)) (all_registries ())
   |> List.stable_sort (fun a b -> compare a.ts_us b.ts_us)
 
-let counters () =
-  locked (fun () ->
-      let merged : (string, int) Hashtbl.t = Hashtbl.create 64 in
-      List.iter
-        (fun tbl ->
-          Hashtbl.iter
-            (fun k r ->
-              Hashtbl.replace merged k
-                (!r + Option.value (Hashtbl.find_opt merged k) ~default:0))
-            tbl)
-        !counter_tables;
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) merged [])
-  |> List.sort compare
+let counters () = List.sort compare (merged (fun r -> Hashtbl.to_seq r.counts) ( + ))
 
-let counter name =
-  locked (fun () ->
-      List.fold_left
-        (fun acc tbl ->
-          match Hashtbl.find_opt tbl name with Some r -> acc + !r | None -> acc)
-        0 !counter_tables)
-
-let summarize xs =
-  let module S = Namer_util.Stats in
-  {
-    n = List.length xs;
-    total = List.fold_left ( +. ) 0.0 xs;
-    mean = S.mean xs;
-    p50 = S.percentile 50.0 xs;
-    p90 = S.percentile 90.0 xs;
-    p99 = S.percentile 99.0 xs;
-  }
+let counter name = Option.value (List.assoc_opt name (counters ())) ~default:0
 
 (** Histogram summaries, sorted by name.  Histograms are never empty: a name
     exists only once it has at least one observation. *)
 let histograms () =
-  locked (fun () ->
-      Hashtbl.fold (fun k r acc -> (k, !r) :: acc) hists_tbl [])
+  merged (fun r -> Seq.map (fun (k, h) -> (k, [ Histogram.copy h ])) (Hashtbl.to_seq r.hists)) ( @ )
+  |> List.filter_map (fun (k, hs) -> Option.map (fun s -> (k, s)) (Histogram.summarize hs))
   |> List.sort compare
-  |> List.map (fun (k, xs) -> (k, summarize xs))
 
-let histogram name =
-  locked (fun () ->
-      Hashtbl.find_opt hists_tbl name |> Option.map (fun r -> !r))
-  |> Option.map summarize
+let histogram name = List.assoc_opt name (histograms ())
 
-(** [percentile name p] — the [p]-th percentile ([0.0]–[100.0]) of the
-    named histogram, or [None] for a histogram with no observations.  The
-    single accessor behind every p50/p90/p99 the exporters print, so no
-    caller recomputes percentiles from raw observations. *)
-let percentile name p =
-  locked (fun () ->
-      Hashtbl.find_opt hists_tbl name |> Option.map (fun r -> !r))
-  |> Option.map (Namer_util.Stats.percentile p)
-
-(** Spans aggregated by name, in order of first appearance.  This is the
+(** Spans aggregated by name, in order of first start.  This is the
     "stage" view: per-file [parse] spans fold into one row, etc. *)
 let stages () =
-  let tbl : (string, stage ref) Hashtbl.t = Hashtbl.create 32 in
-  let order = ref [] in
-  List.iter
-    (fun s ->
-      match Hashtbl.find_opt tbl s.name with
-      | Some r ->
-          r :=
-            {
-              !r with
-              s_count = !r.s_count + 1;
-              wall_ms = !r.wall_ms +. (s.dur_us /. 1e3);
-              alloc_mb = !r.alloc_mb +. (s.alloc_bytes /. 1048576.0);
-            }
-      | None ->
-          let r =
-            ref
-              {
-                stage = s.name;
-                s_count = 1;
-                wall_ms = s.dur_us /. 1e3;
-                alloc_mb = s.alloc_bytes /. 1048576.0;
-              }
-          in
-          Hashtbl.replace tbl s.name r;
-          order := s.name :: !order)
-    (spans ());
-  List.rev_map (fun name -> !(Hashtbl.find tbl name)) !order
+  merged (fun r -> Seq.map (fun (k, a) -> (k, (a.first, a.count, a.wall_us, a.alloc_bytes))) (Hashtbl.to_seq r.aggs))
+    (fun (f, c, w, b) (f', c', w', b') -> (min f f', c + c', w +. w', b +. b'))
+  |> List.sort (fun (_, (first, _, _, _)) (_, (first', _, _, _)) -> compare first first')
+  |> List.map (fun (stage, (_, s_count, wall_us, bytes)) ->
+         { stage; s_count; wall_ms = wall_us /. 1e3; alloc_mb = bytes /. 1048576.0 })
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
@@ -294,8 +320,8 @@ let stage_table ?stages:captured () =
     ~header:[ "stage"; "count"; "wall ms"; "alloc MB" ]
     rows
 
-(** Human-readable histogram table: one row per histogram, the five-number
-    summary rendered through {!percentile}'s underlying summaries. *)
+(** Human-readable histogram table: one row per histogram, its five-number
+    summary. *)
 let histogram_table () =
   let rows =
     List.map
@@ -369,13 +395,14 @@ let stages_to_json stage_list =
        stage_list)
 
 let stages_json () = stages_to_json (stages ())
+let counters_json () = J.Obj (List.map (fun (k, v) -> (k, J.Int v)) (counters ()))
 
 (** The whole metric registry — counters, histogram summaries and stage
     aggregates — as one JSON object ([namer stats], [BENCH_pipeline.json]). *)
 let metrics_json () =
   J.Obj
     [
-      ("counters", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) (counters ())));
+      ("counters", counters_json ());
       ( "histograms",
         J.Obj (List.map (fun (k, s) -> (k, summary_json s)) (histograms ())) );
       ("stages", stages_json ());

@@ -247,6 +247,29 @@ let with_telemetry f =
   Telemetry.set_sink Telemetry.Memory;
   f ()
 
+(* A stage's allocation is that of the domain that ran it, so a per-file
+   stage allocates the same at jobs=2 as at jobs=1 on the same files: no
+   domain is charged for another's work. *)
+let test_per_file_alloc_across_jobs () =
+  let m = Namer.model_of (namer ()) and files = (corpus ()).Corpus.files in
+  let stages jobs =
+    with_telemetry (fun () ->
+        ignore (Namer.scan_with_model ~jobs ~cap_domains:false m files);
+        Telemetry.stages ())
+  in
+  let one = stages 1 and two = stages 2 in
+  let n = List.length files in
+  List.iter
+    (fun name ->
+      let find l = List.find (fun s -> s.Telemetry.stage = name) l in
+      let a = (find one).Telemetry.alloc_mb and b = (find two).Telemetry.alloc_mb in
+      check_int (name ^ ": one span per file") n (find two).Telemetry.s_count;
+      check_bool
+        (Printf.sprintf "%s: %.3f MB at jobs=2 within 10%% of %.3f MB at jobs=1" name b a)
+        true
+        (a > 0.0 && Float.abs (b -. a) <= 0.1 *. a))
+    [ "parse"; "analyze"; "astplus"; "namepaths"; "scan" ]
+
 let test_cache_warm_replay () =
   let t = namer () and c = corpus () in
   let m = Namer.model_of t in
@@ -601,6 +624,8 @@ let suite =
     Alcotest.test_case "cache: concurrent stores never torn" `Quick
       test_cache_concurrent_stores_never_torn;
     Alcotest.test_case "model hash pin (jobs=1, jobs=4)" `Quick test_model_hash_pin;
+    Alcotest.test_case "per-file stage alloc same at jobs=1 and 2" `Quick
+      test_per_file_alloc_across_jobs;
     Alcotest.test_case "matcher: check counters bounded" `Quick test_match_checks_counters;
     Alcotest.test_case "matcher: same-line statements keep order" `Quick
       test_same_line_statements_keep_order;

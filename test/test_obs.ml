@@ -358,6 +358,7 @@ let trend_record ~ts ~cmd ~wall ~hits ~misses =
       ("ts", J.Float ts);
       ("cmd", J.String cmd);
       ("git", J.String "deadbee");
+      ("wall_s", J.Float (wall /. 1000.0));
       ( "stages",
         J.Obj
           [
@@ -456,6 +457,48 @@ let test_trend_check_gate () =
   | Ok () -> ()
   | Error _ -> Alcotest.fail "single run flagged with no baseline"
 
+(* A model scan records scan:model with its per-file children nested
+   inside it, and under --jobs the children add up the time of several
+   domains: their sum is no measure of the run.  The gate reads the run's
+   own wall_s, so a steady wall_s passes however the stage rows move, and
+   a 3x wall_s is flagged even when the stage rows stay put. *)
+let test_trend_gates_on_wall_s () =
+  let record ~ts ~wall_s ~child_ms =
+    let stage ms =
+      J.Obj [ ("count", J.Int 1); ("wall_ms", J.Float ms); ("alloc_mb", J.Float 1.0) ]
+    in
+    J.Obj
+      [
+        ("schema", J.Int Ledger.schema_version);
+        ("ts", J.Float ts);
+        ("cmd", J.String "scan");
+        ("wall_s", J.Float wall_s);
+        ("alloc_mb", J.Float 10.0);
+        ( "stages",
+          J.Obj
+            [
+              ("scan:model", stage 100.0);
+              ("parse", stage child_ms);
+              ("analyze", stage child_ms);
+            ] );
+      ]
+  in
+  let steady =
+    [
+      record ~ts:1.0 ~wall_s:0.1 ~child_ms:50.0;
+      record ~ts:2.0 ~wall_s:0.1 ~child_ms:50.0;
+      (* jobs=4: four domains' time in the children, same wall clock *)
+      record ~ts:3.0 ~wall_s:0.1 ~child_ms:200.0;
+    ]
+  in
+  (match Trend.check (Trend.rows_of_records steady) with
+  | Ok () -> ()
+  | Error msgs -> Alcotest.fail ("steady wall_s flagged: " ^ String.concat "; " msgs));
+  let slower = List.filteri (fun i _ -> i < 2) steady @ [ record ~ts:3.0 ~wall_s:0.3 ~child_ms:50.0 ] in
+  match Trend.check (Trend.rows_of_records slower) with
+  | Ok () -> Alcotest.fail "3x wall_s not flagged"
+  | Error msgs -> Alcotest.(check int) "one wall-clock regression" 1 (List.length msgs)
+
 let suite =
   [
     Alcotest.test_case "ledger roundtrip" `Quick test_ledger_roundtrip;
@@ -474,4 +517,5 @@ let suite =
     Alcotest.test_case "trend rows and table" `Quick test_trend_rows_and_table;
     Alcotest.test_case "trend renders merge rows" `Quick test_trend_merge_row;
     Alcotest.test_case "trend check gate" `Quick test_trend_check_gate;
+    Alcotest.test_case "trend gates on wall_s" `Quick test_trend_gates_on_wall_s;
   ]

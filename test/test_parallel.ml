@@ -406,6 +406,65 @@ let test_jobs_byte_equality () =
         par.Namer.n_stmts)
     [ 2; 4 ]
 
+(* ---------------- telemetry registries across domains ---------------- *)
+
+let stage_count name =
+  match List.find_opt (fun s -> s.Telemetry.stage = name) (Telemetry.stages ()) with
+  | Some s -> s.Telemetry.s_count
+  | None -> 0
+
+(* Spans, counters and observations recorded from four domains, one
+   registry each, sum exactly at read time. *)
+let test_telemetry_pool_sums () =
+  with_telemetry @@ fun () ->
+  let tasks = 400 in
+  Pool.run ~jobs:4 (fun pool ->
+      ignore
+        (Pool.map_list (Option.get pool)
+           (fun i ->
+             Telemetry.with_span "task" (fun () ->
+                 Telemetry.count ~by:i "units";
+                 Telemetry.observe "value" (float_of_int i)))
+           (List.init tasks Fun.id)));
+  let sum = tasks * (tasks - 1) / 2 in
+  Alcotest.(check int) "spans sum" tasks (stage_count "task");
+  Alcotest.(check int) "counters sum" sum (Telemetry.counter "units");
+  match Telemetry.histogram "value" with
+  | None -> Alcotest.fail "histogram missing"
+  | Some s ->
+      Alcotest.(check int) "observations sum" tasks s.Telemetry.n;
+      Alcotest.(check (float 1e-6)) "observed total" (float_of_int sum) s.Telemetry.total
+
+(* A domain spawned after others exited takes over one of their
+   registries: telemetry memory is bounded by live domains, not by the
+   domains a long process has spawned. *)
+let test_telemetry_registries_reused () =
+  with_telemetry @@ fun () ->
+  let round () =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () ->
+            Telemetry.with_span "work" (fun () ->
+                Telemetry.count "units";
+                Telemetry.observe "value" 1.0)))
+    |> List.iter Domain.join
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  round ();
+  let live = live_words () in
+  for _ = 1 to 4 do
+    round ()
+  done;
+  let grown = live_words () - live in
+  Alcotest.(check int) "every span counted" 15 (stage_count "work");
+  (* a registry of its own per domain would add a 4096-float histogram
+     window for each of the 12 later domains *)
+  Alcotest.(check bool)
+    (Printf.sprintf "heap grew %d words over 12 more domains" grown)
+    true (grown < 4_096)
+
 let suite =
   [
     Alcotest.test_case "deque LIFO/FIFO discipline" `Quick test_deque_discipline;
@@ -420,6 +479,9 @@ let suite =
       test_run_caller_contains_failures;
     Alcotest.test_case "run: nested map_list completes" `Quick test_run_nested_map_list;
     Alcotest.test_case "create: the caller never works" `Quick test_create_caller_never_works;
+    Alcotest.test_case "telemetry: pool domains sum exactly" `Quick test_telemetry_pool_sums;
+    Alcotest.test_case "telemetry: exited domains' registries reused" `Quick
+      test_telemetry_registries_reused;
     Alcotest.test_case "shard concat identity" `Quick test_shard_concat_identity;
     Alcotest.test_case "sharding never splits a key run" `Quick test_shard_by_key_runs;
     QCheck_alcotest.to_alcotest prop_shard_merge_deterministic;

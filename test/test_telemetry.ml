@@ -1,20 +1,25 @@
 (* Tests for Namer_telemetry: span nesting, counter/histogram aggregation,
-   the Null-sink zero-cost path, exception safety, and a golden-file check
-   that the Chrome-trace export is valid JSON with monotonically ordered
-   [ts] fields. *)
+   the Null-sink zero-cost path, exception safety, bounded memory under the
+   Memory sink, and a golden-file check that the Chrome-trace export is
+   valid JSON with monotonically ordered [ts] fields. *)
 
 module T = Namer_telemetry.Telemetry
 module J = Namer_util.Json
 
-let with_memory_sink f =
+let with_sink sink f =
   T.reset ();
-  T.set_sink T.Memory;
+  T.set_sink sink;
   Fun.protect ~finally:(fun () -> T.set_sink T.Null; T.reset ()) f
+
+let with_memory_sink f = with_sink T.Memory f
+
+(* closed spans are kept only when a trace is asked for *)
+let with_trace_sink f = with_sink T.Trace f
 
 (* ---------------- spans ---------------- *)
 
 let test_span_nesting () =
-  with_memory_sink @@ fun () ->
+  with_trace_sink @@ fun () ->
   let r =
     T.with_span "outer" (fun () ->
         T.with_span "inner" (fun () -> ());
@@ -38,7 +43,7 @@ let test_span_nesting () =
     spans
 
 let test_span_exception_safety () =
-  with_memory_sink @@ fun () ->
+  with_trace_sink @@ fun () ->
   (try T.with_span "boom" (fun () -> failwith "boom") with Failure _ -> ());
   Alcotest.(check int) "span recorded despite raise" 1 (List.length (T.spans ()));
   (* depth must be restored: a following span is top-level again *)
@@ -109,7 +114,7 @@ let test_null_sink_records_nothing () =
 (* ---------------- Chrome trace export (golden check) ---------------- *)
 
 let test_chrome_trace_valid_json () =
-  with_memory_sink @@ fun () ->
+  with_trace_sink @@ fun () ->
   T.with_span "build" (fun () ->
       T.with_span "parse" (fun () -> ());
       T.with_span ~args:[ ("kind", "consistency") ] "mine" (fun () -> ()));
@@ -161,6 +166,64 @@ let test_metrics_json_roundtrip () =
         [ "counters"; "histograms"; "stages" ]
   | Ok _ -> Alcotest.fail "metrics top level is not an object"
 
+(* ---------------- bounded memory, exact allocation ---------------- *)
+
+let stage name =
+  match List.find_opt (fun (s : T.stage) -> s.T.stage = name) (T.stages ()) with
+  | Some s -> s
+  | None -> Alcotest.fail ("no stage " ^ name)
+
+(* A span's allocation is its own domain's, exact even when no minor
+   collection falls inside the span. *)
+let test_span_alloc () =
+  with_memory_sink @@ fun () ->
+  T.with_span "init" (fun () -> ignore (Sys.opaque_identity (List.init 10_000 Fun.id)));
+  (* 10k cons cells of three words each *)
+  let bytes = (stage "init").T.alloc_mb *. 1048576.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "span saw %.0f bytes, at least 240000" bytes)
+    true (bytes >= 240_000.0)
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let test_memory_keeps_no_spans () =
+  with_memory_sink @@ fun () ->
+  let burst n =
+    for i = 1 to n do
+      T.with_span "tick" (fun () -> T.count "ticks"; T.observe "tick_ms" (float_of_int i))
+    done
+  in
+  burst 1_000;
+  let live = live_words () in
+  burst 99_000;
+  let grown = live_words () - live in
+  Alcotest.(check int) "no span kept" 0 (List.length (T.spans ()));
+  Alcotest.(check int) "every span in the stage count" 100_000 (stage "tick").T.s_count;
+  Alcotest.(check int) "every increment counted" 100_000 (T.counter "ticks");
+  (* one retained span alone would take ~10 words *)
+  Alcotest.(check bool)
+    (Printf.sprintf "heap grew %d words over 99k more spans and observations" grown)
+    true (grown < 1_000)
+
+let test_histogram_window () =
+  with_memory_sink @@ fun () ->
+  for i = 1 to 10_000 do
+    T.observe "h" (float_of_int i)
+  done;
+  match T.histogram "h" with
+  | None -> Alcotest.fail "histogram missing"
+  | Some s ->
+      let module S = Namer_util.Stats in
+      let window = List.init 4096 (fun i -> float_of_int (10_000 - 4095 + i)) in
+      Alcotest.(check int) "n counts every observation" 10_000 s.T.n;
+      Alcotest.(check (float 1e-6)) "sum over every observation" 50_005_000.0 s.T.total;
+      Alcotest.(check (float 1e-6)) "mean over every observation" 5000.5 s.T.mean;
+      Alcotest.(check (float 1e-9)) "p50 of the last 4096" (S.percentile 50.0 window) s.T.p50;
+      Alcotest.(check (float 1e-9)) "p90 of the last 4096" (S.percentile 90.0 window) s.T.p90;
+      Alcotest.(check (float 1e-9)) "p99 of the last 4096" (S.percentile 99.0 window) s.T.p99
+
 let suite =
   [
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
@@ -172,4 +235,7 @@ let suite =
     Alcotest.test_case "null sink records nothing" `Quick test_null_sink_records_nothing;
     Alcotest.test_case "chrome trace valid json" `Quick test_chrome_trace_valid_json;
     Alcotest.test_case "metrics json roundtrip" `Quick test_metrics_json_roundtrip;
+    Alcotest.test_case "span allocation is exact" `Quick test_span_alloc;
+    Alcotest.test_case "memory sink keeps no spans" `Quick test_memory_keeps_no_spans;
+    Alcotest.test_case "histogram window" `Quick test_histogram_window;
   ]
