@@ -13,9 +13,9 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-let corpus_cfg ?(seed = 11) () =
+let corpus_cfg ?(lang = Corpus.Python) ?(seed = 11) () =
   {
-    (Corpus.default_config Corpus.Python) with
+    (Corpus.default_config lang) with
     Corpus.n_repos = 8;
     files_per_repo = (4, 6);
     seed;
@@ -447,43 +447,50 @@ let test_scan_ignores_unrelated_build () =
 
 (* -------- model-hash pin -------- *)
 
-(* The hash of a model trained on a fixed generated corpus, recorded before
-   the miner's anchor index went in: a miner change that alters a mined
-   store, its pattern ids or its dataset statistics changes these bytes.
-   The hash covers the global interner and a pattern order that follows
-   interned ids, both shaped by everything the process interned before, so
-   each training runs in a fresh process: this test binary re-invoked as
-   [test_main.exe model-pin JOBS PATH], which runs {!pin_child}.  No
+(* The hash of a model trained on a fixed generated corpus per language:
+   Python's recorded before the miner's anchor index went in, Java's after
+   the points-to solver began re-deriving facts added after a query.  A
+   frontend, analysis or miner change that alters a mined store, its
+   pattern ids or its dataset statistics changes these bytes.  The hash
+   covers the global interner and a pattern order that follows interned
+   ids, both shaped by everything the process interned before, so each
+   training runs in a fresh process: this test binary re-invoked as
+   [test_main.exe model-pin LANG JOBS PATH], which runs {!pin_child}.  No
    classifier: its floats pass through libm, which may differ between
    hosts. *)
-let pinned_model_hash = "744aee132a3a0fde"
+let pinned_model_hashes =
+  [ (Corpus.Python, "744aee132a3a0fde"); (Corpus.Java, "c0d68914990b2915") ]
 
-let pin_child ~jobs ~path =
+let pin_child ~lang ~jobs ~path =
   let cfg = { namer_cfg with Namer.jobs; cap_domains = false } in
-  let corpus = Corpus.generate { (corpus_cfg ()) with Corpus.n_repos = 24 } in
+  let corpus = Corpus.generate { (corpus_cfg ~lang ()) with Corpus.n_repos = 24 } in
   let m = Namer.save_model (Namer.build cfg corpus) ~path in
   print_string ("\nmodel-hash " ^ m.Namer.m_hash)
 
 let test_model_hash_pin () =
   List.iter
-    (fun jobs ->
-      let path = model_path () in
-      let exe = Sys.executable_name in
-      let ic =
-        Unix.open_process_args_in exe [| exe; "model-pin"; string_of_int jobs; path |]
-      in
-      (* the hash is the last line: module set-up may print before it *)
-      let hash =
-        In_channel.input_all ic |> String.split_on_char '\n' |> List.rev |> List.hd
-      in
-      let status = Unix.close_process_in ic in
-      Sys.remove path;
-      check_bool "the training process exits 0" true (status = Unix.WEXITED 0);
-      check_string
-        (Printf.sprintf "model hash (jobs=%d)" jobs)
-        ("model-hash " ^ pinned_model_hash)
-        hash)
-    [ 1; 4 ]
+    (fun (lang, pinned) ->
+      List.iter
+        (fun jobs ->
+          let path = model_path () in
+          let exe = Sys.executable_name in
+          let ic =
+            Unix.open_process_args_in exe
+              [| exe; "model-pin"; Corpus.lang_name lang; string_of_int jobs; path |]
+          in
+          (* the hash is the last line: module set-up may print before it *)
+          let hash =
+            In_channel.input_all ic |> String.split_on_char '\n' |> List.rev |> List.hd
+          in
+          let status = Unix.close_process_in ic in
+          Sys.remove path;
+          check_bool "the training process exits 0" true (status = Unix.WEXITED 0);
+          check_string
+            (Printf.sprintf "%s model hash (jobs=%d)" (Corpus.lang_name lang) jobs)
+            ("model-hash " ^ pinned)
+            hash)
+        [ 1; 4 ])
+    pinned_model_hashes
 
 (* -------- the anchored matcher -------- *)
 
