@@ -6,7 +6,7 @@
     - declared types — locals, parameters, fields, catch and foreach binders
       of a specific reference type get that type as origin (the declaration
       *is* the paper's "origin site" for Java objects);
-    - allocation flow through the Datalog solver — variables declared
+    - allocation flow through the points-to solver — variables declared
       [Object] (or assigned across variables) receive origins from [new]
       expressions and copies, Andersen-style;
     - value dataflow for primitives — a primitive local's origin is the

@@ -1,5 +1,5 @@
 (** Per-file points-to and dataflow analysis for Java (§4.1): declared types
-    for specific references, allocation flow through the Datalog solver for
+    for specific references, allocation flow through the points-to solver for
     [Object]-typed locations, and value dataflow (literal categories,
     returning functions, ⊤ on modification) for primitives.  [this]
     resolves to the nearest supertype not defined in the file. *)

@@ -1,14 +1,14 @@
-(** Points-to solving harness over the Datalog engine: the two-relation
-    program
+(** Points-to solving for the two-rule program
 
     {v
       points_to(X, O) :- alloc(X, O).
       points_to(D, O) :- assign(D, S), points_to(S, O).
     v}
 
-    shared by both language analyses (§4.1).  Locations and origins are
-    strings; an origin is *precise* when a location's points-to set is a
-    singleton other than {!top}. *)
+    shared by both language analyses (§4.1), by propagating origins along
+    copy edges.  Locations and origins are strings; an origin is *precise*
+    when a location's points-to set is a singleton other than {!top}.
+    Facts may be added after a query: the next query derives them. *)
 
 type t
 
@@ -23,14 +23,9 @@ val alloc : t -> key:string -> origin:string -> unit
 (** [assign t ~dst ~src]: values flow from [src] to [dst]. *)
 val assign : t -> dst:string -> src:string -> unit
 
-(** Run (or resume) the fixpoint; implied by the query functions. *)
-val solve : t -> unit
-
-(** All origins that may flow to [key] (empty for unknown keys). *)
+(** All origins that may flow to [key] (empty for unknown keys), given
+    every fact added so far. *)
 val origins_of : t -> key:string -> string list
 
 (** The precise origin of [key], if any. *)
 val singleton_origin : t -> key:string -> string option
-
-(** Number of derived points-to tuples (diagnostics). *)
-val n_tuples : t -> int

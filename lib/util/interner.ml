@@ -1,6 +1,6 @@
 (** String interning.
 
-    The Datalog engine, name-path serialization and FP-tree all work over
+    The points-to solver, name-path serialization and FP-tree all work over
     dense integer identifiers; this module provides the bijection between
     strings and those identifiers.  Interners are explicit values (no global
     state) so independent analyses cannot interfere.
