@@ -29,6 +29,7 @@
     requirement in this setting. *)
 
 open Namer_pylang
+open Flow
 module Origins = Namer_namepath.Origins
 
 type fn_key = { fk_cls : string option; fk_name : string }
@@ -193,8 +194,6 @@ let push_ctx ~k ~caller site ctx =
     String.concat ";" (take k parts)
 
 (* ---------------- fact generation ---------------- *)
-
-type value = Key of string | Origin of string | Nothing
 
 let simple_callee_name (func : Py_ast.expr) =
   match func with

@@ -136,10 +136,6 @@ type t = {
       (** files dropped by per-file failure isolation, in corpus order *)
 }
 
-let log = Logs.Src.create "namer" ~doc:"Namer pipeline"
-
-module Log = (val Logs.src_log log)
-
 (* ------------------------------------------------------------------ *)
 (* Digesting a corpus                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -208,7 +204,6 @@ let chunk n xs =
 
 let skip_file ~path reason =
   Telemetry.count "scan.files_skipped";
-  Log.warn (fun m -> m "skipping file %s: %s" path reason);
   Events.emit
     ~fields:
       [
@@ -456,8 +451,6 @@ let digest_refs ?pool ~shards ~(cfg : config) ~lang (refs : file_ref list) :
     (chunk (max 1 cfg.digest_batch) refs);
   let stmts = List.rev !stmts_rev and skipped = List.rev !skips_rev in
   if skipped <> [] then begin
-    Log.warn (fun m ->
-        m "degraded: skipped %d of %d files" (List.length skipped) n_files);
     Events.emit
       ~fields:
         [
@@ -467,7 +460,6 @@ let digest_refs ?pool ~shards ~(cfg : config) ~lang (refs : file_ref list) :
       Events.Warn "build.degraded"
   end;
   Telemetry.count ~by:(List.length stmts) "build.statements_digested";
-  Log.info (fun m -> m "digested %d statements" (List.length stmts));
   (stmts, skipped)
 
 (* [runs_by_file stmts] splits a statement list into its runs of one
@@ -510,7 +502,6 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
   (* 2. confusing word pairs from history *)
   let pairs = Telemetry.with_span "pair-mining" @@ fun () -> mk_pairs () in
   Telemetry.count ~by:(Confusing_pairs.total_pairs pairs) "build.confusing_pairs";
-  Log.info (fun m -> m "mined %d confusing pairs" (Confusing_pairs.total_pairs pairs));
   (* 3. mine all three pattern types *)
   let store, n_candidates, cond_counts =
     Telemetry.with_span "pattern-mining" @@ fun () ->
@@ -542,7 +533,6 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
   in
   Telemetry.count ~by:n_candidates "build.pattern_candidates";
   Telemetry.count ~by:(Pattern.Store.size store) "build.patterns_kept";
-  Log.info (fun m -> m "kept %d patterns" (Pattern.Store.size store));
   (* 4. scan: aggregates + violations.  The store is read-only during the
      scan, so shards match concurrently.  Shards split on file boundaries,
      so each file is matched and deduplicated whole in one task; each shard
@@ -625,7 +615,6 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
       Hashtbl.replace violating_repos v.v_stmt.sctx.Features.repo_id ())
     violations;
   Telemetry.count ~by:(Array.length violations) "build.violations_deduped";
-  Log.info (fun m -> m "triggered %d violations (deduplicated)" (Array.length violations));
   (* 5. features: every vector is independent (agg and pairs are read-only
      by now), so chunk the index space and extract concurrently — each task
      writes a disjoint slice of the array. *)
@@ -982,9 +971,6 @@ let save_model (t : t) ~path : model =
   let bytes, hash = encode_of t in
   Snapshot.write ~path bytes;
   Telemetry.count ~by:(String.length bytes) "model.bytes_written";
-  Log.info (fun m ->
-      m "saved model %s (%d bytes, %d patterns) to %s" hash (String.length bytes)
-        (Pattern.Store.size t.store) path);
   model_of_build t ~hash
 
 let load_model ~path : model =
@@ -1093,8 +1079,6 @@ let load_model ~path : model =
         end)
   in
   Telemetry.count "model.loads";
-  Log.info (fun m ->
-      m "loaded model %s (%d patterns) from %s" hash (Pattern.Store.size store) path);
   {
     m_lang = lang;
     m_use_analysis = use_analysis;
@@ -1331,18 +1315,12 @@ module Partial = struct
     Telemetry.with_span "partial:save" @@ fun () ->
     let hash = P.save p ~path in
     Telemetry.count "partial.saves";
-    Log.info (fun m ->
-        m "saved partial %s (%d files, %d stmts) to %s" hash (P.n_files p)
-          (P.n_stmts p) path);
     hash
 
   let load ~path =
     Telemetry.with_span "partial:load" @@ fun () ->
     let p, hash = P.load ~path in
     Telemetry.count "partial.loads";
-    Log.info (fun m ->
-        m "loaded partial %s (%d files, %d stmts) from %s" hash (P.n_files p)
-          (P.n_stmts p) path);
     (p, hash)
 end
 
@@ -1563,9 +1541,6 @@ let scan_refs ?(jobs = 1) ?(cap_domains = true) ?pool ?cache_dir (m : model)
   in
   let skipped = List.filter_map (fun (_, _, skip, _) -> skip) rows in
   if skipped <> [] then begin
-    Log.warn (fun msg ->
-        msg "degraded: skipped %d of %d files" (List.length skipped)
-          (List.length refs));
     Events.emit
       ~fields:
         [
