@@ -1,10 +1,10 @@
 # Contributor entry points for what .github/workflows/ci.yml checks; the
-# obs-, serve- and merge-smoke CI jobs run these targets as they are, so
+# fuzz-, obs-, serve- and merge-smoke CI jobs run these targets as they are, so
 # CI is reproducible locally with one command.  Tool-dependent targets (fmt, doc)
 # skip with a notice when the tool is not installed rather than failing,
 # matching the CI jobs that install them explicitly.
 
-.PHONY: all build test fmt doc bench bench-smoke obs-smoke serve-smoke merge-smoke perfbench-check ci clean
+.PHONY: all build test fmt doc bench bench-smoke fuzz-smoke obs-smoke serve-smoke merge-smoke perfbench-check ci clean
 
 all: build
 
@@ -41,6 +41,17 @@ bench-smoke:
 	dune build @bench-smoke
 	dune exec test/check_bench.exe -- _build/default/test/BENCH_pipeline.json BENCH_pipeline.json
 	dune exec bin/namer_cli.exe -- report --check
+
+# Fuzz smoke, run as-is by the fuzz-smoke CI job: deterministic seed-42
+# campaigns of 200 mutants per language against the scan pipeline plus the
+# metamorphic oracles.  Exits non-zero on any crash or oracle violation;
+# minimized reproducers land under _build/fuzz-crashes/<lang>/<bucket>/.
+fuzz-smoke: build
+	@set -eu; \
+	for lang in python java; do \
+	  _build/default/bin/namer_cli.exe fuzz --lang $$lang --seed 42 --iters 200 \
+	    --no-ledger --out _build/fuzz-crashes/$$lang; \
+	done
 
 # Observability smoke, run as-is by the obs-smoke CI job: train + two
 # cached --jobs 4 scans into a throwaway state dir, then assert 3 ledger
@@ -166,7 +177,7 @@ perfbench-check: build
 	python3 perfbench/run.py --workload all --seed 1 --seconds 5 --trace 0
 
 # Everything the CI workflow checks, in order.
-ci: build test fmt bench-smoke obs-smoke serve-smoke merge-smoke perfbench-check
+ci: build test fmt bench-smoke fuzz-smoke obs-smoke serve-smoke merge-smoke perfbench-check
 
 clean:
 	dune clean
