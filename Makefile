@@ -1,10 +1,10 @@
 # Contributor entry points for what .github/workflows/ci.yml checks; the
-# fuzz-, obs-, serve- and merge-smoke CI jobs run these targets as they are, so
+# fuzz-, obs-, scale-, serve- and merge-smoke CI jobs run these targets as they are, so
 # CI is reproducible locally with one command.  Tool-dependent targets (fmt, doc)
 # skip with a notice when the tool is not installed rather than failing,
 # matching the CI jobs that install them explicitly.
 
-.PHONY: all build test fmt doc bench bench-smoke fuzz-smoke obs-smoke serve-smoke merge-smoke perfbench-check ci clean
+.PHONY: all build test fmt doc bench bench-smoke fuzz-smoke obs-smoke scale-smoke serve-smoke merge-smoke perfbench-check ci clean
 
 all: build
 
@@ -96,6 +96,48 @@ obs-smoke: build
 	  "$$state/trace.json" "$$state/trace-ledger/ledger.jsonl"; \
 	echo "obs-smoke: OK ($$hits/$$((hits + misses)) warm cache hits)"
 
+# Scale smoke, run as-is by the scale-smoke CI job: the paper-scale
+# streaming path end to end.  Generate a deterministic 20,000-file corpus,
+# train and scan it under address-space ceilings that an O(corpus)-resident
+# frontend would blow through (training retains per-file digests — linear
+# but lean, ~2.3 GB top-heap, so 6 GiB passes with headroom but kills
+# source retention; the scan retains only reports, ~140 MB top-heap, so
+# 1.5 GiB is an order of magnitude of headroom), require the jobs=4 and
+# jobs=1 scans to report byte-identically, and hold the jobs=4 scan to a
+# 500 files/s floor, which catches a complexity cliff without pinning
+# runner-dependent timings.  Outputs and summary.txt land in
+# _build/scale-smoke/.
+scale-smoke: build
+	@set -eu; \
+	out=_build/scale-smoke; rm -rf "$$out"; mkdir -p "$$out"; \
+	namer=_build/default/bin/namer_cli.exe; \
+	"$$namer" corpus --files 20000 --out "$$out/corpus"; \
+	du -sh "$$out/corpus"; \
+	( ulimit -v 6291456; \
+	  "$$namer" train --jobs 4 --model "$$out/scale.nmdl" "$$out/corpus" ); \
+	t0=$$(date +%s); \
+	( ulimit -v 1572864; \
+	  "$$namer" scan --model "$$out/scale.nmdl" --jobs 4 --max-reports 100000 \
+	    "$$out/corpus" > "$$out/scan4.out" 2> "$$out/scan4.err" ); \
+	t1=$$(date +%s); \
+	( ulimit -v 1572864; \
+	  "$$namer" scan --model "$$out/scale.nmdl" --jobs 1 --max-reports 100000 \
+	    "$$out/corpus" > "$$out/scan1.out" 2> "$$out/scan1.err" ); \
+	if ! diff "$$out/scan4.out" "$$out/scan1.out"; then \
+	  echo "FAIL: jobs=4 scan differs from jobs=1"; exit 1; \
+	fi; \
+	wall=$$((t1 - t0)); [ "$$wall" -gt 0 ] || wall=1; \
+	fps=$$((20000 / wall)); \
+	{ echo "20000 files, $${wall}s scan ($${fps} files/s), $$(wc -l < "$$out/scan4.out") report lines"; \
+	  echo "jobs=4 vs jobs=1: byte-identical"; \
+	  grep -m1 'files' "$$out/scan4.err" || true; } > "$$out/summary.txt"; \
+	cat "$$out/summary.txt"; \
+	rm -rf "$$out/corpus"; \
+	if [ "$$fps" -lt 500 ]; then \
+	  echo "FAIL: scan rate $${fps} files/s below the 500 files/s floor"; exit 1; \
+	fi; \
+	echo "scale-smoke: OK"
+
 # Serve smoke, run as-is by the serve-smoke CI job: start the daemon on a
 # Unix socket, fire 50 concurrent requests (with a model hot-swap
 # mid-traffic) through bench/loadtest.exe, and require the responses to
@@ -177,7 +219,7 @@ perfbench-check: build
 	python3 perfbench/run.py --workload all --seed 1 --seconds 5 --trace 0
 
 # Everything the CI workflow checks, in order.
-ci: build test fmt bench-smoke fuzz-smoke obs-smoke serve-smoke merge-smoke perfbench-check
+ci: build test fmt bench-smoke fuzz-smoke obs-smoke scale-smoke serve-smoke merge-smoke perfbench-check
 
 clean:
 	dune clean

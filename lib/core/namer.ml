@@ -213,7 +213,10 @@ let skip_file ~path reason =
     Events.Warn "scan.file_skipped";
   ([], Some { sk_file = path; sk_reason = reason })
 
-let digest_source ~digest ~cfg ~lang ~repo ~path source :
+(* [hash_trees]: whether each statement's context carries [Tree.hash] of
+   its tree, which only the classifier's features read; model scans pass
+   [false] and leave it 0. *)
+let digest_source ~digest ~hash_trees ~cfg ~lang ~repo ~path source :
     scanned_stmt list * skipped option =
   let skip reason = skip_file ~path reason in
   match Frontend.parse_file_res lang ~use_analysis:cfg.use_analysis source with
@@ -244,7 +247,7 @@ let digest_source ~digest ~cfg ~lang ~repo ~path source :
                   repo;
                   file_id = -1;
                   repo_id = -1;
-                  tree_hash = Tree.hash s.tree;
+                  tree_hash = (if hash_trees then Tree.hash s.tree else 0);
                   n_paths = digest.Pattern.Stmt_paths.n_paths;
                 };
               line = s.line;
@@ -270,7 +273,7 @@ let digest_file ?table ~cfg ~lang ~(file : file_ref) () :
       Fun.protect ~finally:gauge_exit (fun () ->
           digest_source
             ~digest:(Pattern.Stmt_paths.of_tree ?table ~limit:cfg.miner.Miner.max_stmt_paths)
-            ~cfg ~lang ~repo:file.fr_repo ~path:file.fr_path source)
+            ~hash_trees:true ~cfg ~lang ~repo:file.fr_repo ~path:file.fr_path source)
 
 (* ------------------------------------------------------------------ *)
 (* Building the system                                                 *)
@@ -1441,7 +1444,7 @@ let match_stmts (m : model) stmts : Scan_cache.entry list * int =
 let digest_with_model (m : model) ~cfg ~repo ~path source =
   digest_source
     ~digest:(Pattern.Stmt_paths.of_vocab m.m_vocab ~limit:m.m_max_stmt_paths)
-    ~cfg ~lang:m.m_lang ~repo ~path source
+    ~hash_trees:false ~cfg ~lang:m.m_lang ~repo ~path source
 
 let digest_for_model (m : model) (f : Corpus.file) =
   match

@@ -358,7 +358,8 @@ val scan_with_model :
 (** [digest_for_model m file] — [file]'s statements digested as a model
     scan digests them, against the model's scan vocabulary; [None] when
     the scan would skip the file.  For checking the scan's matcher against
-    a reference. *)
+    a reference.  Like every model-scan digest, its contexts carry
+    [tree_hash] 0: nothing a model scan reports reads it. *)
 val digest_for_model : model -> Corpus.file -> scanned_stmt list option
 
 (** [scan_refs m refs] — the streaming form of {!scan_with_model}: each

@@ -2,27 +2,34 @@
 
    A lexer that has just scanned a token holds its text only as a slice
    [off, off+len) of the source buffer.  [lookup] maps that slice to a
-   previously built value (a shared token) without materialising the
-   substring: the slice is hashed and compared in place, and a fresh
-   [String.sub] happens exactly once per distinct spelling, inside [make].
-   Repeated identifiers, keywords and numerals — the overwhelming bulk of
-   any real corpus — therefore cost zero allocations beyond the token
-   record itself.
+   previously built value (a shared token or spelling) without
+   materialising the substring: the slice is hashed and compared in place,
+   and a fresh [String.sub] happens exactly once per distinct spelling,
+   inside [make].  Repeated identifiers, keywords and numerals — the
+   overwhelming bulk of any real corpus — therefore cost no allocation.
 
-   Pools are not thread-safe by design: each lexing domain owns its own
-   pool (via [Domain.DLS] in the lexers), so lookups never contend.  The
-   entry count is capped; once full, misses fall back to an un-pooled
-   [make] so a pathological corpus (or a long-lived serve daemon fed
-   unbounded fresh identifiers) cannot grow the pool without bound. *)
+   Lookups may run on several domains at once.  The bucket chains are
+   immutable and only ever replaced whole, so a lookup reads them without a
+   lock (a racy read sees an older chain at worst, never a torn one); a
+   miss takes the pool's mutex, searches again and inserts.  A pool used
+   by one domain never contends; one shared by all lexing domains pays
+   each spelling once per process instead of once per domain.  The entry
+   count is capped; once full, misses fall back to an un-pooled [make] so
+   a pathological corpus (or a long-lived serve daemon fed unbounded fresh
+   identifiers) cannot grow the pool without bound. *)
+
+(* A bucket chain: one immutable block per entry. *)
+type 'a chain = Nil | Entry of string * 'a * 'a chain
 
 type 'a t = {
-  mutable buckets : (string * 'a) list array; (* length always a power of 2 *)
+  mutable buckets : 'a chain array; (* length always a power of 2 *)
   mutable count : int;
   max_entries : int;
+  lock : Mutex.t; (* held by inserts *)
 }
 
 let create ?(max_entries = 1 lsl 17) () =
-  { buckets = Array.make 1024 []; count = 0; max_entries }
+  { buckets = Array.make 1024 Nil; count = 0; max_entries; lock = Mutex.create () }
 
 (* FNV-1a over the slice: no allocation, decent dispersion for short
    ASCII tokens. *)
@@ -36,43 +43,59 @@ let hash_slice src off len =
 let slice_equal src off len key =
   String.length key = len
   &&
-  let rec go i =
-    i = len
-    || Char.equal (String.unsafe_get key i) (String.unsafe_get src (off + i))
-       && go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < len && Char.equal (String.unsafe_get key !i) (String.unsafe_get src (off + !i)) do
+    incr i
+  done;
+  !i = len
 
-let rehash t =
-  let old = t.buckets in
-  let size = 2 * Array.length old in
-  let fresh = Array.make size [] in
-  Array.iter
-    (List.iter (fun ((key, _) as entry) ->
-         let idx = hash_slice key 0 (String.length key) land (size - 1) in
-         fresh.(idx) <- entry :: fresh.(idx)))
-    old;
-  t.buckets <- fresh
+(* Top-level recursions below: a local [let rec] capturing its arguments
+   would allocate a closure on every lookup. *)
+let rec refile fresh mask = function
+  | Nil -> ()
+  | Entry (key, v, rest) ->
+      let idx = hash_slice key 0 (String.length key) land mask in
+      fresh.(idx) <- Entry (key, v, fresh.(idx));
+      refile fresh mask rest
 
+(* Inserts run under [lock]; a grown table is built aside and published
+   whole. *)
 let insert t key v =
-  if t.count >= 2 * Array.length t.buckets then rehash t;
+  if t.count >= 2 * Array.length t.buckets then begin
+    let size = 2 * Array.length t.buckets in
+    let fresh = Array.make size Nil in
+    Array.iter (refile fresh (size - 1)) t.buckets;
+    t.buckets <- fresh
+  end;
   let idx = hash_slice key 0 (String.length key) land (Array.length t.buckets - 1) in
-  t.buckets.(idx) <- (key, v) :: t.buckets.(idx);
+  t.buckets.(idx) <- Entry (key, v, t.buckets.(idx));
   t.count <- t.count + 1
 
 (* Pre-seed an entry (e.g. keyword -> Keyword token) before any lookups. *)
-let add t key v = if t.count < t.max_entries then insert t key v
+let add t key v = Mutex.protect t.lock (fun () -> if t.count < t.max_entries then insert t key v)
+
+let rec find_in src off len = function
+  | Nil -> None
+  | Entry (key, v, rest) -> if slice_equal src off len key then Some v else find_in src off len rest
+
+let miss t src off len make =
+  Mutex.protect t.lock (fun () ->
+      let bucket = t.buckets.(hash_slice src off len land (Array.length t.buckets - 1)) in
+      match find_in src off len bucket with
+      | Some v -> v
+      | None ->
+          let key = String.sub src off len in
+          let v = make key in
+          if t.count < t.max_entries then insert t key v;
+          v)
+
+let rec find t src off len make = function
+  | Nil -> miss t src off len make
+  | Entry (key, v, rest) ->
+      if slice_equal src off len key then v else find t src off len make rest
 
 let lookup t ~src ~off ~len ~make =
-  let idx = hash_slice src off len land (Array.length t.buckets - 1) in
-  let rec find = function
-    | [] ->
-        let key = String.sub src off len in
-        let v = make key in
-        if t.count < t.max_entries then insert t key v;
-        v
-    | (key, v) :: rest -> if slice_equal src off len key then v else find rest
-  in
-  find t.buckets.(idx)
+  let buckets = t.buckets in
+  find t src off len make buckets.(hash_slice src off len land (Array.length buckets - 1))
 
 let size t = t.count

@@ -1,9 +1,10 @@
 (** Slice-interning pool for zero-copy lexing.
 
     Maps substrings of a source buffer to previously built values (shared
-    tokens) without allocating the substring on lookup: the slice is hashed
-    and compared in place, and [String.sub] runs exactly once per distinct
-    spelling.  Not thread-safe — give each lexing domain its own pool. *)
+    tokens or spellings) without allocating the substring on lookup: the
+    slice is hashed and compared in place, and [String.sub] runs exactly
+    once per distinct spelling.  Safe to share between domains: lookups
+    read without a lock, a miss inserts under the pool's mutex. *)
 
 type 'a t
 

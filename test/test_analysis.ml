@@ -461,11 +461,127 @@ let test_py_instances_grow_with_k () =
   let n k = Py_analysis.n_instances (Py_analysis.analyze ~k m) in
   check_bool "instances grow with k" true (n 0 < n 1 && n 1 <= n 3)
 
+(* ---------------- every answer, pinned ---------------- *)
+
+module Prng = Namer_util.Prng
+
+(* Call-heavy Python programs: in-file calls from several sites, methods
+   calling methods through [self], returns of literals and allocations —
+   the shapes whose answers depend on call-string contexts (about a tenth
+   of them overflow the context budget). *)
+let call_program rng =
+  let b = Buffer.create 1024 in
+  let nf = 2 + Prng.int rng 6 and nc = Prng.int rng 3 in
+  let call_arg vars =
+    Prng.choose rng ([ "1"; "'s'"; "True"; "None"; "[]"; "Widget()"; "ext(2)"; "x + 1" ] @ vars)
+  in
+  let expr vars =
+    match Prng.int rng 4 with
+    | 0 -> call_arg vars
+    | 1 | 2 -> Printf.sprintf "f%d(%s, %s)" (Prng.int rng nf) (call_arg vars) (call_arg vars)
+    | _ -> Prng.choose rng vars
+  in
+  for j = 0 to nf - 1 do
+    Printf.bprintf b "def f%d(x, y):\n" j;
+    let vars = ref [ "x"; "y" ] in
+    for s = 0 to Prng.int rng 4 do
+      let e = expr !vars in
+      Printf.bprintf b "    v%d = %s\n" s e;
+      vars := Printf.sprintf "v%d" s :: !vars
+    done;
+    Printf.bprintf b "    return %s\n" (Prng.choose rng !vars)
+  done;
+  for c = 0 to nc - 1 do
+    let base = if c > 0 && Prng.bool rng ~p:0.5 then Printf.sprintf "K%d" (c - 1) else "Base" in
+    Printf.bprintf b "class K%d(%s):\n" c base;
+    Printf.bprintf b "    def __init__(self, a):\n        self.a = a\n        self.w = %s\n"
+      (call_arg [ "a" ]);
+    Printf.bprintf b
+      "    def m(self, z):\n        t = self.n(z)\n        u = self.n(%s)\n        return %s\n"
+      (call_arg [ "z" ])
+      (Prng.choose rng [ "t"; "u"; "self.a"; "self.w" ]);
+    Printf.bprintf b "    def n(self, q):\n        return f%d(q, %s)\n" (Prng.int rng nf)
+      (call_arg [ "q"; "self.a" ])
+  done;
+  for s = 0 to Prng.int rng 4 do
+    Printf.bprintf b "r%d = %s\n" s (expr [ "np" ])
+  done;
+  Buffer.add_string b "import numpy as np\n";
+  Buffer.contents b
+
+(* Every resolver answer of [a] for module [m]: for each statement, the
+   variable, attribute and call origin of [self] and of every leaf of its
+   tree, after the instance count. *)
+let answers b (a : Py_analysis.t) m =
+  let opt = function Some s -> s | None -> "-" in
+  let rec leaves (t : Namer_tree.Tree.t) acc =
+    if t.children = [] then t.value :: acc else List.fold_right leaves t.children acc
+  in
+  Printf.bprintf b "k=%d n=%d\n" (Py_analysis.effective_k a) (Py_analysis.n_instances a);
+  List.iter
+    (fun (s : Namer_pylang.Py_lower.stmt_info) ->
+      let o = Py_analysis.origins_for a ~cls:s.enclosing_class ~fn:s.enclosing_function in
+      List.iter
+        (fun x ->
+          Printf.bprintf b "%d %s %s %s %s\n" s.line x
+            (opt (o.Namer_namepath.Origins.var_origin x))
+            (opt (o.attr_origin x)) (opt (o.call_origin x)))
+        ("self" :: leaves s.tree []))
+    (Namer_pylang.Py_lower.lower_stmts m)
+
+(* The digest of every answer at k = 5, 1 and 0 over a generated corpus
+   and 200 call-heavy programs, computed by the string-keyed analysis this
+   one replaced. *)
+let test_py_origins_digest () =
+  let cfg =
+    { (Namer_corpus.Corpus.default_config Namer_corpus.Corpus.Python) with
+      Namer_corpus.Corpus.n_repos = 10; seed = 5 }
+  in
+  let rng = Prng.create 2024 in
+  let sources =
+    List.map (fun (f : Namer_corpus.Corpus.file) -> f.source) (Namer_corpus.Corpus.generate cfg).files
+    @ List.init 200 (fun _ -> call_program rng)
+  in
+  let b = Buffer.create (1 lsl 20) in
+  List.iteri
+    (fun i src ->
+      let m = Namer_pylang.Py_parser.parse_module src in
+      List.iter
+        (fun k ->
+          Printf.bprintf b "file %d " i;
+          answers b (Py_analysis.analyze ~k m) m)
+        [ 5; 1; 0 ])
+    sources;
+  Alcotest.(check string) "digest of every origins_for answer" "ce42f38134a291c231a0a6779671050c"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* A file whose contexts overflow the budget is analysed context-
+   insensitively: the same answers as [analyze ~k:0]. *)
+let test_py_budget_overflow_is_k0 () =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "def f0(x):\n    return x\n";
+  for j = 1 to 5 do
+    Printf.bprintf b "def f%d(x):\n    a = f%d(x)\n    b = f%d(Widget())\n    c = f%d(1)\n    return a\n"
+      j (j - 1) (j - 1) (j - 1)
+  done;
+  Buffer.add_string b "r = f5('s')\nw = f1(Gadget())\n";
+  let m = Namer_pylang.Py_parser.parse_module (Buffer.contents b) in
+  let a5 = Py_analysis.analyze ~k:5 m in
+  check_int "context budget overflowed" 0 (Py_analysis.effective_k a5);
+  let render a =
+    let out = Buffer.create 4096 in
+    answers out a m;
+    Buffer.contents out
+  in
+  Alcotest.(check string) "answers = analyze ~k:0" (render (Py_analysis.analyze ~k:0 m)) (render a5)
+
 let discovery_suite =
   [
     Alcotest.test_case "py: module-call instances" `Quick test_py_module_called_instances;
     Alcotest.test_case "py: context sensitivity" `Quick test_py_context_sensitivity_separates_callers;
     Alcotest.test_case "py: instances grow with k" `Quick test_py_instances_grow_with_k;
+    Alcotest.test_case "py: origins digest" `Quick test_py_origins_digest;
+    Alcotest.test_case "py: budget overflow = k 0" `Quick test_py_budget_overflow_is_k0;
   ]
 
 let suite = suite @ discovery_suite

@@ -22,26 +22,27 @@ let sexp_of_last src =
 
 (* ---------------- lexer ---------------- *)
 
+(* The lexer's token buffer as (kind, text, line) triples. *)
+let tokens src =
+  let b = Py_lexer.tokenize src in
+  List.init (Py_lexer.length b) (fun i ->
+      (Py_lexer.kind b i, Py_lexer.text b i, Py_lexer.line b i))
+
 let test_lexer_layout () =
-  let toks = Py_lexer.tokenize "if x:\n    y = 1\nz = 2\n" in
-  let has t = List.exists (fun (lt : Py_lexer.loc_token) -> lt.tok = t) toks in
+  let toks = tokens "if x:\n    y = 1\nz = 2\n" in
+  let has t = List.exists (fun (k, _, _) -> k = t) toks in
   check_bool "indent" true (has Py_lexer.Indent);
   check_bool "dedent" true (has Py_lexer.Dedent)
 
 let test_lexer_blank_and_comments () =
-  let toks = Py_lexer.tokenize "x = 1\n\n# comment only\n   # indented comment\ny = 2\n" in
-  let indents =
-    List.length (List.filter (fun (t : Py_lexer.loc_token) -> t.tok = Py_lexer.Indent) toks)
-  in
+  let toks = tokens "x = 1\n\n# comment only\n   # indented comment\ny = 2\n" in
+  let indents = List.length (List.filter (fun (k, _, _) -> k = Py_lexer.Indent) toks) in
   check_int "blank/comment lines produce no layout" 0 indents
 
 let test_lexer_string_escapes () =
-  let toks = Py_lexer.tokenize {|s = "a\nb"|} in
   let str =
-    List.find_map
-      (fun (t : Py_lexer.loc_token) ->
-        match t.tok with Py_lexer.String s -> Some s | _ -> None)
-      toks
+    List.find_map (fun (k, s, _) -> if k = Py_lexer.String then Some s else None)
+      (tokens {|s = "a\nb"|})
   in
   check_str "escape decoded" "a\nb" (Option.get str)
 
@@ -51,11 +52,10 @@ let test_lexer_implicit_continuation () =
   check_int "one statement" 1 (List.length m)
 
 let test_lexer_line_numbers () =
-  let toks = Py_lexer.tokenize "a = 1\nb = 2\n" in
+  let toks = tokens "a = 1\nb = 2\n" in
   let line_of name =
     List.find_map
-      (fun (t : Py_lexer.loc_token) ->
-        match t.tok with Py_lexer.Ident n when n = name -> Some t.line | _ -> None)
+      (fun (k, n, line) -> if k = Py_lexer.Ident && n = name then Some line else None)
       toks
   in
   check_int "first line" 1 (Option.get (line_of "a"));
@@ -64,6 +64,48 @@ let test_lexer_line_numbers () =
 let test_lexer_error () =
   Alcotest.check_raises "unexpected char" (Py_lexer.Lex_error ("unexpected character '?'", 1))
     (fun () -> ignore (Py_lexer.tokenize "x ? y\n"))
+
+(* A blank or whitespace-only CRLF line inside a block is blank, not a
+   dedent: the file parses as its LF twin does. *)
+let test_lexer_crlf_blank_lines () =
+  let lf = "def f(x):\n    y = x\n\n    return y\n" in
+  let crlf = "def f(x):\r\n    y = x\r\n\r\n    return y\r\n" in
+  let ws = "def f(x):\r\n    y = x\r\n   \r\n    return y\r\n" in
+  let render src =
+    String.concat "\n"
+      (List.map (fun (s : Py_lower.stmt_info) -> Tree.to_sexp s.tree) (Py_lower.lower_stmts (parse src)))
+  in
+  check_str "blank CRLF line" (render lf) (render crlf);
+  check_str "whitespace-only CRLF line" (render lf) (render ws)
+
+(* Two threads of one domain parsing different files: they interleave at
+   allocations, so each parse must hold the domain's token buffer until it
+   is done.  Large files and a one-second run give the scheduler's 50 ms
+   tick many chances to switch threads mid-parse. *)
+let test_parse_threads_share_domain () =
+  let files =
+    (Namer_corpus.Corpus.generate
+       { (Namer_corpus.Corpus.default_config Namer_corpus.Corpus.Python) with
+         Namer_corpus.Corpus.n_repos = 10; seed = 77 })
+      .Namer_corpus.Corpus.files
+  in
+  let srcs = List.map (fun (f : Namer_corpus.Corpus.file) -> f.source) files in
+  let a = String.concat "\n" srcs and b = String.concat "\n" (List.rev srcs) in
+  let expected_a = parse a and expected_b = parse b in
+  let wrong = Atomic.make 0 and runs = Atomic.make 0 in
+  let until = Unix.gettimeofday () +. 1.0 in
+  let work src expected () =
+    while Unix.gettimeofday () < until do
+      (match parse src with
+      | m -> if m <> expected then Atomic.incr wrong
+      | exception _ -> Atomic.incr wrong);
+      Atomic.incr runs
+    done
+  in
+  let other = Thread.create (work a expected_a) () in
+  work b expected_b ();
+  Thread.join other;
+  check_int (Printf.sprintf "wrong parses of %d" (Atomic.get runs)) 0 (Atomic.get wrong)
 
 (* ---------------- parser + lowering ---------------- *)
 
@@ -250,6 +292,8 @@ let suite =
     Alcotest.test_case "lexer: implicit continuation" `Quick test_lexer_implicit_continuation;
     Alcotest.test_case "lexer: line numbers" `Quick test_lexer_line_numbers;
     Alcotest.test_case "lexer: error reporting" `Quick test_lexer_error;
+    Alcotest.test_case "lexer: CRLF blank lines" `Quick test_lexer_crlf_blank_lines;
+    Alcotest.test_case "parser: threads of one domain" `Quick test_parse_threads_share_domain;
     Alcotest.test_case "figure 2(b) exact shape" `Quick test_figure2_call;
     Alcotest.test_case "chained assignment" `Quick test_assign_chain;
     Alcotest.test_case "augmented assignment" `Quick test_aug_assign;
