@@ -36,23 +36,68 @@ let is_specific_ref (t : Java_ast.typ) =
 
 let simple_name = Java_lower.simple_name
 
+(* Locations are solver ints, found by name in one table per scope: a
+   table per (class, method) for locals and parameters, and one per class
+   for its fields.  No key is a built string. *)
 type t = {
   solver : Solver.t;
   class_root : (string, string) Hashtbl.t;
   return_types : (string * string, string) Hashtbl.t;  (** (class, method) → simple return type *)
+  scopes : (string * string option, (string, int) Hashtbl.t) Hashtbl.t;
+      (** (class, method) → local or parameter → location *)
+  fields : (string, (string, int) Hashtbl.t) Hashtbl.t;  (** class → field → location *)
 }
 
-let var_key ~cls ~fn name =
-  Printf.sprintf "v|%s.%s|%s" (Option.value cls ~default:"")
-    (Option.value fn ~default:"")
-    name
+let table tbl key =
+  match Hashtbl.find_opt tbl key with
+  | Some names -> names
+  | None ->
+      let names = Hashtbl.create 8 in
+      Hashtbl.replace tbl key names;
+      names
 
-let field_key ~cls name = Printf.sprintf "a|%s|%s" cls name
+let loc t names x =
+  match Hashtbl.find_opt names x with
+  | Some l -> l
+  | None ->
+      let l = Solver.loc t.solver in
+      Hashtbl.replace names x l;
+      l
+
+(* Where a statement sits: its class and the tables of its locals and of
+   the class's fields. *)
+type cx = { cls : string; vars : (string, int) Hashtbl.t; fields : (string, int) Hashtbl.t }
+
+(* A value: a location (>= 0), an origin [o] encoded as [-2 - o], or
+   nothing (-1). *)
+let nothing = -1
+let origin t name = -2 - Solver.origin t.solver name
+
+let bind t dst v =
+  if v >= 0 then Solver.assign_at t.solver ~dst ~src:v
+  else if v < -1 then Solver.alloc_at t.solver dst (-2 - v)
+
+(* The precise origin of location [x] of [names], if its points-to set is
+   a singleton other than ⊤. *)
+let precise t names x =
+  match Option.bind names (fun names -> Hashtbl.find_opt names x) with
+  | None -> None
+  | Some l -> (
+      match Solver.origin_ids t.solver l with
+      | [ o ] when o <> Solver.top_id -> Some (Solver.origin_name t.solver o)
+      | _ -> None)
 
 let analyze (u : Java_ast.compilation_unit) : t =
-  let solver = Solver.create () in
-  let class_root = Hashtbl.create 8 in
-  let return_types = Hashtbl.create 16 in
+  let t =
+    {
+      solver = Solver.create ();
+      class_root = Hashtbl.create 8;
+      return_types = Hashtbl.create 16;
+      scopes = Hashtbl.create 8;
+      fields = Hashtbl.create 8;
+    }
+  in
+  let class_root = t.class_root and return_types = t.return_types in
   (* Class hierarchy: in-file extends chains, rooted at the first external
      supertype. *)
   let in_file : (string, Java_ast.cls) Hashtbl.t = Hashtbl.create 8 in
@@ -74,7 +119,6 @@ let analyze (u : Java_ast.compilation_unit) : t =
           | None -> "Object")
   in
   Hashtbl.iter (fun cname _ -> Hashtbl.replace class_root cname (root [] cname)) in_file;
-  let t = { solver; class_root; return_types } in
   let declared_origin (ty : Java_ast.typ) : string option =
     match primitive_category ty with
     | Some cat -> Some cat
@@ -83,40 +127,37 @@ let analyze (u : Java_ast.compilation_unit) : t =
         else if is_specific_ref ty then Some (simple_name ty.base)
         else None
   in
+  let declare l ty = Option.iter (fun o -> Solver.alloc_at t.solver l (Solver.origin t.solver o)) (declared_origin ty) in
+  let num = origin t "Num" and str = origin t "Str" and bool = origin t "Bool" in
+  let top = -2 - Solver.top_id in
   (* --- expression evaluation: where does this value come from? --- *)
-  let rec eval ~cls ~fn (e : Java_ast.expr) : Flow.value =
-    let recur e = eval ~cls ~fn e in
+  let rec eval cx (e : Java_ast.expr) : int =
+    let recur e = ignore (eval cx e) in
     match e with
-    | Java_ast.Name x -> Flow.Key (var_key ~cls ~fn x)
-    | Java_ast.This -> (
-        match cls with
-        | Some c -> Flow.Origin (Option.value (Hashtbl.find_opt class_root c) ~default:"Object")
-        | None -> Flow.Nothing)
-    | Java_ast.Lit_int _ | Java_ast.Lit_float _ -> Flow.Origin "Num"
-    | Java_ast.Lit_str _ | Java_ast.Lit_char _ -> Flow.Origin "Str"
-    | Java_ast.Lit_bool _ -> Flow.Origin "Bool"
-    | Java_ast.Lit_null -> Flow.Nothing
-    | Java_ast.Field (Java_ast.This, f) -> (
-        match cls with
-        | Some c -> Flow.Key (field_key ~cls:c f)
-        | None -> Flow.Nothing)
+    | Java_ast.Name x -> loc t cx.vars x
+    | Java_ast.This -> origin t (Option.value (Hashtbl.find_opt class_root cx.cls) ~default:"Object")
+    | Java_ast.Lit_int _ | Java_ast.Lit_float _ -> num
+    | Java_ast.Lit_str _ | Java_ast.Lit_char _ -> str
+    | Java_ast.Lit_bool _ -> bool
+    | Java_ast.Lit_null -> nothing
+    | Java_ast.Field (Java_ast.This, f) -> loc t cx.fields f
     | Java_ast.Field (o, _) ->
-        ignore (recur o);
-        Flow.Nothing
+        recur o;
+        nothing
     | Java_ast.Index (a, b) ->
-        ignore (recur a);
-        ignore (recur b);
-        Flow.Nothing
+        recur a;
+        recur b;
+        nothing
     | Java_ast.Call { recv; meth; args } -> (
-        Option.iter (fun r -> ignore (recur r)) recv;
-        List.iter (fun a -> ignore (recur a)) args;
+        Option.iter recur recv;
+        List.iter recur args;
         (* in-file method (on this or unqualified): return-type origin *)
         let target_class =
           match recv with
-          | Some Java_ast.This | None -> cls
+          | Some Java_ast.This | None -> Some cx.cls
           | Some (Java_ast.Name v) -> (
               (* declared type of the receiver, if an in-file class *)
-              match Solver.singleton_origin solver ~key:(var_key ~cls ~fn v) with
+              match precise t (Some cx.vars) v with
               | Some o when Hashtbl.mem in_file o -> Some o
               | _ -> None)
           | _ -> None
@@ -124,65 +165,56 @@ let analyze (u : Java_ast.compilation_unit) : t =
         match target_class with
         | Some c -> (
             match Hashtbl.find_opt return_types (c, meth) with
-            | Some rt -> Flow.Origin rt
-            | None -> Flow.Origin meth)
-        | None -> Flow.Origin meth)
+            | Some rt -> origin t rt
+            | None -> origin t meth)
+        | None -> origin t meth)
     | Java_ast.New (ty, args) ->
-        List.iter (fun a -> ignore (recur a)) args;
-        Flow.Origin (simple_name ty.base)
+        List.iter recur args;
+        origin t (simple_name ty.base)
     | Java_ast.New_array (ty, dims) ->
-        List.iter (fun a -> ignore (recur a)) dims;
-        Flow.Origin (simple_name ty.base ^ "[]")
+        List.iter recur dims;
+        origin t (simple_name ty.base ^ "[]")
     | Java_ast.Array_init es ->
-        List.iter (fun a -> ignore (recur a)) es;
-        Flow.Nothing
+        List.iter recur es;
+        nothing
     | Java_ast.Bin (a, _, b) ->
-        ignore (recur a);
-        ignore (recur b);
-        Flow.Origin Solver.top
+        recur a;
+        recur b;
+        top
     | Java_ast.Un (op, a) | Java_ast.Postfix (a, op) ->
-        ignore (recur a);
+        recur a;
         (* increment/decrement modifies the value after creation: ⊤ *)
-        if op = "++" || op = "--" then
-          assign_target ~cls ~fn a (Flow.Origin Solver.top);
-        Flow.Origin Solver.top
+        if op = "++" || op = "--" then assign_target cx a top;
+        top
     | Java_ast.Assign_e (tgt, _, v) ->
-        let value = recur v in
-        assign_target ~cls ~fn tgt value;
+        let value = eval cx v in
+        assign_target cx tgt value;
         value
     | Java_ast.Ternary (c, a, b) ->
-        ignore (recur c);
-        ignore (recur a);
-        ignore (recur b);
-        Flow.Nothing
+        recur c;
+        recur a;
+        recur b;
+        nothing
     | Java_ast.Cast (ty, e) ->
-        ignore (recur e);
-        Flow.Origin (simple_name ty.base)
+        recur e;
+        origin t (simple_name ty.base)
     | Java_ast.Instanceof (e, _) ->
-        ignore (recur e);
-        Flow.Origin "Bool"
-    | Java_ast.Class_lit _ -> Flow.Origin "Class"
+        recur e;
+        bool
+    | Java_ast.Class_lit _ -> origin t "Class"
     | Java_ast.Super_call (_, args) ->
-        List.iter (fun a -> ignore (recur a)) args;
-        Flow.Nothing
+        List.iter recur args;
+        nothing
     | Java_ast.Lambda_e (_, body) ->
-        (match body with
-        | Java_ast.L_expr e -> ignore (recur e)
-        | Java_ast.L_block _ -> ());
-        Flow.Nothing
-  and assign_target ~cls ~fn (tgt : Java_ast.expr) (v : Flow.value) =
-    let bind dst = function
-      | Flow.Key src -> Solver.assign solver ~dst ~src
-      | Flow.Origin o -> Solver.alloc solver ~key:dst ~origin:o
-      | Flow.Nothing -> ()
-    in
-    match tgt with
-    | Java_ast.Name x -> bind (var_key ~cls ~fn x) v
-    | Java_ast.Field (Java_ast.This, f) -> (
-        match cls with Some c -> bind (field_key ~cls:c f) v | None -> ())
-    | _ -> ()
+        (match body with Java_ast.L_expr e -> recur e | Java_ast.L_block _ -> ());
+        nothing
+  and assign_target cx (tgt : Java_ast.expr) v =
+    if v <> nothing then
+      match tgt with
+      | Java_ast.Name x -> bind t (loc t cx.vars x) v
+      | Java_ast.Field (Java_ast.This, f) -> bind t (loc t cx.fields f) v
+      | _ -> ()
   in
-  let bind ~cls ~fn dst v = assign_target ~cls ~fn (Java_ast.Name dst) v in
   (* --- two passes: first signatures (return types, fields), then bodies,
      so call-return origins resolve regardless of declaration order. --- *)
   let rec signatures (c : Java_ast.cls) =
@@ -197,99 +229,83 @@ let analyze (u : Java_ast.compilation_unit) : t =
   in
   List.iter signatures u.classes;
   let rec bodies (c : Java_ast.cls) =
-    let cls = Some c.cname in
+    let fields = table t.fields c.cname in
+    let cx fn = { cls = c.cname; vars = table t.scopes (c.cname, fn); fields } in
     List.iter
       (fun m ->
         match m with
         | Java_ast.Field_m { ftype; fname; finit; _ } ->
-            (match declared_origin ftype with
-            | Some o when is_specific_ref ftype || finit = None ->
-                Solver.alloc solver ~key:(field_key ~cls:c.cname fname) ~origin:o
-            | _ -> ());
+            let cx = cx None in
+            if is_specific_ref ftype || finit = None then declare (loc t cx.fields fname) ftype;
             Option.iter
               (fun e ->
-                let v = eval ~cls ~fn:None e in
-                if not (is_specific_ref ftype) then
-                  assign_target ~cls ~fn:None (Java_ast.Field (Java_ast.This, fname)) v)
+                let v = eval cx e in
+                if not (is_specific_ref ftype) then bind t (loc t cx.fields fname) v)
               finit
         | Java_ast.Method_m { mname; params; mbody; _ } ->
-            let fn = Some mname in
-            List.iter
-              (fun ((ty : Java_ast.typ), name) ->
-                match declared_origin ty with
-                | Some o -> Solver.alloc solver ~key:(var_key ~cls ~fn name) ~origin:o
-                | None -> ())
-              params;
-            Option.iter (fun body -> walk ~cls ~fn body) mbody
-        | Java_ast.Init_m body -> walk ~cls ~fn:(Some "<clinit>") body
+            let cx = cx (Some mname) in
+            List.iter (fun (ty, name) -> declare (loc t cx.vars name) ty) params;
+            Option.iter (walk cx) mbody
+        | Java_ast.Init_m body -> walk (cx (Some "<clinit>")) body
         | Java_ast.Class_m nested -> bodies nested)
       c.members
-  and walk ~cls ~fn stmts =
+  and walk cx stmts =
     List.iter
       (fun (s : Java_ast.stmt) ->
         (match s.kind with
         | Java_ast.Local (ty, decls) ->
             List.iter
               (fun (name, init) ->
-                let declared = declared_origin ty in
-                (match declared with
-                | Some o when is_specific_ref ty || init = None ->
-                    Solver.alloc solver ~key:(var_key ~cls ~fn name) ~origin:o
-                | _ -> ());
+                if is_specific_ref ty || init = None then declare (loc t cx.vars name) ty;
                 Option.iter
                   (fun e ->
-                    let v = eval ~cls ~fn e in
-                    if not (is_specific_ref ty) then bind ~cls ~fn name v)
+                    let v = eval cx e in
+                    if not (is_specific_ref ty) then assign_target cx (Java_ast.Name name) v)
                   init)
               decls
-        | Java_ast.Expr_stmt e -> ignore (eval ~cls ~fn e)
+        | Java_ast.Expr_stmt e -> ignore (eval cx e)
         | Java_ast.If (c, _, _) | Java_ast.While (c, _) | Java_ast.Do_while (_, c)
         | Java_ast.Synchronized (c, _) ->
-            ignore (eval ~cls ~fn c)
+            ignore (eval cx c)
         | Java_ast.For (init, cond, update, _) ->
             (match init with
             | Java_ast.Fi_local (ty, decls) ->
                 List.iter
                   (fun (name, ie) ->
-                    (match declared_origin ty with
-                    | Some o -> Solver.alloc solver ~key:(var_key ~cls ~fn name) ~origin:o
-                    | None -> ());
-                    Option.iter (fun e -> ignore (eval ~cls ~fn e)) ie)
+                    declare (loc t cx.vars name) ty;
+                    Option.iter (fun e -> ignore (eval cx e)) ie)
                   decls
-            | Java_ast.Fi_expr es -> List.iter (fun e -> ignore (eval ~cls ~fn e)) es
+            | Java_ast.Fi_expr es -> List.iter (fun e -> ignore (eval cx e)) es
             | Java_ast.Fi_none -> ());
-            Option.iter (fun c -> ignore (eval ~cls ~fn c)) cond;
-            List.iter (fun e -> ignore (eval ~cls ~fn e)) update
+            Option.iter (fun c -> ignore (eval cx c)) cond;
+            List.iter (fun e -> ignore (eval cx e)) update
         | Java_ast.Foreach (ty, name, iter, _) ->
-            (match declared_origin ty with
-            | Some o -> Solver.alloc solver ~key:(var_key ~cls ~fn name) ~origin:o
-            | None -> ());
-            ignore (eval ~cls ~fn iter)
-        | Java_ast.Return (Some e) -> ignore (eval ~cls ~fn e)
-        | Java_ast.Throw e -> ignore (eval ~cls ~fn e)
+            declare (loc t cx.vars name) ty;
+            ignore (eval cx iter)
+        | Java_ast.Return (Some e) -> ignore (eval cx e)
+        | Java_ast.Throw e -> ignore (eval cx e)
         | Java_ast.Try (_, catches, _) ->
             List.iter
               (fun (cat : Java_ast.catch) ->
-                Solver.alloc solver
-                  ~key:(var_key ~cls ~fn cat.cbind)
-                  ~origin:(simple_name cat.ctype.base))
+                Solver.alloc_at t.solver (loc t cx.vars cat.cbind)
+                  (Solver.origin t.solver (simple_name cat.ctype.base)))
               catches
         | _ -> ());
         match s.kind with
         | Java_ast.If (_, a, b) ->
-            walk ~cls ~fn a;
-            walk ~cls ~fn b
+            walk cx a;
+            walk cx b
         | Java_ast.For (_, _, _, b)
         | Java_ast.Foreach (_, _, _, b)
         | Java_ast.While (_, b)
         | Java_ast.Do_while (b, _)
         | Java_ast.Block b
         | Java_ast.Synchronized (_, b) ->
-            walk ~cls ~fn b
+            walk cx b
         | Java_ast.Try (b, catches, f) ->
-            walk ~cls ~fn b;
-            List.iter (fun (c : Java_ast.catch) -> walk ~cls ~fn c.cbody) catches;
-            walk ~cls ~fn f
+            walk cx b;
+            List.iter (fun (c : Java_ast.catch) -> walk cx c.cbody) catches;
+            walk cx f
         | _ -> ())
       stmts
   in
@@ -298,19 +314,17 @@ let analyze (u : Java_ast.compilation_unit) : t =
 
 (** Origin resolvers for statements in class [cls] / method [fn]. *)
 let origins_for t ~(cls : string option) ~(fn : string option) : Origins.t =
+  let vars = Option.bind cls (fun c -> Hashtbl.find_opt t.scopes (c, fn)) in
+  let fields = Option.bind cls (Hashtbl.find_opt t.fields) in
   let var_origin x =
     if x = "this" then
       match cls with
       | Some c ->
           Some (Option.value (Hashtbl.find_opt t.class_root c) ~default:"Object")
       | None -> None
-    else Solver.singleton_origin t.solver ~key:(var_key ~cls ~fn x)
+    else precise t vars x
   in
-  let attr_origin f =
-    match cls with
-    | Some c -> Solver.singleton_origin t.solver ~key:(field_key ~cls:c f)
-    | None -> None
-  in
+  let attr_origin f = precise t fields f in
   let call_origin m =
     match cls with
     | Some c -> Hashtbl.find_opt t.return_types (c, m)

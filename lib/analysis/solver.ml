@@ -8,14 +8,14 @@
       points_to(D, O) :- assign(D, S), points_to(S, O).
     v}
 
-    [alloc] records allocation sites / literal origins / declared types;
-    [assign] records copies (plain assignments, parameter bindings at call
-    sites, returned values).  Locations and origins are dense ints: Python
-    keys its locations itself ({!loc}), Java names them by strings through
-    the facade at the end.  The solver keeps, per location, its distinct
-    origins and its distinct copy targets, and a pending stack of
-    (location, origin) facts not yet propagated; each query drains the
-    stack first, so it sees the least fixpoint of every fact added so far.
+    [alloc_at] records allocation sites / literal origins / declared
+    types; [assign_at] records copies (plain assignments, parameter
+    bindings at call sites, returned values).  Locations and origins are
+    dense ints, which each analysis maps its own variables and fields to
+    ({!loc}).  The solver keeps, per location, its distinct origins and
+    its distinct copy targets, and a pending stack of (location, origin)
+    facts not yet propagated; each query drains the stack first, so it
+    sees the least fixpoint of every fact added so far.
     A location's origin is *precise* when its points-to set is a singleton
     other than ⊤ — only precise origins decorate the AST+ (§4.1: "when the
     origin sites are precisely computed, this information is added to the
@@ -30,7 +30,6 @@ let top = "⊤"
 type t = {
   origin_ids : (string, int) Hashtbl.t;  (** origin name → id; ⊤ is 0 *)
   mutable origin_names : string array;  (** by origin id *)
-  keys : (string, int) Hashtbl.t;  (** string-named locations *)
   mutable n_locs : int;
   mutable origins : int list array;  (** by location *)
   mutable targets : int list array;  (** by location *)
@@ -48,7 +47,6 @@ let create () =
   {
     origin_ids;
     origin_names = Array.make 16 top;
-    keys = Hashtbl.create 1;
     n_locs = 0;
     origins = Array.make 16 [];
     targets = Array.make 16 [];
@@ -141,33 +139,3 @@ let drain t =
 let origin_ids t l =
   drain t;
   t.origins.(l)
-
-(* ---------------- string-named locations ---------------- *)
-
-let key t s =
-  match Hashtbl.find_opt t.keys s with
-  | Some l -> l
-  | None ->
-      let l = loc t in
-      Hashtbl.replace t.keys s l;
-      l
-
-(** [alloc t ~key ~origin] : location [key] may hold a value of [origin]. *)
-let alloc t ~key:k ~origin:o = alloc_at t (key t k) (origin t o)
-
-(** [assign t ~dst ~src] : values flow from location [src] to [dst]. *)
-let assign t ~dst ~src =
-  let s = key t src in
-  assign_at t ~dst:(key t dst) ~src:s
-
-(** All origins that may flow to [key]. *)
-let origins_of t ~key =
-  match Hashtbl.find_opt t.keys key with
-  | None -> []
-  | Some l -> List.map (origin_name t) (origin_ids t l)
-
-(** The precise origin of [key], if its points-to set is a singleton ≠ ⊤. *)
-let singleton_origin t ~key =
-  match origins_of t ~key with
-  | [ o ] when o <> top -> Some o
-  | _ -> None

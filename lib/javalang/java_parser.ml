@@ -10,13 +10,25 @@ open Java_ast
 
 exception Parse_error of string * int
 
-type state = { toks : Java_lexer.loc_token array; mutable i : int }
+module B = Namer_util.Tokbuf
 
-let cur st = st.toks.(st.i)
-let peek_tok st = (cur st).tok
+(* The token buffer is the lexer's per-domain one, read by index inside
+   [Java_lexer.with_tokens] (see [Py_parser]).  Reading past [Eof] raises,
+   as indexing a token array did; looking ahead past it reads [Eof]. *)
+type state = { toks : Java_lexer.t; mutable i : int }
+
+let peek_tok st =
+  if st.i < st.toks.B.len then Array.unsafe_get st.toks.B.kinds st.i
+  else invalid_arg "index out of bounds"
+
 let peek_ahead st k =
-  if st.i + k < Array.length st.toks then st.toks.(st.i + k).tok else Java_lexer.Eof
-let line st = (cur st).line
+  if st.i + k < st.toks.B.len then Array.unsafe_get st.toks.B.kinds (st.i + k)
+  else Java_lexer.Eof
+
+let line st =
+  if st.i < st.toks.B.len then Array.unsafe_get st.toks.B.lines st.i
+  else invalid_arg "index out of bounds"
+
 let advance st = st.i <- st.i + 1
 let error st msg = raise (Parse_error (msg, line st))
 
@@ -118,10 +130,8 @@ and parse_type_args st : typ list =
     (* '>>' from nested generics arrives as one token; split it. *)
     (match peek_tok st with
     | Java_lexer.Op ">" -> advance st
-    | Java_lexer.Op ">>" ->
-        st.toks.(st.i) <- { (cur st) with tok = Java_lexer.Op ">" }
-    | Java_lexer.Op ">>>" ->
-        st.toks.(st.i) <- { (cur st) with tok = Java_lexer.Op ">>" }
+    | Java_lexer.Op ">>" -> st.toks.B.kinds.(st.i) <- Java_lexer.Op ">"
+    | Java_lexer.Op ">>>" -> st.toks.B.kinds.(st.i) <- Java_lexer.Op ">>"
     | _ -> error st "expected '>'");
     List.rev !args
   end
@@ -847,7 +857,7 @@ and skip_throws st =
 
 (** [parse_compilation_unit src] parses a whole [.java] file. *)
 let parse_compilation_unit src : compilation_unit =
-  let toks = Array.of_list (Java_lexer.tokenize src) in
+  Java_lexer.with_tokens src @@ fun toks ->
   let st = { toks; i = 0 } in
   let package =
     if accept_kw st "package" then begin

@@ -7,6 +7,7 @@
 
 open Py_ast
 module L = Py_lexer
+module B = Namer_util.Tokbuf
 
 exception Parse_error of string * int  (** message, line *)
 
@@ -19,16 +20,16 @@ exception Parse_error of string * int  (** message, line *)
 type state = { toks : L.t; mutable i : int }
 
 let kind_at st i =
-  if i < st.toks.L.len then Array.unsafe_get st.toks.L.kinds i
+  if i < st.toks.B.len then Array.unsafe_get st.toks.B.kinds i
   else invalid_arg "index out of bounds"
 
 let peek_tok st = kind_at st st.i
 
 let line st =
-  if st.i < st.toks.L.len then Array.unsafe_get st.toks.L.lines st.i
+  if st.i < st.toks.B.len then Array.unsafe_get st.toks.B.lines st.i
   else invalid_arg "index out of bounds"
 
-let text st = st.toks.L.texts.(st.i)
+let text st = st.toks.B.texts.(st.i)
 let advance st = st.i <- st.i + 1
 
 let error st msg = raise (Parse_error (msg, line st))

@@ -2,12 +2,12 @@
    of [Py_lexer.tokenize] and [Java_lexer.tokenize], kept so the golden
    token-stream equivalence test can check the rewritten lexers against
    the exact old behaviour (same tokens, same lines, same errors) on the
-   seed corpus and on fuzz mutants.  [Py] builds its own token list, which
-   the golden test compares with the new lexer's buffer rendered back to
-   the same form; [Java] builds tokens of the current [Java_lexer].  One
-   edit since: [Py] lexes a blank or whitespace-only line ending in
-   [\r\n] as blank, as the new lexer does (it used to read it as a
-   dedent). *)
+   seed corpus and on fuzz mutants.  Each builds its own token list,
+   which the golden test compares with the new lexer's buffer rendered
+   back to the same form.  Two edits since: [Py] lexes a blank or
+   whitespace-only line ending in [\r\n] as blank, as the new lexer does
+   (it used to read it as a dedent); [Java] declares its own token type
+   (a copy of the one it used to share with [Java_lexer]). *)
 
 module Py = struct
   type token =
@@ -257,7 +257,19 @@ module Py = struct
 end
 
 module Java = struct
-  open Namer_javalang.Java_lexer
+  type token =
+    | Ident of string
+    | Keyword of string
+    | Int_lit of string
+    | Float_lit of string
+    | Str_lit of string
+    | Char_lit of string
+    | Op of string
+    | Eof
+
+  type loc_token = { tok : token; line : int }
+
+  exception Lex_error = Namer_javalang.Java_lexer.Lex_error
 
   let keywords =
     [

@@ -10,75 +10,92 @@ let check_int = Alcotest.(check int)
 
 (* ---------------- Solver ---------------- *)
 
+(* The origins of location [l] by name, and its precise origin: the one
+   origin of a singleton points-to set other than ⊤. *)
+let origins s l = List.map (Solver.origin_name s) (Solver.origin_ids s l)
+
+let precise s l =
+  match Solver.origin_ids s l with
+  | [ o ] when o <> Solver.top_id -> Some (Solver.origin_name s o)
+  | _ -> None
+
+let alloc s l name = Solver.alloc_at s l (Solver.origin s name)
+
 let test_solver_direct () =
   let s = Solver.create () in
-  Solver.alloc s ~key:"x" ~origin:"Intent";
-  check_opt "direct allocation" (Some "Intent") (Solver.singleton_origin s ~key:"x")
+  let x = Solver.loc s in
+  alloc s x "Intent";
+  check_opt "direct allocation" (Some "Intent") (precise s x)
 
 let test_solver_copy_chain () =
   let s = Solver.create () in
-  Solver.alloc s ~key:"a" ~origin:"Picture";
-  Solver.assign s ~dst:"b" ~src:"a";
-  Solver.assign s ~dst:"c" ~src:"b";
-  check_opt "flows through copies" (Some "Picture") (Solver.singleton_origin s ~key:"c")
+  let a = Solver.loc s and b = Solver.loc s and c = Solver.loc s in
+  alloc s a "Picture";
+  Solver.assign_at s ~dst:b ~src:a;
+  Solver.assign_at s ~dst:c ~src:b;
+  check_opt "flows through copies" (Some "Picture") (precise s c)
 
 let test_solver_merge_imprecise () =
   let s = Solver.create () in
-  Solver.alloc s ~key:"x" ~origin:"A";
-  Solver.alloc s ~key:"x" ~origin:"B";
-  check_opt "two origins = imprecise" None (Solver.singleton_origin s ~key:"x");
-  check_int "both tracked" 2 (List.length (Solver.origins_of s ~key:"x"))
+  let x = Solver.loc s in
+  alloc s x "A";
+  alloc s x "B";
+  check_opt "two origins = imprecise" None (precise s x);
+  check_int "both tracked" 2 (List.length (origins s x))
 
 let test_solver_top_poisons () =
   let s = Solver.create () in
-  Solver.alloc s ~key:"x" ~origin:Solver.top;
-  check_opt "⊤ is not precise" None (Solver.singleton_origin s ~key:"x")
+  let x = Solver.loc s in
+  Solver.alloc_at s x Solver.top_id;
+  check_opt "⊤ is not precise" None (precise s x)
 
 let test_solver_unknown_key () =
   let s = Solver.create () in
-  check_opt "unknown key" None (Solver.singleton_origin s ~key:"nope");
-  check_bool "empty origins" true (Solver.origins_of s ~key:"nope" = [])
+  let x = Solver.loc s in
+  check_opt "fresh location" None (precise s x);
+  check_bool "empty origins" true (Solver.origin_ids s x = [])
 
 let test_solver_cycle () =
   let s = Solver.create () in
-  Solver.alloc s ~key:"a" ~origin:"T";
-  Solver.assign s ~dst:"b" ~src:"a";
-  Solver.assign s ~dst:"a" ~src:"b";
-  check_opt "cyclic copies terminate" (Some "T") (Solver.singleton_origin s ~key:"b")
+  let a = Solver.loc s and b = Solver.loc s in
+  alloc s a "T";
+  Solver.assign_at s ~dst:b ~src:a;
+  Solver.assign_at s ~dst:a ~src:b;
+  check_opt "cyclic copies terminate" (Some "T") (precise s b)
 
 let test_solver_facts_after_query () =
   let s = Solver.create () in
-  Solver.alloc s ~key:"a" ~origin:"T";
-  check_opt "first query" (Some "T") (Solver.singleton_origin s ~key:"a");
-  Solver.assign s ~dst:"b" ~src:"a";
-  Solver.alloc s ~key:"c" ~origin:"U";
-  check_opt "copy added after the query" (Some "T") (Solver.singleton_origin s ~key:"b");
-  check_opt "allocation added after the query" (Some "U")
-    (Solver.singleton_origin s ~key:"c");
-  Solver.alloc s ~key:"a" ~origin:"V";
-  check_opt "a later allocation reaches earlier copies" None
-    (Solver.singleton_origin s ~key:"b");
-  check_int "both origins copied" 2 (List.length (Solver.origins_of s ~key:"b"))
+  let a = Solver.loc s and b = Solver.loc s and c = Solver.loc s in
+  alloc s a "T";
+  check_opt "first query" (Some "T") (precise s a);
+  Solver.assign_at s ~dst:b ~src:a;
+  alloc s c "U";
+  check_opt "copy added after the query" (Some "T") (precise s b);
+  check_opt "allocation added after the query" (Some "U") (precise s c);
+  alloc s a "V";
+  check_opt "a later allocation reaches earlier copies" None (precise s b);
+  check_int "both origins copied" 2 (List.length (origins s b))
 
 let test_solver_resume () =
   let s = Solver.create () in
-  Solver.alloc s ~key:"a" ~origin:"T";
-  Solver.assign s ~dst:"b" ~src:"a";
-  check_opt "first fixpoint" (Some "T") (Solver.singleton_origin s ~key:"b");
-  Solver.assign s ~dst:"c" ~src:"b";
-  Solver.assign s ~dst:"d" ~src:"c";
-  check_opt "resumed fixpoint extends the chain" (Some "T")
-    (Solver.singleton_origin s ~key:"d")
+  let a = Solver.loc s and b = Solver.loc s and c = Solver.loc s and d = Solver.loc s in
+  alloc s a "T";
+  Solver.assign_at s ~dst:b ~src:a;
+  check_opt "first fixpoint" (Some "T") (precise s b);
+  Solver.assign_at s ~dst:c ~src:b;
+  Solver.assign_at s ~dst:d ~src:c;
+  check_opt "resumed fixpoint extends the chain" (Some "T") (precise s d)
 
 let test_solver_query_idempotent () =
   let s = Solver.create () in
-  Solver.alloc s ~key:"a" ~origin:"A";
-  Solver.alloc s ~key:"b" ~origin:"B";
-  Solver.assign s ~dst:"c" ~src:"a";
-  Solver.assign s ~dst:"c" ~src:"b";
-  let first = Solver.origins_of s ~key:"c" in
+  let a = Solver.loc s and b = Solver.loc s and c = Solver.loc s in
+  alloc s a "A";
+  alloc s b "B";
+  Solver.assign_at s ~dst:c ~src:a;
+  Solver.assign_at s ~dst:c ~src:b;
+  let first = Solver.origin_ids s c in
   check_int "two origins" 2 (List.length first);
-  check_bool "second query is a no-op" true (Solver.origins_of s ~key:"c" = first)
+  check_bool "second query is a no-op" true (Solver.origin_ids s c = first)
 
 (* Random alloc/assign sequences with interleaved queries against a naive
    fixpoint: apply the copy rule to every fact until nothing changes. *)
@@ -119,21 +136,22 @@ let prop_solver_naive_fixpoint =
     (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_bound 40) op))
     (fun ops ->
       let s = Solver.create () in
-      let loc = Printf.sprintf "l%d" and origin = Printf.sprintf "o%d" in
+      let loc = Array.init n_locs (fun _ -> Solver.loc s) in
+      let origin = Array.init 4 (fun o -> Solver.origin s (Printf.sprintf "o%d" o)) in
       let agrees ~allocs ~assigns =
         List.for_all
           (fun k ->
-            List.sort compare (Solver.origins_of s ~key:(loc k))
-            = List.map origin (naive_origins ~allocs ~assigns k))
+            List.sort compare (Solver.origin_ids s loc.(k))
+            = List.map (fun o -> origin.(o)) (naive_origins ~allocs ~assigns k))
           (List.init n_locs Fun.id)
       in
       let rec go allocs assigns = function
         | [] -> agrees ~allocs ~assigns
         | Alloc (k, o) :: rest ->
-            Solver.alloc s ~key:(loc k) ~origin:(origin o);
+            Solver.alloc_at s loc.(k) origin.(o);
             go ((k, o) :: allocs) assigns rest
         | Assign (d, src) :: rest ->
-            Solver.assign s ~dst:(loc d) ~src:(loc src);
+            Solver.assign_at s ~dst:loc.(d) ~src:loc.(src);
             go allocs ((d, src) :: assigns) rest
         | Query :: rest -> agrees ~allocs ~assigns && go allocs assigns rest
       in
@@ -555,6 +573,98 @@ let test_py_origins_digest () =
   Alcotest.(check string) "digest of every origins_for answer" "ce42f38134a291c231a0a6779671050c"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* A random Java file of in-file classes (a superclass chain, typed and
+   [Object] fields), methods that copy values between [Object], typed and
+   primitive locals, fields and parameters, call methods on in-file
+   receivers, modify values and bind catch and foreach variables. *)
+let java_flow_program rng =
+  let b = Buffer.create 1024 in
+  let nc = 1 + Prng.int rng 3 in
+  let cls j = Printf.sprintf "K%d" j in
+  let var () = Printf.sprintf "v%d" (Prng.int rng 4) in
+  let field () = Printf.sprintf "f%d" (Prng.int rng 3) in
+  let meth () = Printf.sprintf "m%d" (Prng.int rng 3) in
+  let ty () = Prng.choose rng ([ "Object"; "Object"; "Widget"; "int"; "String"; "Widget[]" ] @ [ cls (Prng.int rng nc) ]) in
+  let expr () =
+    match Prng.int rng 10 with
+    | 0 -> "new Widget()"
+    | 1 -> Printf.sprintf "new %s()" (cls (Prng.int rng nc))
+    | 2 -> var ()
+    | 3 -> "this." ^ field ()
+    | 4 -> Printf.sprintf "%s()" (meth ())
+    | 5 -> Printf.sprintf "%s.%s()" (var ()) (meth ())
+    | 6 -> Prng.choose rng [ "1"; "\"s\""; "true"; "null"; "'c'"; "2.5" ]
+    | 7 -> Printf.sprintf "%s + 1" (var ())
+    | 8 -> Printf.sprintf "(Gadget) %s" (var ())
+    | _ -> "this"
+  in
+  let stmt () =
+    match Prng.int rng 9 with
+    | 0 | 1 -> Printf.sprintf "%s %s = %s;" (ty ()) (var ()) (expr ())
+    | 2 | 3 -> Printf.sprintf "%s = %s;" (var ()) (expr ())
+    | 4 -> Printf.sprintf "this.%s = %s;" (field ()) (expr ())
+    | 5 -> Printf.sprintf "%s++;" (var ())
+    | 6 -> Printf.sprintf "try { %s = %s; } catch (Exception %s) { }" (var ()) (expr ()) (var ())
+    | 7 -> Printf.sprintf "for (%s %s : items) { %s = %s; }" (ty ()) (var ()) (var ()) (expr ())
+    | _ -> Printf.sprintf "%s.%s();" (var ()) (meth ())
+  in
+  for j = 0 to nc - 1 do
+    Printf.bprintf b "class %s extends %s {\n" (cls j) (if j = 0 then "Activity" else cls (j - 1));
+    for f = 0 to Prng.int rng 3 do
+      Printf.bprintf b "  %s f%d%s;\n" (ty ()) f (if Prng.bool rng ~p:0.5 then " = " ^ expr () else "")
+    done;
+    for m = 0 to Prng.int rng 3 do
+      Printf.bprintf b "  %s m%d(%s p, int i) {\n" (ty ()) m (ty ());
+      for _ = 0 to 2 + Prng.int rng 6 do
+        Printf.bprintf b "    %s\n" (stmt ())
+      done;
+      Printf.bprintf b "    return %s;\n  }\n" (expr ())
+    done;
+    Buffer.add_string b "}\n"
+  done;
+  Buffer.contents b
+
+(* Every resolver answer of [a] for unit [u], as [answers] does for
+   Python. *)
+let java_answers b (a : Java_analysis.t) u =
+  let opt = function Some s -> s | None -> "-" in
+  let rec leaves (t : Namer_tree.Tree.t) acc =
+    if t.children = [] then t.value :: acc else List.fold_right leaves t.children acc
+  in
+  List.iter
+    (fun (s : Namer_javalang.Java_lower.stmt_info) ->
+      let o = Java_analysis.origins_for a ~cls:s.enclosing_class ~fn:s.enclosing_function in
+      List.iter
+        (fun x ->
+          Printf.bprintf b "%d %s %s %s %s\n" s.line x
+            (opt (o.Namer_namepath.Origins.var_origin x))
+            (opt (o.attr_origin x)) (opt (o.call_origin x)))
+        ("this" :: leaves s.tree []))
+    (Namer_javalang.Java_lower.lower_unit u)
+
+(* The digest of every answer over a generated Java corpus and 200 flow-
+   heavy programs, computed by the string-keyed analysis this one
+   replaced. *)
+let test_java_origins_digest () =
+  let cfg =
+    { (Namer_corpus.Corpus.default_config Namer_corpus.Corpus.Java) with
+      Namer_corpus.Corpus.n_repos = 10; seed = 5 }
+  in
+  let rng = Prng.create 2024 in
+  let sources =
+    List.map (fun (f : Namer_corpus.Corpus.file) -> f.source) (Namer_corpus.Corpus.generate cfg).files
+    @ List.init 200 (fun _ -> java_flow_program rng)
+  in
+  let b = Buffer.create (1 lsl 20) in
+  List.iteri
+    (fun i src ->
+      let u = Namer_javalang.Java_parser.parse_compilation_unit src in
+      Printf.bprintf b "file %d\n" i;
+      java_answers b (Java_analysis.analyze u) u)
+    sources;
+  Alcotest.(check string) "digest of every origins_for answer" "876120136321d235d478e11f84290fbf"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* A file whose contexts overflow the budget is analysed context-
    insensitively: the same answers as [analyze ~k:0]. *)
 let test_py_budget_overflow_is_k0 () =
@@ -582,6 +692,7 @@ let discovery_suite =
     Alcotest.test_case "py: instances grow with k" `Quick test_py_instances_grow_with_k;
     Alcotest.test_case "py: origins digest" `Quick test_py_origins_digest;
     Alcotest.test_case "py: budget overflow = k 0" `Quick test_py_budget_overflow_is_k0;
+    Alcotest.test_case "java: origins digest" `Quick test_java_origins_digest;
   ]
 
 let suite = suite @ discovery_suite

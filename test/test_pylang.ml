@@ -3,6 +3,7 @@
 
 open Namer_pylang
 module Tree = Namer_tree.Tree
+module Tokbuf = Namer_util.Tokbuf
 
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
@@ -25,8 +26,7 @@ let sexp_of_last src =
 (* The lexer's token buffer as (kind, text, line) triples. *)
 let tokens src =
   let b = Py_lexer.tokenize src in
-  List.init (Py_lexer.length b) (fun i ->
-      (Py_lexer.kind b i, Py_lexer.text b i, Py_lexer.line b i))
+  List.init (Tokbuf.length b) (fun i -> (Tokbuf.kind b i, Tokbuf.text b i, Tokbuf.line b i))
 
 let test_lexer_layout () =
   let toks = tokens "if x:\n    y = 1\nz = 2\n" in
