@@ -1,5 +1,5 @@
 # Contributor entry points for what .github/workflows/ci.yml checks; the
-# fuzz-, obs-, scale-, serve- and merge-smoke CI jobs run these targets as they are, so
+# bench-, fuzz-, obs-, scale-, serve- and merge-smoke CI jobs run these targets as they are, so
 # CI is reproducible locally with one command.  Tool-dependent targets (fmt, doc)
 # skip with a notice when the tool is not installed rather than failing,
 # matching the CI jobs that install them explicitly.

@@ -124,12 +124,6 @@ let serve_bench (t : Namer.t) (corpus : Corpus.t) ~jobs =
   let module J = Namer_util.Json in
   let module Serve = Namer_serve.Serve in
   let module Client = Namer_serve.Client in
-  let rec mkdir_p d =
-    if not (Sys.file_exists d) then begin
-      mkdir_p (Filename.dirname d);
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
   let tmp = Filename.temp_file "namer_servebench" "" in
   Sys.remove tmp;
   Unix.mkdir tmp 0o700;
@@ -142,7 +136,7 @@ let serve_bench (t : Namer.t) (corpus : Corpus.t) ~jobs =
   List.iter
     (fun (f : Corpus.file) ->
       let path = Filename.concat dir f.Corpus.path in
-      mkdir_p (Filename.dirname path);
+      Namer_util.Fs.mkdir_p (Filename.dirname path);
       let oc = open_out_bin path in
       output_string oc f.Corpus.source;
       close_out oc)
@@ -213,12 +207,6 @@ let scale_bench ~jobs ~n_files () =
   let module J = Namer_util.Json in
   let lang = Corpus.Python in
   Printf.printf "### Scale: streaming frontend, %d generated files ###\n\n" n_files;
-  let rec mkdir_p d =
-    if not (Sys.file_exists d) then begin
-      mkdir_p (Filename.dirname d);
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
   let tmp = Filename.temp_file "namer_scale" "" in
   Sys.remove tmp;
   Unix.mkdir tmp 0o700;
@@ -233,7 +221,7 @@ let scale_bench ~jobs ~n_files () =
       let full = Filename.concat tmp path in
       let dir = Filename.dirname full in
       if dir <> !last_dir then begin
-        mkdir_p dir;
+        Namer_util.Fs.mkdir_p dir;
         last_dir := dir
       end;
       let oc = open_out_bin full in

@@ -35,7 +35,6 @@ module Corpus = Namer_corpus.Corpus
 module Namer = Namer_core.Namer
 module Pattern = Namer_pattern.Pattern
 module Telemetry = Namer_telemetry.Telemetry
-module Events = Namer_obs.Events
 module Ledger = Namer_obs.Ledger
 module Serve = Namer_serve.Serve
 module Openmetrics = Namer_obs.Openmetrics
@@ -52,22 +51,16 @@ let quiet_flag = ref false
 let progress fmt =
   Printf.ksprintf
     (fun msg ->
-      Events.emit ~fields:[ ("msg", J.String msg) ] Events.Info "cli.progress";
+      Telemetry.emit ~fields:[ ("msg", J.String msg) ] Telemetry.Info "cli.progress";
       if not !quiet_flag then Telemetry.progressf "%s" msg)
     fmt
 
 let progress_err fmt =
   Printf.ksprintf
     (fun msg ->
-      Events.emit ~fields:[ ("msg", J.String msg) ] Events.Error "cli.error";
+      Telemetry.emit ~fields:[ ("msg", J.String msg) ] Telemetry.Error "cli.error";
       Telemetry.progressf "%s" msg)
     fmt
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
 
 (* ---------------- observability plumbing ---------------- *)
 
@@ -100,7 +93,7 @@ let log_json_arg =
   Arg.(value & opt (some string) None & info [ "log-json" ] ~docv:"FILE"
          ~doc:"Stream structured JSONL events (leveled, with trace/span ids \
                propagated across worker domains) to $(docv); use '-' for \
-               stderr.")
+               stderr.  Turns telemetry recording on for the run.")
 
 let ledger_dir_arg =
   Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"DIR"
@@ -146,8 +139,11 @@ let default_stats_path () =
 let obs_setup ~cmd obs =
   quiet_flag := obs.o_quiet;
   (match obs.o_log_json with
-  | Some "-" -> Events.set_sink (Some `Stderr)
-  | Some path -> Events.set_sink (Some (`File path))
+  | Some dest -> (
+      try Telemetry.open_log (if dest = "-" then `Stderr else `File dest)
+      with Sys_error e ->
+        progress_err "error: cannot open event log: %s" e;
+        exit 1)
   | None -> ());
   (* the ledger and the exporter both read the metric registry, so any of
      them switches telemetry on *)
@@ -162,9 +158,9 @@ let obs_setup ~cmd obs =
   end;
   let argv = Array.to_list Sys.argv in
   let t_start = Unix.gettimeofday () and alloc_start = Telemetry.program_alloc_mb () in
-  Events.emit
+  Telemetry.emit
     ~fields:[ ("cmd", J.String cmd); ("argv", J.List (List.map (fun a -> J.String a) argv)) ]
-    Events.Info "cli.start";
+    Telemetry.Info "cli.start";
   fun ?(extra = []) () ->
     if telemetry_on then begin
       if obs.o_metrics then begin
@@ -205,7 +201,7 @@ let obs_setup ~cmd obs =
       | None -> ());
       let stats_path = default_stats_path () in
       (try
-         mkdir_p (Filename.dirname stats_path);
+         Namer_util.Fs.mkdir_p (Filename.dirname stats_path);
          Telemetry.write_metrics ~path:stats_path
        with Sys_error _ -> ());
       (match obs.o_ledger with
@@ -220,7 +216,7 @@ let obs_setup ~cmd obs =
                  ("cmd", J.String cmd);
                  ("argv", J.List (List.map (fun a -> J.String a) argv));
                  ("git", J.String (Ledger.git_describe ()));
-                 ("trace", J.String (Events.current ()).Events.trace);
+                 ("trace", J.String Telemetry.trace_id);
                  ("stages", Telemetry.stages_json ());
                  ("counters", Telemetry.counters_json ());
                  ("peak_rss_kb", J.Int (Ledger.peak_rss_kb ()));
@@ -232,8 +228,8 @@ let obs_setup ~cmd obs =
             progress_err "warning: cannot append to run ledger: %s" e)
       | None -> ())
     end;
-    Events.emit ~fields:[ ("cmd", J.String cmd) ] Events.Info "cli.finish";
-    Events.close ()
+    Telemetry.emit ~fields:[ ("cmd", J.String cmd) ] Telemetry.Info "cli.finish";
+    Telemetry.close_log ()
 
 let lang_conv =
   let parse = function
@@ -279,7 +275,7 @@ let corpus_gen lang files files_per_repo seed out =
       let full = Filename.concat out path in
       let dir = Filename.dirname full in
       if dir <> !last_dir then begin
-        mkdir_p dir;
+        Namer_util.Fs.mkdir_p dir;
         last_dir := dir
       end;
       let oc = open_out_bin full in

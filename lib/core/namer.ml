@@ -27,7 +27,6 @@ module Features = Namer_classifier.Features
 module Corpus = Namer_corpus.Corpus
 module Prng = Namer_util.Prng
 module Telemetry = Namer_telemetry.Telemetry
-module Events = Namer_obs.Events
 module Pool = Namer_parallel.Pool
 module Shard = Namer_parallel.Shard
 module Accumulator = Namer_parallel.Accumulator
@@ -204,13 +203,13 @@ let chunk n xs =
 
 let skip_file ~path reason =
   Telemetry.count "scan.files_skipped";
-  Events.emit
+  Telemetry.emit
     ~fields:
       [
         ("file", Namer_util.Json.String path);
         ("reason", Namer_util.Json.String reason);
       ]
-    Events.Warn "scan.file_skipped";
+    Telemetry.Warn "scan.file_skipped";
   ([], Some { sk_file = path; sk_reason = reason })
 
 (* [hash_trees]: whether each statement's context carries [Tree.hash] of
@@ -454,13 +453,13 @@ let digest_refs ?pool ~shards ~(cfg : config) ~lang (refs : file_ref list) :
     (chunk (max 1 cfg.digest_batch) refs);
   let stmts = List.rev !stmts_rev and skipped = List.rev !skips_rev in
   if skipped <> [] then begin
-    Events.emit
+    Telemetry.emit
       ~fields:
         [
           ("skipped", Namer_util.Json.Int (List.length skipped));
           ("total", Namer_util.Json.Int n_files);
         ]
-      Events.Warn "build.degraded"
+      Telemetry.Warn "build.degraded"
   end;
   Telemetry.count ~by:(List.length stmts) "build.statements_digested";
   (stmts, skipped)
@@ -1544,13 +1543,13 @@ let scan_refs ?(jobs = 1) ?(cap_domains = true) ?pool ?cache_dir (m : model)
   in
   let skipped = List.filter_map (fun (_, _, skip, _) -> skip) rows in
   if skipped <> [] then begin
-    Events.emit
+    Telemetry.emit
       ~fields:
         [
           ("skipped", Namer_util.Json.Int (List.length skipped));
           ("total", Namer_util.Json.Int (List.length refs));
         ]
-      Events.Warn "scan.degraded"
+      Telemetry.Warn "scan.degraded"
   end;
   let reports =
     List.concat_map

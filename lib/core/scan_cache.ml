@@ -70,16 +70,10 @@ let find ~dir ~model_hash ~src_digest =
     | exception (Snapshot.Error _ | Binio.R.Corrupt _) ->
         (* undecodable = miss: the caller rescans and overwrites the entry *)
         Telemetry.count "scan_cache.undecodable";
-        Namer_obs.Events.emit
+        Telemetry.emit
           ~fields:[ ("entry", Namer_util.Json.String path) ]
-          Namer_obs.Events.Warn "scan_cache.undecodable";
+          Telemetry.Warn "scan_cache.undecodable";
         None
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
 
 (* Best-effort and atomic: [Snapshot.write] publishes via temp + rename,
    so when two processes (the serve daemon and a CLI scan) populate the
@@ -91,6 +85,6 @@ let rec mkdir_p dir =
 let store ~dir ~model_hash ~src_digest entries =
   let path = entry_path ~dir ~model_hash ~src_digest in
   try
-    mkdir_p (Filename.dirname path);
+    Namer_util.Fs.mkdir_p (Filename.dirname path);
     Snapshot.write ~path (encode entries)
   with Sys_error _ | Unix.Unix_error _ -> Telemetry.count "scan_cache.write_failures"

@@ -100,19 +100,13 @@ let minimize ~still_crashes src =
 (* The on-disk crash corpus                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let write ~out crash =
   let ext = match crash.c_lang with Corpus.Python -> ".py" | Corpus.Java -> ".java" in
   let dir = Filename.concat out crash.c_bucket in
   let base = Printf.sprintf "crash-%06d" crash.c_iter in
   let src_path = Filename.concat dir (base ^ ext) in
   try
-    mkdir_p dir;
+    Namer_util.Fs.mkdir_p dir;
     let oc = open_out_bin src_path in
     output_string oc crash.c_input;
     close_out oc;

@@ -358,6 +358,15 @@ module Interned = struct
     else
       steps_of tr ({ value = tr.value.(node); index = tr.index.(node) } :: acc) tr.parent.(node)
 
+  (* The step list of a new path at [node]: the one path [pid] holds when
+     [pid]'s prefix is [prefix], else the node's own.  A whole-path text can
+     split into prefix and end at another space when an end or a value holds
+     one (the text of prefix [""; 0] and end "b" is that of the root prefix
+     and end "0 b"), so [pid] may be a path under another prefix. *)
+  let steps_at tb tr node ~prefix pid =
+    if pid >= 0 && tb.pid_prefix_id.(pid) = prefix then tb.by_pid.(pid).prefix
+    else steps_of tr [] node
+
   (* Prefix id of a node, interning its text the first time. *)
   let node_prefix tb tr node =
     let p = tr.pfx.(node) in
@@ -400,8 +409,7 @@ module Interned = struct
     done;
     if !found >= 0 then !found
     else begin
-      let sym = tr.tsym.(node) in
-      let steps = if sym >= 0 then tb.by_pid.(sym).prefix else steps_of tr [] node in
+      let steps = steps_at tb tr node ~prefix tr.tsym.(node) in
       let text = Interner.name tb.prefixes prefix ^ " " ^ e in
       let pid = intern_path tb { prefix = steps; end_node = Some e } text ~prefix ~end_ in
       tr.pid_prefix.(!i) <- prefix;
@@ -416,7 +424,7 @@ module Interned = struct
     let s = tr.tsym.(node) in
     if s >= 0 then s
     else begin
-      let np = { prefix = tb.by_pid.(pid).prefix; end_node = None } in
+      let np = { prefix = steps_at tb tr node ~prefix pid; end_node = None } in
       let s = intern_path tb np (Interner.name tb.prefixes prefix ^ " ϵ") ~prefix ~end_:(-1) in
       tr.tsym.(node) <- s;
       s

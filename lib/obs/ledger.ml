@@ -18,12 +18,6 @@ let default_dir () =
 
 let path ~dir = Filename.concat dir "ledger.jsonl"
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let write_all fd s =
   let b = Bytes.of_string s in
   let n = Bytes.length b in
@@ -33,7 +27,7 @@ let write_all fd s =
   go 0
 
 let append ~dir record =
-  mkdir_p dir;
+  Namer_util.Fs.mkdir_p dir;
   let file = path ~dir in
   let fd = Unix.openfile file [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
   Fun.protect

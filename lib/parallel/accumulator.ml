@@ -13,7 +13,7 @@ let plan ?key ~shards xs =
   | Some key -> Shard.contiguous_by_key ~shards ~key xs
   | None -> Shard.contiguous ~shards xs
 
-module Events = Namer_obs.Events
+module Telemetry = Namer_telemetry.Telemetry
 
 let sharded_map ?pool ?key ~shards f xs =
   let shards_l = plan ?key ~shards xs in
@@ -22,17 +22,17 @@ let sharded_map ?pool ?key ~shards f xs =
   | Some pool ->
       (* each shard announces itself from its worker domain, so the event
          log shows which domain/span ran which shard; emission is a no-op
-         (and the fields unallocated) when no sink is live, keeping the
+         (and the fields unallocated) while the log is closed, keeping the
          hot path untouched *)
       let run_shard idx shard =
-        if Events.enabled () then
-          Events.emit
+        if Telemetry.logging () then
+          Telemetry.emit
             ~fields:
               [
                 ("shard", Namer_util.Json.Int idx);
                 ("items", Namer_util.Json.Int (List.length shard));
               ]
-            Events.Debug "pool.shard";
+            Telemetry.Debug "pool.shard";
         f shard
       in
       let indexed = List.mapi (fun i s -> (i, s)) shards_l in
@@ -47,10 +47,10 @@ let sharded_map ?pool ?key ~shards f xs =
           match result with
           | Ok v -> v
           | Error _ ->
-              Namer_telemetry.Telemetry.count "pool.shard_retries";
-              Events.emit
+              Telemetry.count "pool.shard_retries";
+              Telemetry.emit
                 ~fields:[ ("shard", Namer_util.Json.Int idx) ]
-                Events.Warn "pool.shard_retry";
+                Telemetry.Warn "pool.shard_retry";
               f shard)
         indexed
         (Pool.map_list_results pool (fun (idx, shard) -> run_shard idx shard) indexed)

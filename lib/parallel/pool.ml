@@ -2,7 +2,6 @@
     interface for the execution/determinism contract. *)
 
 module Telemetry = Namer_telemetry.Telemetry
-module Events = Namer_obs.Events
 
 (* ------------------------------------------------------------------ *)
 (* Work-stealing deque                                                 *)
@@ -125,7 +124,7 @@ let run_task t i task =
   try task ()
   with _ ->
     Telemetry.count "pool.task_escapes";
-    Events.emit ~fields:[ ("worker", Namer_util.Json.Int i) ] Events.Warn "pool.task_escape"
+    Telemetry.emit ~fields:[ ("worker", Namer_util.Json.Int i) ] Telemetry.Warn "pool.task_escape"
 
 (* ------------------------------------------------------------------ *)
 (* Futures                                                             *)
@@ -242,11 +241,11 @@ let create ~domains () = make ~caller_works:false domains
 
 let submit ?on t f =
   let fut = { fm = Mutex.create (); fc = Condition.create (); state = Pending; pool = t } in
-  (* span-context propagation: capture the submitter's trace/span here, on
-     the submitting domain, so the task runs on its worker domain under a
-     child span of the submitter — same trace, fresh span.  Captured only
-     when the event log is live; disabled, submit stays allocation-free. *)
-  let parent = if Events.enabled () then Some (Events.current ()) else None in
+  (* span-context propagation: the trace is the process's, so a child of
+     the submitter's context is a fresh span id.  Whether to give the task
+     one is decided here, on the submitting domain, while the log is open;
+     closed, the task runs as it is. *)
+  let logged = Telemetry.logging () in
   let task () =
     (* fault point: a poisoned task raising mid-flight.  It sits inside the
        catch-all on purpose — an injected fault fails exactly this future,
@@ -262,9 +261,7 @@ let submit ?on t f =
       in
       resolve fut st
     in
-    match parent with
-    | None -> run ()
-    | Some p -> Events.with_ctx (Events.child p) run
+    if logged then Telemetry.with_child_span run else run ()
   in
   let n = Array.length t.deques in
   let i =

@@ -1,7 +1,6 @@
 module J = Namer_util.Json
 module Fault = Namer_util.Fault
 module Telemetry = Namer_telemetry.Telemetry
-module Events = Namer_obs.Events
 module Pool = Namer_parallel.Pool
 module Corpus = Namer_corpus.Corpus
 module Namer = Namer_core.Namer
@@ -420,14 +419,14 @@ let handle_reload t req =
             prev)
       in
       Telemetry.count "serve.reloads";
-      Events.emit
+      Telemetry.emit
         ~fields:
           [
             ("model", J.String m.Namer.m_hash);
             ("previous", J.String previous);
             ("path", J.String path);
           ]
-        Events.Info "serve.reload";
+        Telemetry.Info "serve.reload";
       J.Obj
         [
           ("ok", J.Bool true);
@@ -489,7 +488,7 @@ let handle_request t ~conn_id ~req_id line =
   locked t (fun () -> Telemetry.Histogram.add t.latency ms);
   Telemetry.observe "serve.request_ms" ms;
   let ok = match field "ok" response with Some (J.Bool b) -> b | _ -> false in
-  Events.emit
+  Telemetry.emit
     ~fields:
       [
         ("conn", J.String conn_id);
@@ -498,7 +497,7 @@ let handle_request t ~conn_id ~req_id line =
         ("ms", J.Float ms);
         ("req_ok", J.Bool ok);
       ]
-    Events.Info "serve.request";
+    Telemetry.Info "serve.request";
   (response, keep)
 
 (* ---------------- connection loop ---------------- *)
@@ -523,7 +522,7 @@ let conn_loop t conn_id fd =
         leftover := String.sub !leftover (i + 1) (String.length !leftover - i - 1);
         if String.trim line = "" then loop ()
         else begin
-          let req_id = Events.fresh_id () in
+          let req_id = Telemetry.fresh_id () in
           let response, keep = handle_request t ~conn_id ~req_id line in
           if respond_safe response && keep then loop ()
         end
@@ -561,14 +560,14 @@ let conn_loop t conn_id fd =
   (try loop ()
    with e ->
      Telemetry.count "serve.errors";
-     Events.emit
+     Telemetry.emit
        ~fields:[ ("conn", J.String conn_id); ("error", J.String (Printexc.to_string e)) ]
-       Events.Error "serve.conn.crashed")
+       Telemetry.Error "serve.conn.crashed")
 
 (* ---------------- accept loop and drain ---------------- *)
 
 let spawn_conn t fd =
-  let conn_id = Events.fresh_id () in
+  let conn_id = Telemetry.fresh_id () in
   let key = locked t (fun () ->
       let k = t.next_conn in
       t.next_conn <- k + 1;
@@ -576,7 +575,7 @@ let spawn_conn t fd =
       k)
   in
   Telemetry.count "serve.connections";
-  Events.emit ~fields:[ ("conn", J.String conn_id) ] Events.Info "serve.conn.open";
+  Telemetry.emit ~fields:[ ("conn", J.String conn_id) ] Telemetry.Info "serve.conn.open";
   let th =
     Thread.create
       (fun () ->
@@ -584,7 +583,7 @@ let spawn_conn t fd =
           ~finally:(fun () ->
             locked t (fun () -> Hashtbl.remove t.conns key);
             (try Unix.close fd with Unix.Unix_error _ -> ());
-            Events.emit ~fields:[ ("conn", J.String conn_id) ] Events.Info "serve.conn.close")
+            Telemetry.emit ~fields:[ ("conn", J.String conn_id) ] Telemetry.Info "serve.conn.close")
           (fun () -> conn_loop t conn_id fd))
       ()
   in
@@ -663,14 +662,14 @@ let endpoint_string = function
   | Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p
 
 let serve_forever t =
-  Events.emit
+  Telemetry.emit
     ~fields:
       [
         ("endpoint", J.String (endpoint_string t.resolved));
         ("model", J.String (model_hash t));
         ("jobs", J.Int t.cfg.sv_jobs);
       ]
-    Events.Info "serve.start";
+    Telemetry.Info "serve.start";
   accept_loop t;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (match t.resolved with
@@ -681,12 +680,12 @@ let serve_forever t =
   (try Unix.close t.stop_r with Unix.Unix_error _ -> ());
   (try Unix.close t.stop_w with Unix.Unix_error _ -> ());
   let stats = stats_of t in
-  Events.emit
+  Telemetry.emit
     ~fields:
       [
         ("requests", J.Int stats.st_requests);
         ("scans", J.Int stats.st_scans);
         ("connections", J.Int stats.st_connections);
       ]
-    Events.Info "serve.stop";
+    Telemetry.Info "serve.stop";
   stats

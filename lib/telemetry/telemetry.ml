@@ -16,7 +16,12 @@
     domains × (stage + counter names + histogram names × {!Histogram.capacity}
     floats), however many spans close.  {!Trace} also keeps every closed span,
     tagged with its domain, so a [--jobs N] run exports one timeline lane per
-    domain. *)
+    domain.
+
+    The structured event log ({!open_log}, {!emit}) lives here too: one
+    JSONL line per event, correlated by the process trace id and the
+    calling domain's current span id, which sits in that domain's
+    registry. *)
 
 type sink = Null | Memory | Trace
 
@@ -107,6 +112,7 @@ type registry = {
      started in the same microsecond; a registry serves one live domain *)
   mutable depth : int;
   mutable seq : int;
+  mutable log_span : int;  (** the event log's current span id; [-1] before the first *)
 }
 
 let sink = ref Null
@@ -126,10 +132,10 @@ let registry_key : registry Domain.DLS.key =
       let r =
         Mutex.protect registries_lock (fun () ->
             match !retired with
-            | r :: rest -> retired := rest; r
+            | r :: rest -> retired := rest; r.log_span <- -1; r
             | [] ->
                 let r = { lock = Mutex.create (); counts = Hashtbl.create 64; aggs = Hashtbl.create 32;
-                          hists = Hashtbl.create 8; trace = []; depth = 0; seq = 0 } in
+                          hists = Hashtbl.create 8; trace = []; depth = 0; seq = 0; log_span = -1 } in
                 registries := r :: !registries;
                 r)
       in
@@ -141,13 +147,18 @@ let registry () = Domain.DLS.get registry_key
 let locked r f = Mutex.protect r.lock f
 let all_registries () = Mutex.protect registries_lock (fun () -> !registries)
 
+(* whether {!open_log} switched recording on, so {!close_log} switches it
+   back off; an explicit {!set_sink} takes over *)
+let log_raised = ref false
+
 (** [set_sink s] switches recording off ([Null]), to aggregates only
     ([Memory]) or to aggregates plus every closed span ([Trace]).
     Switching does not discard already-recorded data; use {!reset} for a
     clean slate. *)
 let set_sink (s : sink) =
   if s <> Null && !epoch = 0.0 then epoch := Unix.gettimeofday ();
-  sink := s
+  sink := s;
+  log_raised := false
 
 let enabled () = !sink <> Null
 
@@ -250,6 +261,114 @@ let observe name v =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Event log                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(** Event levels, least severe first. *)
+type level = Debug | Info | Warn | Error
+
+let level_name = function Debug -> "debug" | Info -> "info" | Warn -> "warn" | Error -> "error"
+
+type log = { oc : out_channel; min_level : level }
+
+let log : log option ref = ref None
+let log_lock = Mutex.create ()
+
+(** The process's trace id, from wall clock and pid, so two runs appending
+    to one log stay apart.  Every event carries it, and so does every
+    ledger record. *)
+let trace_id =
+  let t = Unix.gettimeofday () in
+  Printf.sprintf "%08x%06x"
+    (int_of_float t land 0xffffffff)
+    ((Unix.getpid () lxor int_of_float (t *. 1e6)) land 0xffffff)
+
+(* Span ids come from one process-wide counter, so they are unique across
+   domains. *)
+let span_counter = Atomic.make 0
+let fresh_span () = Atomic.fetch_and_add span_counter 1
+let hex_id n = Printf.sprintf "%06x" n
+
+(** A fresh process-unique hex id from the span counter.  The serve daemon
+    labels connections and requests with these, so every event of one
+    request joins back to its connection: its connection handlers are
+    threads that share one domain, and so one span. *)
+let fresh_id () = hex_id (fresh_span ())
+
+let logging () = Option.is_some !log
+
+(** [close_log ()] flushes and closes the event log, and switches recording
+    back off if {!open_log} switched it on. *)
+let close_log () =
+  Mutex.protect log_lock (fun () ->
+      Option.iter
+        (fun l -> if l.oc == stderr then flush stderr else try close_out l.oc with Sys_error _ -> ())
+        !log;
+      log := None);
+  if !log_raised then set_sink Null
+
+(** [open_log ?min_level dest] opens the event log, truncating an existing
+    file, and closes any log open before.  Events below [min_level]
+    (default [Debug]: keep everything) are dropped.  An open log turns
+    recording on ([Memory] if the sink was [Null]), so each domain's span
+    id has its registry to live in.  @raise Sys_error if the file cannot be
+    opened. *)
+let open_log ?(min_level = Debug) dest =
+  close_log ();
+  let oc = match dest with `File path -> open_out path | `Stderr -> stderr in
+  Mutex.protect log_lock (fun () -> log := Some { oc; min_level });
+  if !sink = Null then begin
+    set_sink Memory;
+    log_raised := true
+  end
+
+(* The calling domain's span id, allocated on its first event. *)
+let current_span r =
+  if r.log_span < 0 then r.log_span <- fresh_span ();
+  r.log_span
+
+(** [with_child_span f] runs [f] under a fresh span id of the process
+    trace, restoring the domain's span afterwards (also on exceptions).
+    {!Namer_parallel.Pool.submit} runs each task this way while the log is
+    open. *)
+let with_child_span f =
+  let r = registry () in
+  let saved = r.log_span in
+  r.log_span <- fresh_span ();
+  Fun.protect ~finally:(fun () -> r.log_span <- saved) f
+
+module J = Namer_util.Json
+
+(** [emit ~fields level event] writes one JSON line, flushed, when the log
+    is open and [level] is at least its [min_level]: [ts], [level],
+    [event], [trace], [span] and [domain], then [fields], whose names
+    should not repeat those. *)
+let emit ?(fields = []) level event =
+  match !log with
+  | Some l when level >= l.min_level ->
+      let line =
+        J.to_string
+          (J.Obj
+             ([
+                ("ts", J.Float (Unix.gettimeofday ()));
+                ("level", J.String (level_name level));
+                ("event", J.String event);
+                ("trace", J.String trace_id);
+                ("span", J.String (hex_id (current_span (registry ()))));
+                ("domain", J.Int (Domain.self () :> int));
+              ]
+             @ fields))
+      in
+      Mutex.protect log_lock (fun () ->
+          Option.iter
+            (fun l ->
+              output_string l.oc line;
+              output_char l.oc '\n';
+              flush l.oc)
+            !log)
+  | _ -> ()
+
+(* ------------------------------------------------------------------ *)
 (* Reading back: registries merged                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -339,8 +458,6 @@ let histogram_table () =
   Namer_util.Tablefmt.render ~caption:"telemetry: histograms"
     ~header:[ "histogram"; "n"; "mean"; "p50"; "p90"; "p99" ]
     rows
-
-module J = Namer_util.Json
 
 (** Chrome [trace_event] JSON: complete ("X") events sorted by start time,
     microsecond timestamps, one process/thread.  Load the file in

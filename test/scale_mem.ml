@@ -15,12 +15,6 @@
 module Corpus = Namer_corpus.Corpus
 module Namer = Namer_core.Namer
 
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let gen_refs tmp ~n_files =
   let refs_rev = ref [] and last_dir = ref "" in
   Corpus.write_scale ~lang:Corpus.Python ~seed:42 ~files_per_repo:50 ~n_files
@@ -28,7 +22,7 @@ let gen_refs tmp ~n_files =
       let full = Filename.concat tmp path in
       let dir = Filename.dirname full in
       if dir <> !last_dir then begin
-        mkdir_p dir;
+        Namer_util.Fs.mkdir_p dir;
         last_dir := dir
       end;
       let oc = open_out_bin full in

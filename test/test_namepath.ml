@@ -254,6 +254,15 @@ let test_extract_tree_edges () =
   check_bool "leaf at the root" true (fused_agrees ~limit:10 [ leaf ]);
   check_bool "more leaves than the limit" true (fused_agrees ~limit:10 [ wide; wide ]);
   check_bool "colliding prefix texts" true (fused_agrees ~limit:10 [ two_steps; one_step ]);
+  (* qcheck's shrunk counterexample: the whole-path text " 0 b" is both
+     prefix [""; 0] with end "b" and the root prefix with end "0 b", so the
+     root's symbolic path and the root leaf "b" after it must take the
+     root's own (empty) step list, not the colliding path's *)
+  let split_twice =
+    Tree.node "" [ Tree.leaf "b"; Tree.node "b" [ Tree.node "Call" [ Tree.leaf "b"; Tree.leaf "a 0 b" ] ] ]
+  in
+  check_bool "colliding whole-path texts" true
+    (fused_agrees ~limit:1 [ split_twice; Tree.leaf "0 b"; Tree.leaf "b" ]);
   let tb = I.create_table () in
   match (I.extract_tree ~table:tb two_steps, I.extract_tree ~table:tb one_step) with
   | [ p ], [ q ] ->

@@ -1,12 +1,12 @@
 (* Tests for Namer_obs: ledger crash-safety (torn-line recovery, atomic
    concurrent appends), OpenMetrics rendering/validation (exposition
-   format, label escaping), the structured event log with trace/span
-   context propagated across the domain pool, and the ledger trend
+   format, label escaping), telemetry's structured event log with its
+   trace/span context propagated across the domain pool, and the ledger trend
    table/regression gate behind [namer report]. *)
 
 module Ledger = Namer_obs.Ledger
 module Openmetrics = Namer_obs.Openmetrics
-module Events = Namer_obs.Events
+module Telemetry = Namer_telemetry.Telemetry
 module Trend = Namer_obs.Trend
 module J = Namer_util.Json
 
@@ -264,9 +264,8 @@ let test_openmetrics_from_registry () =
 let with_event_log ?min_level f =
   let dir = fresh_dir () in
   let path = Filename.concat dir "events.jsonl" in
-  Events.set_sink ?min_level (Some (`File path));
-  Fun.protect ~finally:(fun () -> Events.close ()) (fun () -> f ());
-  Events.close ();
+  Telemetry.open_log ?min_level (`File path);
+  Fun.protect ~finally:Telemetry.close_log f;
   let lines =
     read_file path |> String.split_on_char '\n'
     |> List.filter (fun l -> String.trim l <> "")
@@ -288,10 +287,10 @@ let str = function J.String s -> s | _ -> Alcotest.fail "expected string"
 
 let test_events_levels_and_shape () =
   let events =
-    with_event_log ~min_level:Events.Info (fun () ->
-        Events.emit Events.Debug "below-threshold";
-        Events.emit ~fields:[ ("n", J.Int 3) ] Events.Info "kept";
-        Events.emit Events.Error "also-kept")
+    with_event_log ~min_level:Telemetry.Info (fun () ->
+        Telemetry.emit Telemetry.Debug "below-threshold";
+        Telemetry.emit ~fields:[ ("n", J.Int 3) ] Telemetry.Info "kept";
+        Telemetry.emit Telemetry.Error "also-kept")
   in
   Alcotest.(check int) "debug filtered by min level" 2 (List.length events);
   let first = List.hd events in
@@ -305,24 +304,23 @@ let test_events_levels_and_shape () =
 let test_events_child_ctx () =
   let events =
     with_event_log (fun () ->
-        Events.emit Events.Info "parent";
-        let c = Events.current () in
-        Events.with_ctx (Events.child c) (fun () -> Events.emit Events.Info "child");
-        Events.emit Events.Info "parent-again")
+        Telemetry.emit Telemetry.Info "parent";
+        Telemetry.with_child_span (fun () -> Telemetry.emit Telemetry.Info "child");
+        Telemetry.emit Telemetry.Info "parent-again")
   in
   match events with
   | [ p1; c; p2 ] ->
       Alcotest.(check string) "same trace" (str (field "trace" p1)) (str (field "trace" c));
       Alcotest.(check bool) "child gets fresh span" true
         (str (field "span" c) <> str (field "span" p1));
-      Alcotest.(check string) "ctx restored after with_ctx"
+      Alcotest.(check string) "span restored after with_child_span"
         (str (field "span" p1)) (str (field "span" p2))
   | _ -> Alcotest.fail "expected three events"
 
-let test_pool_span_propagation () =
-  (* acceptance: under jobs=4 the event log carries distinct per-task span
-     contexts within one trace, and the sharded result is identical to the
-     sequential one *)
+(* The [pool.shard] events of an 8-shard map on a real 4-domain pool,
+   checked to be one per shard, byte-identical to the sequential map, and
+   each under a span of its own within one trace. *)
+let check_pool_shard_spans () =
   let module Pool = Namer_parallel.Pool in
   let module Acc = Namer_parallel.Accumulator in
   let xs = List.init 64 (fun i -> i) in
@@ -348,6 +346,21 @@ let test_pool_span_propagation () =
     List.sort_uniq compare (List.map (fun e -> str (field "span" e)) shard_events)
   in
   Alcotest.(check int) "every task runs under its own span" 8 (List.length spans)
+
+let test_pool_span_propagation () =
+  (* acceptance: under jobs=4, with telemetry recording, the event log
+     carries distinct per-task span contexts within one trace, and the
+     sharded result is identical to the sequential one *)
+  Telemetry.set_sink Telemetry.Memory;
+  Fun.protect ~finally:(fun () -> Telemetry.set_sink Telemetry.Null) check_pool_shard_spans
+
+(* An open log turns recording on, so each task's span has a registry to
+   live in with telemetry off; closing the log switches recording back off. *)
+let test_pool_span_propagation_sink_null () =
+  Telemetry.set_sink Telemetry.Null;
+  check_pool_shard_spans ();
+  Alcotest.(check bool) "recording off again after the log closes" false
+    (Telemetry.enabled ())
 
 (* ---------------- trend / report ---------------- *)
 
@@ -514,6 +527,8 @@ let suite =
     Alcotest.test_case "events levels and shape" `Quick test_events_levels_and_shape;
     Alcotest.test_case "events child context" `Quick test_events_child_ctx;
     Alcotest.test_case "pool span propagation" `Quick test_pool_span_propagation;
+    Alcotest.test_case "pool span propagation, telemetry sink Null" `Quick
+      test_pool_span_propagation_sink_null;
     Alcotest.test_case "trend rows and table" `Quick test_trend_rows_and_table;
     Alcotest.test_case "trend renders merge rows" `Quick test_trend_merge_row;
     Alcotest.test_case "trend check gate" `Quick test_trend_check_gate;

@@ -437,15 +437,24 @@ let test_telemetry_pool_sums () =
 
 (* A domain spawned after others exited takes over one of their
    registries: telemetry memory is bounded by live domains, not by the
-   domains a long process has spawned. *)
+   domains a long process has spawned.  Each round's three domains hold
+   their registries at the same time, so every round takes the three on
+   top of the retired stack and puts them back: the first round fills the
+   very registries the later ones reuse, however many retired ones,
+   without a [value] window yet, earlier tests left below them. *)
 let test_telemetry_registries_reused () =
   with_telemetry @@ fun () ->
   let round () =
+    let arrived = Atomic.make 0 in
     List.init 3 (fun _ ->
         Domain.spawn (fun () ->
             Telemetry.with_span "work" (fun () ->
                 Telemetry.count "units";
-                Telemetry.observe "value" 1.0)))
+                Telemetry.observe "value" 1.0);
+            Atomic.incr arrived;
+            while Atomic.get arrived < 3 do
+              Domain.cpu_relax ()
+            done))
     |> List.iter Domain.join
   in
   let live_words () =

@@ -21,12 +21,6 @@ let temp_dir prefix =
   Sys.mkdir d 0o700;
   d
 
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-  end
-
 let namer_cfg =
   {
     Namer.default_config with
@@ -58,7 +52,7 @@ let env =
      List.iter
        (fun (f : Corpus.file) ->
          let path = Filename.concat dir f.Corpus.path in
-         mkdir_p (Filename.dirname path);
+         Namer_util.Fs.mkdir_p (Filename.dirname path);
          let oc = open_out_bin path in
          output_string oc f.Corpus.source;
          close_out oc)

@@ -44,12 +44,6 @@ let batch_and_jobs_invariant () =
   Alcotest.(check string) "batch=7 identical" (fingerprint t1) (fingerprint t2);
   Alcotest.(check string) "batch=13 jobs=4 identical" (fingerprint t1) (fingerprint t3)
 
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let with_tmpdir f =
   let tmp = Filename.temp_file "namer_streaming" "" in
   Sys.remove tmp;
@@ -77,7 +71,7 @@ let disk_refs_equal_memory () =
     List.map
       (fun (f : Corpus.file) ->
         let full = Filename.concat tmp f.Corpus.path in
-        mkdir_p (Filename.dirname full);
+        Namer_util.Fs.mkdir_p (Filename.dirname full);
         let oc = open_out_bin full in
         output_string oc f.Corpus.source;
         close_out oc;

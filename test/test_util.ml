@@ -406,4 +406,24 @@ let json_suite =
     Alcotest.test_case "json: parse round trip" `Quick test_json_parse_roundtrip;
   ]
 
-let suite = suite @ json_suite
+(* mkdir_p: parents made, an existing directory accepted, anything else
+   raised *)
+let test_fs_mkdir_p () =
+  let root = Filename.temp_file "namer_fs" "" in
+  Sys.remove root;
+  let nested = Filename.concat (Filename.concat root "a") "b" in
+  Namer_util.Fs.mkdir_p nested;
+  Alcotest.(check bool) "nested directory made" true (Sys.is_directory nested);
+  Namer_util.Fs.mkdir_p nested;
+  let file = Filename.concat root "file" in
+  close_out (open_out file);
+  Alcotest.(check bool) "a file in the way raises" true
+    (match Namer_util.Fs.mkdir_p (Filename.concat file "c") with
+    | () -> false
+    | exception Sys_error _ -> true);
+  Alcotest.(check bool) "a file at the path raises" true
+    (match Namer_util.Fs.mkdir_p file with () -> false | exception Sys_error _ -> true);
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote root)))
+
+let suite =
+  suite @ json_suite @ [ Alcotest.test_case "fs: mkdir_p" `Quick test_fs_mkdir_p ]
