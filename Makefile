@@ -143,7 +143,11 @@ scale-smoke: build
 # mid-traffic) through bench/loadtest.exe, and require the responses to
 # be byte-identical to `namer scan --model`, the name-path interner sizes
 # in `status` to be the same before and after the run (scans never grow
-# it), a clean SIGTERM drain, and a serve row in the run ledger.
+# it), a clean SIGTERM drain, and a serve row in the run ledger.  Cache
+# sharing across processes: a CLI scan of a second corpus into the live
+# daemon's cache dir, after which the daemon scans that corpus with no
+# misses (it indexed the CLI's appends) and the CLI's exact text, and
+# `status` reports the pack's entries and bytes.
 serve-smoke: build
 	@set -eu; \
 	state=$$(mktemp -d); trap 'rm -rf "$$state"' EXIT; \
@@ -154,6 +158,7 @@ serve-smoke: build
 	"$$namer" serve --model "$$state/m.nmdl" --socket "$$state/namer.sock" \
 	  --cache-dir "$$state/cache" --jobs 4 --ledger "$$state/ledger" \
 	  2> "$$state/daemon.err" & pid=$$!; \
+	trap '{ kill "$$pid" && wait "$$pid"; } 2>/dev/null || true; rm -rf "$$state"' EXIT; \
 	for _ in $$(seq 1 100); do [ -S "$$state/namer.sock" ] && break; sleep 0.1; done; \
 	[ -S "$$state/namer.sock" ]; \
 	interner() { python3 -c 'import json, socket, sys; s = socket.socket(socket.AF_UNIX); s.connect(sys.argv[1]); s.sendall(b"{\"op\":\"status\"}\n"); print(json.dumps(json.loads(s.makefile().readline())["interner"], sort_keys=True))' "$$state/namer.sock"; }; \
@@ -168,6 +173,17 @@ serve-smoke: build
 	"$$namer" scan --model "$$state/m.nmdl" --max-reports 100000 "$$state/corpus" \
 	  > "$$state/cli.txt" 2>/dev/null; \
 	diff "$$state/serve.txt" "$$state/cli.txt"; \
+	"$$namer" corpus --files 200 --seed 7 --out "$$state/corpus2" 2>/dev/null; \
+	"$$namer" scan --model "$$state/m.nmdl" --cache-dir "$$state/cache" --max-reports 100000 \
+	  "$$state/corpus2" > "$$state/cli2.txt" 2>/dev/null; \
+	"$$loadtest" --socket "$$state/namer.sock" --dir "$$state/corpus2" \
+	  --clients 1 --requests 1 --max-reports 100000 \
+	  --dump-text "$$state/serve2.txt" --dump-json "$$state/serve2.json" > /dev/null; \
+	python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); print("daemon scan after the CLI: %d hits, %d misses" % (r["cache_hits"], r["cache_misses"])); sys.exit(0 if r["cache_hits"] > 0 and r["cache_misses"] == 0 else "the daemon missed entries the CLI appended")' \
+	  "$$state/serve2.json"; \
+	diff "$$state/serve2.txt" "$$state/cli2.txt"; \
+	python3 -c 'import json, socket, sys; s = socket.socket(socket.AF_UNIX); s.connect(sys.argv[1]); s.sendall(b"{\"op\":\"status\"}\n"); c = json.loads(s.makefile().readline())["cache"]; print("cache: %d entries, %d pack bytes" % (c["entries"], c["pack_bytes"])); sys.exit(0 if c["entries"] > 0 and c["pack_bytes"] > 0 else "status lacks cache entries")' \
+	  "$$state/namer.sock"; \
 	kill -TERM "$$pid"; wait "$$pid"; \
 	[ ! -e "$$state/namer.sock" ]; \
 	grep -q '"cmd":"serve"' "$$state/ledger/ledger.jsonl"; \

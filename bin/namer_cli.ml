@@ -782,6 +782,11 @@ let scan_cmd =
    drain and land one ledger row for the whole daemon lifetime. *)
 let serve model_path socket_path host port jobs cache_dir max_concurrent timeout_ms obs =
   let finish = obs_setup ~cmd:"serve" obs in
+  (* A daemon's peak heap is what it costs its host: hold the major heap
+     nearer its live size than OCaml's default 120% overhead.  On the
+     serve-java benchmark, 80 cut the daemon's top heap by a fifth at the
+     same files per CPU-second. *)
+  Gc.set { (Gc.get ()) with Gc.space_overhead = 80 };
   let endpoint =
     match socket_path with
     | Some path -> Serve.Unix_path path

@@ -1494,10 +1494,10 @@ let scan_refs ?(jobs = 1) ?(cap_domains = true) ?pool ?cache_dir (m : model)
   in
   (* one file: load it, probe the cache on its content digest, digest and
      match on a miss, and store the reports of a cleanly scanned file — the
-     source lives only inside this call (cache reads are lock-free and
-     writes atomic: entries are content-addressed).  A skipped file is
-     never cached: caching its (empty) report list would make later warm
-     scans replay it as cleanly scanned, hiding the degradation; it is
+     source lives only inside this call (a store is one whole-record append
+     and entries are content-addressed, so racing stores agree).  A skipped
+     file is never cached: caching its (empty) report list would make later
+     warm scans replay it as cleanly scanned, hiding the degradation; it is
      re-attempted on every scan instead. *)
   let process checks (r : file_ref) =
     match r.fr_load () with

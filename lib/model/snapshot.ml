@@ -4,7 +4,13 @@ let errf fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 let encode ~magic ~version sections =
   if String.length magic <> 8 then invalid_arg "Snapshot.encode: magic must be 8 bytes";
-  let b = Binio.W.create ~size:(1 lsl 16) () in
+  (* sized exactly: a cache entry of a few hundred bytes allocates no more *)
+  let size =
+    List.fold_left
+      (fun n (name, payload) -> n + 8 + String.length name + String.length payload)
+      24 sections
+  in
+  let b = Binio.W.create ~size () in
   Binio.W.raw b magic;
   Binio.W.u32 b version;
   Binio.W.u32 b (List.length sections);
@@ -59,10 +65,11 @@ let decode ~magic ~desc ~version ?path bytes =
    with Binio.R.Corrupt msg -> errf "%s%s is corrupt: %s" desc where msg)
 
 (* Atomic publish: write to a fresh O_EXCL temp file in the target
-   directory, then rename over [path].  Concurrent writers (daemon + CLI
-   populating the same cache entry, background retrain replacing a live
-   model) each rename their own complete temp file, so a reader only ever
-   sees some complete version — never a torn interleaving.  Flush errors
+   directory, then rename over [path].  This writes models and partials,
+   not the scan cache (which appends to a pack, see Scan_cache).
+   Concurrent writers (a background retrain replacing a live model) each
+   rename their own complete temp file, so a reader only ever sees some
+   complete version — never a torn interleaving.  Flush errors
    must fail the write *before* the rename (renaming a torn temp would
    publish garbage over a possibly-valid entry), and a failed attempt
    must not leak its temp file.  [perm] is applied to the temp file before

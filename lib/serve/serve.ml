@@ -389,11 +389,16 @@ let handle_status t =
         match t.cfg.sv_cache_dir with
         | None -> J.Null
         | Some dir ->
+            let entries, pack_bytes =
+              Namer_core.Scan_cache.pack_stats ~dir ~model_hash:m.Namer.m_hash
+            in
             J.Obj
               [
                 ("dir", J.String dir);
                 ("hits", J.Int (c (fun t -> t.c_cache_hits)));
                 ("misses", J.Int (c (fun t -> t.c_cache_misses)));
+                ("entries", J.Int entries);
+                ("pack_bytes", J.Int pack_bytes);
               ] );
       ("latency_ms", J.Obj [ ("p50", J.Float p50); ("p99", J.Float p99); ("n", J.Int n) ]);
     ]
@@ -509,17 +514,32 @@ let conn_loop t conn_id fd =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO
     (float_of_int t.cfg.sv_timeout_ms /. 1000.0);
   let chunk = Bytes.create 65536 in
-  let leftover = ref "" in
+  (* bytes received and not yet dispatched are [pending] from [start] on;
+     none of [start, searched) is a newline, so each byte is searched once *)
+  let pending = Buffer.create 4096 in
+  let start = ref 0 and searched = ref 0 in
+  let rec newline i =
+    if i >= Buffer.length pending then None
+    else if Buffer.nth pending i = '\n' then Some i
+    else newline (i + 1)
+  in
   let respond_safe json =
     match respond fd json with
     | () -> true
     | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) -> false
   in
   let rec loop () =
-    match String.index_opt !leftover '\n' with
+    match newline !searched with
     | Some i ->
-        let line = String.sub !leftover 0 i in
-        leftover := String.sub !leftover (i + 1) (String.length !leftover - i - 1);
+        let line = Buffer.sub pending !start (i - !start) in
+        start := i + 1;
+        searched := i + 1;
+        if !start = Buffer.length pending then begin
+          (* all dispatched: drop the buffer, however large it grew *)
+          Buffer.reset pending;
+          start := 0;
+          searched := 0
+        end;
         if String.trim line = "" then loop ()
         else begin
           let req_id = Telemetry.fresh_id () in
@@ -527,7 +547,8 @@ let conn_loop t conn_id fd =
           if respond_safe response && keep then loop ()
         end
     | None ->
-        if String.length !leftover > t.cfg.sv_max_request_bytes then begin
+        searched := Buffer.length pending;
+        if Buffer.length pending - !start > t.cfg.sv_max_request_bytes then begin
           locked t (fun () -> t.c_errors <- t.c_errors + 1);
           ignore
             (respond_safe
@@ -538,11 +559,19 @@ let conn_loop t conn_id fd =
           match Unix.read fd chunk 0 (Bytes.length chunk) with
           | 0 -> ()  (* client closed (or drain shut down our read side) *)
           | n ->
-              leftover := !leftover ^ Bytes.sub_string chunk 0 n;
+              if !start > 0 then begin
+                (* keep only the partial request: one copy per read, not per line *)
+                let rest = Buffer.sub pending !start (Buffer.length pending - !start) in
+                Buffer.clear pending;
+                Buffer.add_string pending rest;
+                searched := !searched - !start;
+                start := 0
+              end;
+              Buffer.add_subbytes pending chunk 0 n;
               loop ()
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              if !leftover <> "" then begin
+              if Buffer.length pending > !start then begin
                 (* mid-request stall: a partial line is buffered and the
                    client went quiet — answer and hang up *)
                 locked t (fun () -> t.c_timeouts <- t.c_timeouts + 1);

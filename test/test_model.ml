@@ -352,22 +352,213 @@ let test_cache_invalidated_by_model_hash () =
   check_int "a different model hash sees zero hits" 0 other.Namer.sr_cache_hits;
   check_int "and misses every file" (List.length files) other.Namer.sr_cache_misses
 
+let flip_byte path off =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  let b = Bytes.create 1 in
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.read fd b 0 1);
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x5a));
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.write fd b 0 1);
+  Unix.close fd
+
 let test_cache_survives_garbage_entry () =
   let t = namer () and c = corpus () in
   let m = Namer.model_of t in
   let dir = temp_dir "test_cache_garbage" in
   let files = c.Corpus.files in
   let cold = Namer.scan_with_model ~jobs:1 ~cache_dir:dir m files in
-  (* clobber one cache entry with garbage: it must degrade to a miss *)
-  let model_dir = Filename.concat dir m.Namer.m_hash in
-  let entries = Sys.readdir model_dir in
-  let victim = Filename.concat model_dir entries.(0) in
-  let oc = open_out_bin victim in
-  output_string oc "not a snapshot";
-  close_out oc;
+  (* flip one payload byte of the pack's first record (its 28-byte header
+     comes first): that entry must degrade to a miss *)
+  flip_byte (Filename.concat dir (m.Namer.m_hash ^ ".pack")) 48;
   let warm = Namer.scan_with_model ~jobs:1 ~cache_dir:dir m files in
   check_int "garbage entry degrades to exactly one miss" 1 warm.Namer.sr_cache_misses;
   check_string "reports still byte-identical" (reports cold) (reports warm)
+
+module Scan_cache = Namer_core.Scan_cache
+
+let pack_hash = "feedfacefeedface"
+let pack_of_dir dir = Filename.concat dir (pack_hash ^ ".pack")
+let file_size path = (Unix.stat path).Unix.st_size
+
+let read_bytes path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let write_bytes path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let cache_find dir d = Scan_cache.find ~dir ~model_hash:pack_hash ~src_digest:d
+let cache_store dir d entries =
+  Scan_cache.store ~dir ~model_hash:pack_hash ~src_digest:d entries
+
+let entries_of label =
+  [
+    {
+      Scan_cache.e_line = 1;
+      e_prefix = label;
+      e_found = "a";
+      e_suggested = "b";
+      e_kind = "ordering";
+    };
+  ]
+
+let entries_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 4)
+      (map
+         (fun (line, (prefix, found)) ->
+           {
+             Scan_cache.e_line = line;
+             e_prefix = prefix;
+             e_found = found;
+             e_suggested = "receive";
+             e_kind = "consistency";
+           })
+         (pair small_nat (pair string_small string_small))))
+
+type damage = Truncate | Splice of int * string | Flip of int * int
+
+(* A pack of N stored entries, damaged three ways: cut at every byte
+   offset inside its last record, a garbage run spliced between two
+   records, one payload byte flipped.  Through the handle that stored
+   them, every find returns exactly the stored entries or None; through a
+   fresh handle, exactly the undamaged records are found; and a store
+   after the damage is found by both. *)
+let prop_pack_damage =
+  QCheck.Test.make ~name:"cache: pack damage is a miss, never a wrong answer" ~count:25
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 1 6) entries_gen >>= fun stored ->
+         let n = List.length stored in
+         oneof
+           [
+             return Truncate;
+             map2
+               (fun i g -> Splice (i, g))
+               (int_range 1 (max 1 (n - 1)))
+               (string_size (int_range 1 80));
+             map2 (fun i j -> Flip (i, j)) (int_bound (n - 1)) nat;
+           ]
+         >>= fun damage -> map (fun salt -> (stored, damage, salt)) nat))
+    (fun (stored, damage, salt) ->
+      let stored = Array.of_list stored in
+      let n = Array.length stored in
+      let key i = Digest.to_hex (Digest.string (Printf.sprintf "%d/%d" salt i)) in
+      let dir = temp_dir "test_pack_damage" in
+      let path = pack_of_dir dir in
+      Scan_cache.close_all ();
+      let bounds = Array.make (n + 1) 0 in
+      Array.iteri
+        (fun i e ->
+          cache_store dir (key i) e;
+          bounds.(i + 1) <- file_size path)
+        stored;
+      let original = read_bytes path in
+      let payload i = bounds.(i) + 28 in
+      let instances =
+        match damage with
+        | Truncate ->
+            List.init (bounds.(n) - bounds.(n - 1)) (fun k ->
+                (String.sub original 0 (bounds.(n - 1) + k), Some (n - 1)))
+        | Splice (i, garbage) ->
+            let cut = bounds.(i) in
+            [
+              ( String.sub original 0 cut ^ garbage
+                ^ String.sub original cut (String.length original - cut),
+                None );
+            ]
+        | Flip (i, j) ->
+            let at = payload i + (j mod (bounds.(i + 1) - 8 - payload i)) in
+            let b = Bytes.of_string original in
+            Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x01));
+            [ (Bytes.to_string b, Some i) ]
+      in
+      let exact_or_none i =
+        match cache_find dir (key i) with None -> true | Some e -> e = stored.(i)
+      in
+      let fresh_exact damaged =
+        Scan_cache.close_all ();
+        List.for_all
+          (fun i ->
+            cache_find dir (key i) = if Some i = damaged then None else Some stored.(i))
+          (List.init n Fun.id)
+      in
+      List.for_all
+        (fun (bytes, damaged) ->
+          write_bytes path bytes;
+          let live = List.for_all exact_or_none (List.init n Fun.id) in
+          let fresh = fresh_exact damaged in
+          let extra = entries_of "extra" in
+          cache_store dir (key n) extra;
+          let stored_live = cache_find dir (key n) = Some extra in
+          let after = fresh_exact damaged in
+          let stored_fresh = cache_find dir (key n) = Some extra in
+          live && fresh && stored_live && after && stored_fresh)
+        instances)
+
+let test_cache_deleted_pack () =
+  let dir = temp_dir "test_cache_deleted" in
+  let path = pack_of_dir dir in
+  let one = Digest.to_hex (Digest.string "one")
+  and two = Digest.to_hex (Digest.string "two") in
+  Scan_cache.close_all ();
+  cache_store dir one (entries_of "one");
+  check_bool "stored entry found" true (cache_find dir one = Some (entries_of "one"));
+  Sys.remove path;
+  check_bool "a miss on a deleted pack" true
+    (cache_find dir (Digest.to_hex (Digest.string "three")) = None);
+  check_bool "a find never creates the pack" false (Sys.file_exists path);
+  cache_store dir two (entries_of "two");
+  check_bool "the next store recreates the pack" true (Sys.file_exists path);
+  Scan_cache.close_all ();
+  check_bool "a fresh handle finds the new entry" true
+    (cache_find dir two = Some (entries_of "two"));
+  check_bool "the deleted entry is gone" true (cache_find dir one = None);
+  check_int "one entry indexed" 1
+    (fst (Scan_cache.pack_stats ~dir ~model_hash:pack_hash));
+  (* another writer replaces the pack under the open handle: the next
+     miss must reopen the path, not keep reading the old inode *)
+  let other = temp_dir "test_cache_other" in
+  cache_store other one (entries_of "one");
+  Sys.rename (pack_of_dir other) path;
+  check_bool "a replaced pack is reopened" true
+    (cache_find dir one = Some (entries_of "one"))
+
+let test_cache_index_grows () =
+  let dir = temp_dir "test_cache_grow" in
+  let key i = Digest.to_hex (Digest.string (string_of_int i)) in
+  let n = 3000 in
+  Scan_cache.close_all ();
+  for i = 0 to n - 1 do
+    cache_store dir (key i) (entries_of (string_of_int i))
+  done;
+  let all_found () =
+    List.for_all
+      (fun i -> cache_find dir (key i) = Some (entries_of (string_of_int i)))
+      (List.init n Fun.id)
+  in
+  check_bool "every entry found through the growing index" true (all_found ());
+  Scan_cache.close_all ();
+  check_bool "and through a fresh handle's catch-up" true (all_found ());
+  check_int "one index entry per key" n
+    (fst (Scan_cache.pack_stats ~dir ~model_hash:pack_hash))
+
+let test_cache_prefix_collision () =
+  let dir = temp_dir "test_cache_collide" in
+  let a = "0123456789abcdef" ^ String.make 16 '0'
+  and b = "0123456789abcdef" ^ String.make 16 'f' in
+  Scan_cache.close_all ();
+  cache_store dir a (entries_of "a");
+  check_bool "a key sharing 8 bytes misses" true (cache_find dir b = None);
+  cache_store dir b (entries_of "b");
+  check_bool "the newer key is found" true (cache_find dir b = Some (entries_of "b"));
+  check_bool "the older key never reads the newer's entries" true
+    (cache_find dir a <> Some (entries_of "b"))
 
 (* Concurrent writers racing on one cache entry (the serve daemon and a
    CLI scan populating the same key): publication is temp + rename, so a
@@ -655,6 +846,12 @@ let suite =
       test_scan_ignores_unrelated_build;
     Alcotest.test_case "cache: concurrent stores never torn" `Quick
       test_cache_concurrent_stores_never_torn;
+    QCheck_alcotest.to_alcotest prop_pack_damage;
+    Alcotest.test_case "cache: a deleted pack is recreated" `Quick test_cache_deleted_pack;
+    Alcotest.test_case "cache: key-prefix collision is a miss" `Quick
+      test_cache_prefix_collision;
+    Alcotest.test_case "cache: index grows past its first table" `Quick
+      test_cache_index_grows;
     Alcotest.test_case "model hash pin (jobs=1, jobs=4)" `Quick test_model_hash_pin;
     Alcotest.test_case "per-file stage alloc same at jobs=1 and 2" `Quick
       test_per_file_alloc_across_jobs;

@@ -298,7 +298,19 @@ let test_cache_shared_across_requests () =
          let c = Client.connect ~retry_for:5.0 target in
          let cold = req c (scan_payload dir) in
          let warm = req c (scan_payload dir) in
+         let status = req c (J.Obj [ ("op", J.String "status") ]) in
          Client.close c;
+         let cache = Option.value ~default:J.Null (field "cache" status) in
+         let rec digests d =
+           Sys.readdir d |> Array.to_list
+           |> List.concat_map (fun e ->
+                  let p = Filename.concat d e in
+                  if Sys.is_directory p then digests p else [ Digest.file p ])
+         in
+         let distinct = List.length (List.sort_uniq compare (digests dir)) in
+         check_int "status indexes one entry per distinct source" distinct
+           (int_f "entries" cache);
+         check_bool "status reports the pack's size" true (int_f "pack_bytes" cache > 0);
          check_int "cold scan misses everything" (int_f "files" cold)
            (int_f "cache_misses" cold);
          check_int "warm scan hits everything" (int_f "files" warm)
@@ -306,6 +318,57 @@ let test_cache_shared_across_requests () =
          check_int "warm scan misses nothing" 0 (int_f "cache_misses" warm);
          check_string "cold and warm reports identical"
            (Client.scan_fingerprint cold) (Client.scan_fingerprint warm)))
+
+(* -------- request framing -------- *)
+
+(* Newline-delimited requests may arrive in any split: byte by byte, or
+   several in one write.  Each must be answered exactly as when sent
+   whole on its own connection. *)
+let test_split_and_pipelined_requests () =
+  let dir, model_a, _, _, _ = Lazy.force env in
+  let lines =
+    [
+      J.to_string (scan_payload dir);
+      J.to_string (J.Obj [ ("op", J.String "frobnicate") ]);
+      "{this is not json";
+    ]
+  in
+  ignore
+    (with_daemon ~model:model_a (fun _ target ->
+         let host, port =
+           match target with
+           | Client.Tcp (h, p) -> (h, p)
+           | Client.Unix_path _ -> Alcotest.fail "expected tcp target"
+         in
+         let connect () =
+           let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+           Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+           Unix.setsockopt fd Unix.TCP_NODELAY true;
+           (* a lost request fails the test instead of hanging it *)
+           Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+           (fd, Unix.in_channel_of_descr fd)
+         in
+         let send fd s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+         let whole =
+           List.map
+             (fun line ->
+               let fd, ic = connect () in
+               send fd (line ^ "\n");
+               let r = input_line ic in
+               Unix.close fd;
+               r)
+             lines
+         in
+         let fd, ic = connect () in
+         let first = List.hd lines ^ "\n" in
+         String.iter (fun ch -> send fd (String.make 1 ch)) first;
+         check_string "a request in 1-byte writes" (List.hd whole) (input_line ic);
+         send fd (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+         List.iteri
+           (fun i expected ->
+             check_string (Printf.sprintf "pipelined request %d" i) expected (input_line ic))
+           whole;
+         Unix.close fd))
 
 (* -------- hot swap -------- *)
 
@@ -466,6 +529,9 @@ let suite =
       `Quick,
       test_pooled_daemon_matches_sequential );
     ("serve: cache shared across requests", `Quick, test_cache_shared_across_requests);
+    ( "serve: split and pipelined requests answer as whole ones",
+      `Quick,
+      test_split_and_pipelined_requests );
     ("serve: hot swap under traffic", `Quick, test_hot_swap_under_traffic);
     ("serve: bad reload keeps old model", `Quick, test_reload_bad_snapshot_keeps_old);
     ("serve: partial request times out", `Quick, test_partial_request_times_out);
