@@ -143,7 +143,9 @@ scale-smoke: build
 # mid-traffic) through bench/loadtest.exe, and require the responses to
 # be byte-identical to `namer scan --model`, the name-path interner sizes
 # in `status` to be the same before and after the run (scans never grow
-# it), a clean SIGTERM drain, and a serve row in the run ledger.  Cache
+# it), `status` to show --jobs 4 as a pool of 3 workers (the I/O domain
+# is the fourth), a clean SIGTERM drain, and a serve row in the run
+# ledger.  Cache
 # sharing across processes: a CLI scan of a second corpus into the live
 # daemon's cache dir, after which the daemon scans that corpus with no
 # misses (it indexed the CLI's appends) and the CLI's exact text, and
@@ -170,6 +172,8 @@ serve-smoke: build
 	after=$$(interner); \
 	echo "interner before: $$before, after: $$after"; \
 	[ "$$before" = "$$after" ]; \
+	python3 -c 'import json, socket, sys; s = socket.socket(socket.AF_UNIX); s.connect(sys.argv[1]); s.sendall(b"{\"op\":\"status\"}\n"); st = json.loads(s.makefile().readline()); pool = st["pool"] or {}; print("status: jobs %s, pool size %s" % (st["jobs"], pool.get("size"))); sys.exit(0 if st["jobs"] == 4 and pool.get("size") == 3 else "--jobs 4 must run 3 pool workers beside the I/O domain")' \
+	  "$$state/namer.sock"; \
 	"$$namer" scan --model "$$state/m.nmdl" --max-reports 100000 "$$state/corpus" \
 	  > "$$state/cli.txt" 2>/dev/null; \
 	diff "$$state/serve.txt" "$$state/cli.txt"; \

@@ -247,7 +247,7 @@ let lang_arg =
 let jobs_arg =
   Arg.(value & opt int (Domain.recommended_domain_count ())
        & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Worker domains for the sharded pipeline (default: the \
+           ~doc:"Domains to run on, the calling one included (default: the \
                  machine's recommended domain count).  Any value produces \
                  byte-identical reports; 1 disables parallelism.")
 

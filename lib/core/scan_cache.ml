@@ -391,6 +391,14 @@ let pack_stats ~dir ~model_hash =
   let bytes = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0 in
   (entries, bytes)
 
+let close ~dir ~model_hash =
+  let path = pack_path ~dir ~model_hash in
+  Mutex.protect packs_lock (fun () ->
+      Option.iter
+        (fun p -> Mutex.protect p.lock (fun () -> forget p))
+        (Hashtbl.find_opt packs path);
+      Hashtbl.remove packs path)
+
 let close_all () =
   Mutex.protect packs_lock (fun () ->
       Hashtbl.iter (fun _ p -> Mutex.protect p.lock (fun () -> forget p)) packs;

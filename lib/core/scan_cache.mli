@@ -53,6 +53,12 @@ val pack_stats : dir:string -> model_hash:string -> int * int
 (** [(entries, bytes)]: the keys this process has indexed for the model's
     pack, and the pack's size on disk (0 when it does not exist). *)
 
+val close : dir:string -> model_hash:string -> unit
+(** Closes the model's pack, if open, and drops its index; the next
+    {!find} or {!store} of that model reopens it.  A caller must not run
+    this while another thread may still be in a {!find} or {!store} of the
+    same pack: that call would reopen a descriptor no table holds. *)
+
 val close_all : unit -> unit
 (** Closes every open pack and drops its index; the next {!find} or
     {!store} reopens the pack and indexes it again from disk. *)

@@ -15,9 +15,11 @@
     awaits a nested {!map_list}.  A [jobs = n] pipeline therefore keeps
     exactly [n] domains busy, never [n] workers plus a sleeping caller
     that still joins every stop-the-world minor collection.  A {!create}
-    pool spawns all [n] workers and its awaiters only block: the serve
-    daemon awaits from connection threads that share the main domain with
-    its accept loop, which must not be stalled running scan tasks.
+    pool of [n] workers spawns [n] domains and its awaiters only block:
+    the serve daemon awaits from connection threads that share the main
+    domain with its accept loop, which must not be stalled running scan
+    tasks.  That main domain is a domain all the same, so the daemon
+    counts it: [--jobs n] creates a pool of [n - 1] workers.
 
     The pool is an execution mechanism only: it makes no ordering promises
     about when tasks run.  Determinism is the contract of the *merge*
@@ -26,9 +28,10 @@
 
 type t
 
-(** [create ~domains ()] spawns [domains] worker domains (clamped to ≥ 1).
-    The creating domain is not a worker; it submits and awaits, and
-    {!await} on this pool blocks without running tasks. *)
+(** [create ~domains ()] spawns [domains] worker domains (clamped to ≥ 1),
+    beside the creating domain, which is not a worker: it submits and
+    awaits, and {!await} on this pool blocks without running tasks.  A
+    caller that wants [n] domains in all passes [n - 1]. *)
 val create : domains:int -> unit -> t
 
 (** Number of workers — spawned domains plus, for a {!run} pool, the

@@ -89,6 +89,9 @@ type t = {
   mutable model : Namer.model;
   mutable model_path : string;
   mutable in_flight : int;
+  (* in-flight scans per model hash: a model no longer served keeps its
+     cache pack open until the last of its scans is done *)
+  scans_on : (string, int) Hashtbl.t;
   mutable c_connections : int;
   mutable c_requests : int;
   mutable c_scans : int;
@@ -168,8 +171,12 @@ let create cfg =
   (* a client that disconnects mid-response must not kill the daemon *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let stop_r, stop_w = Unix.pipe ~cloexec:true () in
+  (* [sv_jobs] domains in all: the domain running the accept loop and the
+     connection threads is one of them, so the pool gets the rest.  Its
+     awaiters only block (Pool.create), and every domain, parked or not,
+     joins each stop-the-world minor collection. *)
   let pool =
-    if cfg.sv_jobs > 1 then Some (Pool.create ~domains:cfg.sv_jobs ()) else None
+    if cfg.sv_jobs > 1 then Some (Pool.create ~domains:(cfg.sv_jobs - 1) ()) else None
   in
   {
     cfg;
@@ -184,6 +191,7 @@ let create cfg =
     model;
     model_path = cfg.sv_model_path;
     in_flight = 0;
+    scans_on = Hashtbl.create 2;
     c_connections = 0;
     c_requests = 0;
     c_scans = 0;
@@ -298,53 +306,72 @@ let scan_response (m : Namer.model) files (result : Namer.scan_result) ~max_repo
     (("ok", J.Bool true) :: ("op", J.String "scan")
     :: Namer.scan_json_fields m ~files:(List.length files) ~statement ~max_reports result)
 
+(* Under [lock]: close the cache pack of a model that is no longer served
+   and has no scan in flight.  A reload back to it reopens the pack on its
+   next scan (Scan_cache.close). *)
+let release_pack t hash =
+  match t.cfg.sv_cache_dir with
+  | Some dir when hash <> t.model.Namer.m_hash && not (Hashtbl.mem t.scans_on hash) ->
+      Namer_core.Scan_cache.close ~dir ~model_hash:hash
+  | _ -> ()
+
 let handle_scan t req =
-  (* backpressure: admit or refuse *now*, never queue unboundedly *)
+  (* backpressure: admit or refuse *now*, never queue unboundedly.  An
+     admitted scan captures the model once, so a reload mid-request cannot
+     split it across two models, and holds that model's cache pack open. *)
   let admitted =
     locked t (fun () ->
-        if t.in_flight >= t.cfg.sv_max_concurrent then false
+        if t.in_flight >= t.cfg.sv_max_concurrent then None
         else begin
           t.in_flight <- t.in_flight + 1;
-          true
+          let h = t.model.Namer.m_hash in
+          Hashtbl.replace t.scans_on h
+            (1 + Option.value ~default:0 (Hashtbl.find_opt t.scans_on h));
+          Some t.model
         end)
   in
-  if not admitted then begin
-    locked t (fun () -> t.c_overloaded <- t.c_overloaded + 1);
-    Telemetry.count "serve.overloaded";
-    error_response ~op:"scan" "overloaded"
-      (Printf.sprintf "%d scans already in flight" t.cfg.sv_max_concurrent)
-  end
-  else
-    Fun.protect
-      ~finally:(fun () -> locked t (fun () -> t.in_flight <- t.in_flight - 1))
-      (fun () ->
-        (* capture the model once: a reload mid-request must not split this
-           scan across two models *)
-        let m = locked t (fun () -> t.model) in
-        match scan_files m req with
-        | Error msg -> error_response ~op:"scan" "bad_request" msg
-        | Ok files ->
-            let max_reports =
-              match int_field "max_reports" req with Some n -> n | None -> max_int
-            in
-            (* fault point: an artificially slow scan *after* admission —
-               makes the overloaded/backpressure path deterministic in
-               tests without a large corpus *)
-            if Fault.fires "serve.slow" then Unix.sleepf 0.5;
-            let result =
-              Namer.scan_with_model ?pool:t.pool ~jobs:1 ?cache_dir:t.cfg.sv_cache_dir m
-                files
-            in
-            locked t (fun () ->
-                t.c_scans <- t.c_scans + 1;
-                t.c_files <- t.c_files + List.length files;
-                t.c_reports <- t.c_reports + Array.length result.Namer.sr_reports;
-                t.c_cache_hits <- t.c_cache_hits + result.Namer.sr_cache_hits;
-                t.c_cache_misses <- t.c_cache_misses + result.Namer.sr_cache_misses);
-            Telemetry.count "serve.scans";
-            scan_response m files result ~max_reports
-        | exception (Sys_error msg | Failure msg) ->
-            error_response ~op:"scan" "bad_request" msg)
+  match admitted with
+  | None ->
+      locked t (fun () -> t.c_overloaded <- t.c_overloaded + 1);
+      Telemetry.count "serve.overloaded";
+      error_response ~op:"scan" "overloaded"
+        (Printf.sprintf "%d scans already in flight" t.cfg.sv_max_concurrent)
+  | Some m ->
+      Fun.protect
+        ~finally:(fun () ->
+          locked t (fun () ->
+              t.in_flight <- t.in_flight - 1;
+              let h = m.Namer.m_hash in
+              match Hashtbl.find t.scans_on h with
+              | 1 ->
+                  Hashtbl.remove t.scans_on h;
+                  release_pack t h
+              | n -> Hashtbl.replace t.scans_on h (n - 1)))
+        (fun () ->
+          match scan_files m req with
+          | Error msg -> error_response ~op:"scan" "bad_request" msg
+          | Ok files ->
+              let max_reports =
+                match int_field "max_reports" req with Some n -> n | None -> max_int
+              in
+              (* fault point: an artificially slow scan *after* admission —
+                 makes the overloaded/backpressure path deterministic in
+                 tests without a large corpus *)
+              if Fault.fires "serve.slow" then Unix.sleepf 0.5;
+              let result =
+                Namer.scan_with_model ?pool:t.pool ~jobs:1 ?cache_dir:t.cfg.sv_cache_dir m
+                  files
+              in
+              locked t (fun () ->
+                  t.c_scans <- t.c_scans + 1;
+                  t.c_files <- t.c_files + List.length files;
+                  t.c_reports <- t.c_reports + Array.length result.Namer.sr_reports;
+                  t.c_cache_hits <- t.c_cache_hits + result.Namer.sr_cache_hits;
+                  t.c_cache_misses <- t.c_cache_misses + result.Namer.sr_cache_misses);
+              Telemetry.count "serve.scans";
+              scan_response m files result ~max_reports
+          | exception (Sys_error msg | Failure msg) ->
+              error_response ~op:"scan" "bad_request" msg)
 
 let handle_status t =
   let n, p50, p99 = latency t in
@@ -421,6 +448,7 @@ let handle_reload t req =
             t.model <- m;
             t.model_path <- path;
             t.c_reloads <- t.c_reloads + 1;
+            release_pack t prev;
             prev)
       in
       Telemetry.count "serve.reloads";

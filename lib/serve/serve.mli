@@ -42,16 +42,21 @@
 
     Each connection is handled by its own thread; scans fan their
     per-file tasks onto one resident {!Namer_parallel.Pool} shared by
-    every request ([sv_jobs > 1]).  A scan digests against its model's
-    read-only scan vocabulary and never touches the global name-path
-    interner, so scans run concurrently with each other and with a
-    reload, and the interner does not grow with novel files ([status]
-    reports its sizes under [interner]).  Model loads preload the
-    interner, which is single-writer (DESIGN.md §11), so the model lock
-    serializes reloads against each other and nothing else.  The
+    every request ([sv_jobs > 1]).  Connection threads only await that
+    pool, never run its tasks, so they do not stall the accept loop.  A
+    scan digests against its model's read-only scan vocabulary and never
+    touches the global name-path interner, so scans run concurrently
+    with each other and with a reload, and the interner does not grow
+    with novel files ([status] reports its sizes under [interner]).
+    Model loads preload the interner, which is single-writer (DESIGN.md
+    §11), so the model lock serializes reloads against each other and
+    nothing else.  The
     content-addressed scan cache ([sv_cache_dir]) is shared across
-    requests and with concurrent CLI scans (atomic temp+rename
-    publication, DESIGN.md §8).
+    requests and with concurrent CLI scans: one append-only pack per
+    model, each record appended by a single write, which every process
+    indexes as it finds new records (DESIGN.md §8).  A reload closes the
+    replaced model's pack once its last in-flight scan is done; a reload
+    back to it reopens the pack.
 
     {2 Robustness}
 
@@ -87,7 +92,8 @@ type config = {
   sv_cache_dir : string option;
       (** shared content-addressed report cache (DESIGN.md §8) *)
   sv_jobs : int;
-      (** worker domains of the resident pool; [<= 1] scans inline *)
+      (** domains in all, the I/O domain included: the resident pool
+          gets [sv_jobs - 1] workers; [<= 1] scans inline, with no pool *)
   sv_max_concurrent : int;  (** admitted scans before [overloaded] *)
   sv_timeout_ms : int;  (** mid-request stall budget per connection *)
   sv_max_request_bytes : int;  (** request-line size cap *)

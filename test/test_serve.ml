@@ -10,6 +10,7 @@ module Serve = Namer_serve.Serve
 module Client = Namer_serve.Client
 module Fault = Namer_util.Fault
 module J = Namer_util.Json
+module Telemetry = Namer_telemetry.Telemetry
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -261,8 +262,9 @@ let test_concurrent_requests_identical () =
 
 let test_pooled_daemon_matches_sequential () =
   let dir, model_a, _, _, _ = Lazy.force env in
-  (* jobs=2 forces a resident pool even on a 1-core machine; its scans
-     must be byte-identical to the jobs=1 daemon's *)
+  (* jobs=3 forces a resident pool of two workers, which steal from each
+     other, even on a 1-core machine; its scans must be byte-identical to
+     the jobs=1 daemon's *)
   let (seq_fp, _), _ =
     with_daemon ~jobs:1 ~model:model_a (fun _ target ->
         let c = Client.connect ~retry_for:5.0 target in
@@ -271,7 +273,7 @@ let test_pooled_daemon_matches_sequential () =
         (Client.scan_fingerprint r, is_ok r))
   in
   ignore
-    (with_daemon ~jobs:2 ~model:model_a (fun _ target ->
+    (with_daemon ~jobs:3 ~model:model_a (fun _ target ->
          let spec =
            {
              (Client.Load.default_spec ~payload:(scan_payload dir)) with
@@ -516,6 +518,129 @@ let test_shutdown_drains () =
       check_int "one scan in the lifetime stats" 1 s.Serve.st_scans;
       check_bool "latency percentiles recorded" true (s.Serve.st_p99_ms > 0.0)
 
+(* -------- domains and descriptors -------- *)
+
+let status_of target =
+  let c = Client.connect ~retry_for:5.0 target in
+  let s = req c (J.Obj [ ("op", J.String "status") ]) in
+  Client.close c;
+  s
+
+(* [--jobs N] means N domains in all: the domain that runs the accept loop
+   and the connection threads is one of them, so the resident pool gets
+   N - 1 workers and [--jobs 1] gets no pool at all. *)
+let test_jobs_count_the_io_domain () =
+  let _, model_a, _, _, _ = Lazy.force env in
+  let was = Telemetry.enabled () in
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_sink (if was then Telemetry.Memory else Telemetry.Null))
+    (fun () ->
+      Telemetry.set_sink Telemetry.Memory;
+      List.iter
+        (fun jobs ->
+          Telemetry.reset ();
+          ignore
+            (with_daemon ~jobs ~model:model_a (fun _ target ->
+                 let s = status_of target in
+                 check_int (Printf.sprintf "jobs=%d: status reports jobs" jobs) jobs
+                   (int_f "jobs" s);
+                 (match field "pool" s with
+                 | Some J.Null when jobs = 1 -> ()
+                 | Some pool when jobs > 1 ->
+                     check_int
+                       (Printf.sprintf "jobs=%d: pool size" jobs)
+                       (jobs - 1) (int_f "size" pool)
+                 | _ -> Alcotest.failf "jobs=%d: unexpected status.pool" jobs);
+                 check_int
+                   (Printf.sprintf "jobs=%d: domains spawned" jobs)
+                   (jobs - 1)
+                   (Telemetry.counter "pool.domains_spawned"))))
+        [ 1; 2; 3 ])
+
+(* Descriptors this process holds open on [.pack] files under [dir]. *)
+let open_packs dir =
+  let dir = Unix.realpath dir in
+  Sys.readdir "/proc/self/fd" |> Array.to_list
+  |> List.filter_map (fun fd ->
+         match Unix.readlink (Filename.concat "/proc/self/fd" fd) with
+         | target
+           when String.starts_with ~prefix:dir target && Filename.check_suffix target ".pack" ->
+             Some (Filename.basename target)
+         | _ | (exception Unix.Unix_error _) -> None)
+
+let reload_payload model = J.Obj [ ("op", J.String "reload"); ("model", J.String model) ]
+
+(* A reload closes the pack of the model it replaces once that model's
+   last scan is done; a reload back reopens it, and cached reports stay
+   those of an uncached scan. *)
+let test_reload_closes_old_pack () =
+  let dir, model_a, hash_a, model_b, hash_b = Lazy.force env in
+  let (uncached_a, uncached_b), _ =
+    with_daemon ~model:model_a (fun _ target ->
+        let c = Client.connect ~retry_for:5.0 target in
+        let a = Client.scan_fingerprint (req c (scan_payload dir)) in
+        ignore (req c (reload_payload model_b));
+        let b = Client.scan_fingerprint (req c (scan_payload dir)) in
+        Client.close c;
+        (a, b))
+  in
+  let cache = temp_dir "test_serve_cache3" in
+  ignore
+    (with_daemon ~cache_dir:cache ~model:model_a (fun _ target ->
+         let c = Client.connect ~retry_for:5.0 target in
+         List.iteri
+           (fun i (model, hash, uncached) ->
+             if i > 0 then check_bool "reload ok" true (is_ok (req c (reload_payload model)));
+             let r = req c (scan_payload dir) in
+             check_string "scan names the served model" hash (str "model" r);
+             check_string
+               (Printf.sprintf "scan %d == an uncached scan" i)
+               uncached (Client.scan_fingerprint r);
+             check_string
+               (Printf.sprintf "scan %d: only the served model's pack is open" i)
+               (hash ^ ".pack")
+               (String.concat "," (open_packs cache)))
+           [
+             (model_a, hash_a, uncached_a);
+             (model_b, hash_b, uncached_b);
+             (model_a, hash_a, uncached_a);
+             (model_b, hash_b, uncached_b);
+           ];
+         (* a scan in flight on the replaced model keeps its pack open *)
+         ignore (req c (reload_payload model_a));
+         ignore (req c (scan_payload dir));
+         Fault.reset ();
+         Fault.arm ~times:1 "serve.slow";
+         let slow_result = ref None in
+         let slow =
+           Thread.create
+             (fun () ->
+               let c = Client.connect ~retry_for:5.0 target in
+               slow_result := Some (req c (scan_payload dir));
+               Client.close c)
+             ()
+         in
+         let rec wait_in_flight () =
+           if int_f "in_flight" (status_of target) < 1 then begin
+             Thread.delay 0.01;
+             wait_in_flight ()
+           end
+         in
+         wait_in_flight ();
+         ignore (req c (reload_payload model_b));
+         check_string "the slow scan's pack stays open" (hash_a ^ ".pack")
+           (String.concat "," (open_packs cache));
+         Thread.join slow;
+         Fault.reset ();
+         (match !slow_result with
+         | Some r -> check_string "the slow scan ran on the old model" hash_a (str "model" r)
+         | None -> Alcotest.fail "slow scan never answered");
+         check_string "closed once the slow scan is done" "" (String.concat "," (open_packs cache));
+         ignore (req c (scan_payload dir));
+         Client.close c;
+         check_string "the served model's pack" (hash_b ^ ".pack")
+           (String.concat "," (open_packs cache))))
+
 let suite =
   [
     ("serve: status round trip", `Quick, test_status);
@@ -538,4 +663,6 @@ let suite =
     ("serve: backpressure -> overloaded", `Quick, test_backpressure_overloaded);
     ("serve: injected fault -> degraded", `Quick, test_request_fault_degrades);
     ("serve: shutdown drains and reports stats", `Quick, test_shutdown_drains);
+    ("serve: --jobs N runs N domains in all", `Quick, test_jobs_count_the_io_domain);
+    ("serve: reload closes the replaced model's pack", `Quick, test_reload_closes_old_pack);
   ]
