@@ -149,7 +149,10 @@ scale-smoke: build
 # sharing across processes: a CLI scan of a second corpus into the live
 # daemon's cache dir, after which the daemon scans that corpus with no
 # misses (it indexed the CLI's appends) and the CLI's exact text, and
-# `status` reports the pack's entries and bytes.
+# `status` reports the pack's entries and bytes.  Per-file isolation: a
+# `files` request naming that corpus's files plus one missing path gives
+# the CLI's text for the corpus and counts the missing path as one
+# skipped file.
 serve-smoke: build
 	@set -eu; \
 	state=$$(mktemp -d); trap 'rm -rf "$$state"' EXIT; \
@@ -186,6 +189,12 @@ serve-smoke: build
 	python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); print("daemon scan after the CLI: %d hits, %d misses" % (r["cache_hits"], r["cache_misses"])); sys.exit(0 if r["cache_hits"] > 0 and r["cache_misses"] == 0 else "the daemon missed entries the CLI appended")' \
 	  "$$state/serve2.json"; \
 	diff "$$state/serve2.txt" "$$state/cli2.txt"; \
+	files=$$(python3 -c 'import json, os, sys; d = sys.argv[1]; ps = sorted(os.path.join(r, f) for r, _, fs in os.walk(d) for f in fs if f.endswith(".py")); print(json.dumps({"op": "scan", "files": ps + [os.path.join(d, "missing.py")], "max_reports": 100000}))' "$$state/corpus2"); \
+	"$$loadtest" --socket "$$state/namer.sock" --payload "$$files" --clients 1 --requests 1 \
+	  --dump-text "$$state/serve3.txt" --dump-json "$$state/serve3.json" > /dev/null; \
+	python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); print("files request: %d files, %d skipped" % (r["files"], r["files_skipped"])); sys.exit(0 if r["files_skipped"] == 1 else "the missing path must be one skipped file")' \
+	  "$$state/serve3.json"; \
+	diff "$$state/serve3.txt" "$$state/cli2.txt"; \
 	python3 -c 'import json, socket, sys; s = socket.socket(socket.AF_UNIX); s.connect(sys.argv[1]); s.sendall(b"{\"op\":\"status\"}\n"); c = json.loads(s.makefile().readline())["cache"]; print("cache: %d entries, %d pack bytes" % (c["entries"], c["pack_bytes"])); sys.exit(0 if c["entries"] > 0 and c["pack_bytes"] > 0 else "status lacks cache entries")' \
 	  "$$state/namer.sock"; \
 	kill -TERM "$$pid"; wait "$$pid"; \

@@ -310,33 +310,14 @@ let corpus_cmd =
 
 (* ---------------- train / scan ---------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let rec walk_files dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.concat_map (fun entry ->
-         let path = Filename.concat dir entry in
-         if Sys.is_directory path then walk_files path else [ path ])
-
 (* Streaming collection: name the files, don't read them — the pipeline
    loads each one on a worker domain when its batch is digested. *)
 let collect_refs lang dir =
-  let ext = match lang with Corpus.Python -> ".py" | Corpus.Java -> ".java" in
-  let refs =
-    walk_files dir
-    |> List.filter (fun p -> Filename.check_suffix p ext)
-    |> List.map (fun path -> Namer.ref_of_path ~repo:dir ~path ~file:path)
-  in
-  if refs = [] then begin
-    progress_err "no %s files under %s" ext dir;
-    exit 1
-  end;
-  refs
+  match Namer.refs_of_dir ~lang dir with
+  | [] ->
+      progress_err "no %s files under %s" (Corpus.lang_ext lang) dir;
+      exit 1
+  | refs -> refs
 
 (* Per-file failure isolation surfaced to the operator: a scan or train
    that dropped files still succeeded, but degraded — say so, per file,
@@ -615,21 +596,9 @@ let train_cmd =
 
 (* Print reports as text, or as one JSON object with the fields
    [json_fields statement] — either way through the shared renderers.
-   Listings re-read files on demand; reports are file-sorted, so one cached
-   entry means one read per distinct file. *)
-let print_reports ~json ~max_reports ~reports json_fields =
-  let last_read = ref None in
-  let statement (r : Namer.report) =
-    let src =
-      match !last_read with
-      | Some (f, src) when f = r.Namer.r_file -> src
-      | _ ->
-          let src = try Some (read_file r.Namer.r_file) with _ -> None in
-          last_read := Some (r.Namer.r_file, src);
-          src
-    in
-    Namer.statement_of ~src ~line:r.Namer.r_line
-  in
+   Listings re-read files on demand, once per distinct file. *)
+let print_reports ~json ~max_reports ~refs ~reports json_fields =
+  let statement = Namer.statement_lookup refs in
   if json then print_endline (J.to_string ~indent:2 (J.Obj (json_fields statement)))
   else
     Array.iteri
@@ -661,7 +630,7 @@ let scan_with_model ~model_path ~cache_dir ~dir ~jobs ~max_reports ~json =
   | None -> ());
   progress "%d potential naming issues" (Array.length result.Namer.sr_reports);
   report_skipped result.Namer.sr_skipped;
-  print_reports ~json ~max_reports ~reports:result.Namer.sr_reports (fun statement ->
+  print_reports ~json ~max_reports ~refs ~reports:result.Namer.sr_reports (fun statement ->
       Namer.scan_json_fields m ~files:(List.length refs) ~statement ~max_reports result);
   refs_fields ~jobs refs
   @ [
@@ -701,7 +670,7 @@ let scan lang dir jobs max_reports model_path cache_dir apply_fixes json obs =
     (Array.length t.Namer.violations);
   report_skipped t.Namer.skipped;
   let reports = Array.map Namer.report_of_violation t.Namer.violations in
-  print_reports ~json ~max_reports ~reports (fun statement ->
+  print_reports ~json ~max_reports ~refs ~reports (fun statement ->
       [
         ("files", J.Int (List.length refs));
         ("patterns", J.Int (Pattern.Store.size t.Namer.store));
@@ -988,7 +957,7 @@ let stats file openmetrics =
       path;
     exit 1
   end;
-  let content = read_file path in
+  let content = Namer_util.Fs.read_file path in
   (* validate before echoing, so downstream tooling can trust the output *)
   match J.parse content with
   | Ok json ->

@@ -93,7 +93,7 @@ let fix_source source (fixes : (int * string * string) list) :
     atomically (temp file + rename), so a kill mid-write leaves the old
     text or the new one, never a torn mix; its permission bits are kept. *)
 let fix_file ~path fixes =
-  let source = In_channel.with_open_bin path In_channel.input_all in
+  let source = Namer_util.Fs.read_file path in
   let fixed, outcomes = fix_source source fixes in
   if fixed <> source then
     Namer_model.Snapshot.write ~perm:(Unix.stat path).Unix.st_perm ~path fixed;

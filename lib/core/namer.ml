@@ -150,16 +150,35 @@ let ref_of_file (f : Corpus.file) : file_ref =
     fr_load = (fun () -> f.Corpus.source) }
 
 let ref_of_path ~repo ~path ~file : file_ref =
-  {
-    fr_repo = repo;
-    fr_path = path;
-    fr_load =
-      (fun () ->
-        let ic = open_in_bin file in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic)));
-  }
+  { fr_repo = repo; fr_path = path; fr_load = (fun () -> Namer_util.Fs.read_file file) }
+
+let refs_of_dir ~lang dir =
+  Namer_util.Fs.walk ~ext:(Corpus.lang_ext lang) dir
+  |> List.map (fun path -> ref_of_path ~repo:dir ~path ~file:path)
+
+(* [source_lookup refs] — file → source over [refs], for report listings
+   (one caller at a time).  Its path table is built on the first call, and
+   it keeps the last file it read, since listings walk file-sorted reports.
+   A file that fails to load, or that no ref names, has no source. *)
+let source_lookup (refs : file_ref list) =
+  let table =
+    lazy
+      (let tbl = Hashtbl.create 256 in
+       List.iter (fun r -> Hashtbl.replace tbl r.fr_path r) refs;
+       tbl)
+  in
+  let last = ref None in
+  fun path ->
+    match !last with
+    | Some (p, src) when String.equal p path -> src
+    | _ ->
+        let src =
+          match Hashtbl.find_opt (Lazy.force table) path with
+          | Some r -> ( try Some (r.fr_load ()) with _ -> None)
+          | None -> None
+        in
+        last := Some (path, src);
+        src
 
 (* Streaming-contract gauge: how many loaded sources are resident at once
    across all domains.  The bounded-memory test asserts the high-water
@@ -700,15 +719,10 @@ let build_core (cfg : config) ~lang ~(refs : file_ref list) ~commits
     corpus whose sources are already resident.  Report listings and the
     oracle read straight from the corpus. *)
 let build (cfg : config) (corpus : Corpus.t) : t =
-  let sources = Hashtbl.create 256 in
-  List.iter
-    (fun (f : Corpus.file) -> Hashtbl.replace sources f.Corpus.path f.Corpus.source)
-    corpus.Corpus.files;
-  build_core cfg ~lang:corpus.Corpus.lang
-    ~refs:(List.map ref_of_file corpus.Corpus.files)
-    ~commits:corpus.Corpus.commits
+  let refs = List.map ref_of_file corpus.Corpus.files in
+  build_core cfg ~lang:corpus.Corpus.lang ~refs ~commits:corpus.Corpus.commits
     ~oracle:(fun () -> Corpus.Oracle.of_corpus corpus)
-    ~source_of:(Hashtbl.find_opt sources)
+    ~source_of:(source_lookup refs)
 
 (** [build_refs cfg ~lang refs] — the streaming entry point: digest files
     lazily through their [fr_load] thunks, never holding more than one
@@ -716,17 +730,12 @@ let build (cfg : config) (corpus : Corpus.t) : t =
     empty oracle, exactly like training on unlabeled on-disk files; report
     listings re-read the file on demand. *)
 let build_refs (cfg : config) ~lang (refs : file_ref list) : t =
-  let loaders = Hashtbl.create 256 in
-  List.iter (fun r -> Hashtbl.replace loaders r.fr_path r.fr_load) refs;
   let empty =
     { Corpus.lang; files = []; injections = []; benigns = []; commits = [] }
   in
   build_core cfg ~lang ~refs ~commits:[]
     ~oracle:(fun () -> Corpus.Oracle.of_corpus empty)
-    ~source_of:(fun path ->
-      match Hashtbl.find_opt loaders path with
-      | None -> None
-      | Some load -> ( try Some (load ()) with _ -> None))
+    ~source_of:(source_lookup refs)
 
 (** [retrain t ~seed] re-draws the labeled training sample and re-trains
     the classifier (mining and scanning are untouched).  Used by the bench
@@ -1302,16 +1311,10 @@ module Partial = struct
       ~n_files:(Array.length p.P.pm_files) ~n_repos:(Hashtbl.length repos)
       ~mk_pairs:(fun () -> pairs_of cfg ~lang p)
       ~oracle
-      ~source_of:(fun path ->
-        match open_in_bin path with
-        | exception Sys_error _ -> None
-        | ic ->
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () ->
-                match really_input_string ic (in_channel_length ic) with
-                | s -> Some s
-                | exception _ -> None))
+      ~source_of:
+        (source_lookup
+           (Array.to_list
+              (Array.map (fun (repo, path) -> ref_of_path ~repo ~path ~file:path) p.P.pm_files)))
 
   let save (p : P.t) ~path =
     Telemetry.with_span "partial:save" @@ fun () ->
@@ -1379,6 +1382,10 @@ let report_json ~statement (r : report) =
 let report_text ~statement (r : report) =
   Printf.sprintf "%s:%d: %s\n    suggested fix: %s -> %s\n" r.r_file r.r_line statement
     r.r_found r.r_suggested
+
+let statement_lookup refs =
+  let source_of = source_lookup refs in
+  fun (r : report) -> statement_of ~src:(source_of r.r_file) ~line:r.r_line
 
 let skipped_json (skipped : skipped list) =
   J.List

@@ -114,6 +114,13 @@ val ref_of_file : Corpus.file -> file_ref
 (** A ref that reads [file] from disk on demand (binary, whole file). *)
 val ref_of_path : repo:string -> path:string -> file:string -> file_ref
 
+(** [refs_of_dir ~lang dir] — a ref for each [lang] source file under
+    [dir] (repo [dir], path the file's path), in {!Namer_util.Fs.walk}'s
+    name order, so a model trained from them has the same bytes on any
+    copy of [dir].  Nothing is read until a ref is loaded.
+    @raise Sys_error when a directory cannot be listed. *)
+val refs_of_dir : lang:Corpus.lang -> string -> file_ref list
+
 (** Streaming-contract gauge (tests): the high-water mark of sources
     resident in digests since the last reset — O(batch × jobs) bounded. *)
 val reset_in_flight_peak : unit -> unit
@@ -326,6 +333,13 @@ val reports_json :
 (** ["file:line: statement\n    suggested fix: found -> suggested\n"];
     [r_prefix] and [r_kind] are not shown. *)
 val report_text : statement:string -> report -> string
+
+(** [statement_lookup refs] — the [statement] of a report on a file of
+    [refs]: the file's ref is loaded again ({!statement_of} gets [None]
+    when it fails, or when no ref has the report's path).  It keeps the
+    last file it loaded, so file-sorted reports load each file once; one
+    caller at a time. *)
+val statement_lookup : file_ref list -> report -> string
 
 (** [[{file, reason}, …]]. *)
 val skipped_json : skipped list -> Namer_util.Json.t

@@ -11,6 +11,7 @@ module Prng = Namer_util.Prng
 type lang = Python | Java
 
 let lang_name = function Python -> "Python" | Java -> "Java"
+let lang_ext = function Python -> ".py" | Java -> ".java"
 
 type file = { repo : string; path : string; source : string }
 
@@ -145,7 +146,7 @@ let generate (cfg : config) : t =
     | Python -> Py_gen.gen_file ~rng ~vocab ~rates ~file
     | Java -> Java_gen.gen_file ~rng ~vocab ~rates ~file
   in
-  let ext = match cfg.lang with Python -> ".py" | Java -> ".java" in
+  let ext = lang_ext cfg.lang in
   let files = ref [] and injections = ref [] and benigns = ref [] in
   for r = 0 to cfg.n_repos - 1 do
     let repo_rng = Prng.split master in
@@ -210,7 +211,7 @@ let generate (cfg : config) : t =
 let write_scale ~lang ~seed ~files_per_repo ~n_files emit =
   let files_per_repo = max 1 files_per_repo in
   let rates = { Py_gen.issue = 0.02; benign = 0.05 } in
-  let ext = match lang with Python -> ".py" | Java -> ".java" in
+  let ext = lang_ext lang in
   let emitted = ref 0 and r = ref 0 in
   while !emitted < n_files do
     let repo = Printf.sprintf "repo%05d" !r in

@@ -10,6 +10,9 @@ type lang = Python | Java
 
 val lang_name : lang -> string
 
+val lang_ext : lang -> string
+(** [".py"] or [".java"]: the suffix of a language's source files. *)
+
 type file = { repo : string; path : string; source : string }
 
 type t = {

@@ -101,7 +101,7 @@ let minimize ~still_crashes src =
 (* ------------------------------------------------------------------ *)
 
 let write ~out crash =
-  let ext = match crash.c_lang with Corpus.Python -> ".py" | Corpus.Java -> ".java" in
+  let ext = Corpus.lang_ext crash.c_lang in
   let dir = Filename.concat out crash.c_bucket in
   let base = Printf.sprintf "crash-%06d" crash.c_iter in
   let src_path = Filename.concat dir (base ^ ext) in

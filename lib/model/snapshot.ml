@@ -95,14 +95,8 @@ let write ?perm ~path bytes =
       raise e
 
 let read_file ~desc ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> s
-  | exception Sys_error msg -> errf "cannot read %s %s: %s" desc path msg
+  try Namer_util.Fs.read_file path
+  with Sys_error msg -> errf "cannot read %s %s: %s" desc path msg
 
 let section ~desc sections name =
   match List.assoc_opt name sections with

@@ -55,12 +55,7 @@ let read ~dir =
   let file = path ~dir in
   if not (Sys.file_exists file) then { records = []; dropped = 0 }
   else begin
-    let ic = open_in_bin file in
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
+    let content = Namer_util.Fs.read_file file in
     let complete, tail_dropped =
       match String.rindex_opt content '\n' with
       | None -> ("", if content = "" then 0 else 1)

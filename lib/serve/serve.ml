@@ -239,72 +239,51 @@ let error_response ?op code msg =
     ((match op with Some o -> [ ("ok", J.Bool false); ("op", J.String o) ] | None -> [ ("ok", J.Bool false) ])
     @ [ ("code", J.String code); ("error", J.String msg) ])
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let rec walk_files dir =
-  Sys.readdir dir |> Array.to_list |> List.sort compare
-  |> List.concat_map (fun entry ->
-         let path = Filename.concat dir entry in
-         if Sys.is_directory path then walk_files path else [ path ])
-
-let lang_ext = function Corpus.Python -> ".py" | Corpus.Java -> ".java"
-
-(* Resolve a scan request's target to corpus files.  Server-side reads
-   ([dir] / [files]) happen on the connection thread, outside any lock. *)
-let scan_files (m : Namer.model) req =
+(* Resolve a scan request's target to file refs.  Nothing is read here:
+   each [dir] / [files] source is loaded on the worker that scans it and
+   dropped after matching, and a file that fails to load is a per-file
+   skip, as in a CLI scan. *)
+let scan_refs (m : Namer.model) req =
   match (field "sources" req, field "files" req, field "dir" req) with
   | Some (J.List srcs), _, _ ->
-      let files =
+      let refs =
         List.map
           (fun s ->
             match (str_field "path" s, str_field "source" s) with
-            | Some path, Some source -> { Corpus.repo = "<inline>"; path; source }
+            | Some path, Some source ->
+                { Namer.fr_repo = "<inline>"; fr_path = path; fr_load = (fun () -> source) }
             | _ -> failwith "sources entries need string fields \"path\" and \"source\"")
           srcs
       in
-      if files = [] then failwith "empty sources list" else Ok files
+      if refs = [] then failwith "empty sources list" else Ok refs
   | _, Some (J.List paths), _ ->
-      let files =
+      let refs =
         List.map
           (function
-            | J.String path -> { Corpus.repo = "<files>"; path; source = read_file path }
+            | J.String path -> Namer.ref_of_path ~repo:"<files>" ~path ~file:path
             | _ -> failwith "files entries must be string paths")
           paths
       in
-      if files = [] then failwith "empty files list" else Ok files
+      if refs = [] then failwith "empty files list" else Ok refs
   | _, _, Some (J.String dir) ->
       if not (Sys.file_exists dir && Sys.is_directory dir) then
         failwith (Printf.sprintf "no such directory: %s" dir)
       else begin
-        let ext = lang_ext m.Namer.m_lang in
-        let files =
-          walk_files dir
-          |> List.filter (fun p -> Filename.check_suffix p ext)
-          |> List.map (fun path -> { Corpus.repo = dir; path; source = read_file path })
-        in
-        if files = [] then failwith (Printf.sprintf "no %s files under %s" ext dir)
-        else Ok files
+        match Namer.refs_of_dir ~lang:m.Namer.m_lang dir with
+        | [] ->
+            failwith
+              (Printf.sprintf "no %s files under %s" (Corpus.lang_ext m.Namer.m_lang) dir)
+        | refs -> Ok refs
       end
   | _ -> Error "scan needs one of \"sources\", \"files\" or \"dir\""
 
 (* The CLI's [namer scan --model --json] fields behind the ok/op envelope;
    {!Client.cli_json_of_scan} strips the envelope again. *)
-let scan_response (m : Namer.model) files (result : Namer.scan_result) ~max_reports =
-  let sources = Hashtbl.create 256 in
-  List.iter
-    (fun (f : Corpus.file) -> Hashtbl.replace sources f.Corpus.path f.Corpus.source)
-    files;
-  let statement (r : Namer.report) =
-    Namer.statement_of ~src:(Hashtbl.find_opt sources r.Namer.r_file) ~line:r.Namer.r_line
-  in
+let scan_response (m : Namer.model) refs (result : Namer.scan_result) ~max_reports =
   J.Obj
     (("ok", J.Bool true) :: ("op", J.String "scan")
-    :: Namer.scan_json_fields m ~files:(List.length files) ~statement ~max_reports result)
+    :: Namer.scan_json_fields m ~files:(List.length refs)
+         ~statement:(Namer.statement_lookup refs) ~max_reports result)
 
 (* Under [lock]: close the cache pack of a model that is no longer served
    and has no scan in flight.  A reload back to it reopens the pack on its
@@ -348,9 +327,9 @@ let handle_scan t req =
                   release_pack t h
               | n -> Hashtbl.replace t.scans_on h (n - 1)))
         (fun () ->
-          match scan_files m req with
+          match scan_refs m req with
           | Error msg -> error_response ~op:"scan" "bad_request" msg
-          | Ok files ->
+          | Ok refs ->
               let max_reports =
                 match int_field "max_reports" req with Some n -> n | None -> max_int
               in
@@ -359,17 +338,16 @@ let handle_scan t req =
                  tests without a large corpus *)
               if Fault.fires "serve.slow" then Unix.sleepf 0.5;
               let result =
-                Namer.scan_with_model ?pool:t.pool ~jobs:1 ?cache_dir:t.cfg.sv_cache_dir m
-                  files
+                Namer.scan_refs ?pool:t.pool ~jobs:1 ?cache_dir:t.cfg.sv_cache_dir m refs
               in
               locked t (fun () ->
                   t.c_scans <- t.c_scans + 1;
-                  t.c_files <- t.c_files + List.length files;
+                  t.c_files <- t.c_files + List.length refs;
                   t.c_reports <- t.c_reports + Array.length result.Namer.sr_reports;
                   t.c_cache_hits <- t.c_cache_hits + result.Namer.sr_cache_hits;
                   t.c_cache_misses <- t.c_cache_misses + result.Namer.sr_cache_misses);
               Telemetry.count "serve.scans";
-              scan_response m files result ~max_reports
+              scan_response m refs result ~max_reports
           | exception (Sys_error msg | Failure msg) ->
               error_response ~op:"scan" "bad_request" msg)
 

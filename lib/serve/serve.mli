@@ -16,10 +16,16 @@
 
     Requests ([op] selects the operation):
     - [{"op":"scan","dir":DIR}] — scan every model-language file under a
-      server-side directory;
+      server-side directory, found by the CLI's walk
+      ({!Namer_core.Namer.refs_of_dir});
     - [{"op":"scan","files":[PATH,…]}] — scan server-side files;
     - [{"op":"scan","sources":[{"path":P,"source":S},…]}] — scan inline
       sources shipped in the request;
+    - a [dir] or [files] source is read on the worker that scans it and
+      dropped after matching, as in a CLI scan; a file that cannot be
+      read becomes a [skipped] entry with its reason and the other files
+      are still scanned.  A missing [dir], an empty list, or a [dir] with
+      no file of the model's language answers [bad_request];
     - optional [{"max_reports":N}] on any scan caps the rendered report
       list (the [violations] count stays exact);
     - [{"op":"status"}] — model identity, counters, pool, interner

@@ -157,22 +157,10 @@ let test_scan_matches_direct () =
          check_bool "scan ok" true (is_ok r);
          check_string "scan names its model" hash_a (str "model" r);
          let m = Namer.load_model ~path:model_a in
-         let read p =
-           let ic = open_in_bin p in
-           let s = really_input_string ic (in_channel_length ic) in
-           close_in ic;
-           s
-         in
-         let rec walk d =
-           Sys.readdir d |> Array.to_list |> List.sort compare
-           |> List.concat_map (fun e ->
-                  let p = Filename.concat d e in
-                  if Sys.is_directory p then walk p else [ p ])
-         in
          let files =
-           walk dir
-           |> List.filter (fun p -> Filename.check_suffix p ".py")
-           |> List.map (fun path -> { Corpus.repo = dir; path; source = read path })
+           Namer_util.Fs.walk ~ext:".py" dir
+           |> List.map (fun path ->
+                  { Corpus.repo = dir; path; source = Namer_util.Fs.read_file path })
          in
          let direct = Namer.scan_with_model ~jobs:1 m files in
          check_int "same file count" (List.length files) (int_f "files" r);
@@ -641,6 +629,56 @@ let test_reload_closes_old_pack () =
          check_string "the served model's pack" (hash_b ^ ".pack")
            (String.concat "," (open_packs cache))))
 
+let files_payload paths =
+  J.Obj [ ("op", J.String "scan"); ("files", J.List (List.map (fun p -> J.String p) paths)) ]
+
+(* A [files] entry that names a directory fails to read; the failed read
+   must close its descriptor. *)
+let test_files_dir_leaks_no_fd () =
+  let dir, model_a, _, _, _ = Lazy.force env in
+  let n_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  ignore
+    (with_daemon ~model:model_a (fun _ target ->
+         let c = Client.connect ~retry_for:5.0 target in
+         ignore (req c (files_payload [ dir ]));
+         let before = n_fds () in
+         for _ = 1 to 10 do
+           ignore (req c (files_payload [ dir ]))
+         done;
+         let after = n_fds () in
+         Client.close c;
+         check_int "open descriptors after 10 more requests" before after))
+
+(* A [files] request with one missing path still scans the others: the
+   path is a skipped entry, the reports those of a direct scan. *)
+let test_files_missing_path_skipped () =
+  let dir, model_a, _, _, _ = Lazy.force env in
+  let real = Namer_util.Fs.walk ~ext:".py" dir in
+  let missing = Filename.concat dir "no_such_file.py" in
+  let r, _ =
+    with_daemon ~model:model_a (fun _ target ->
+        let c = Client.connect ~retry_for:5.0 target in
+        let r = req c (files_payload (real @ [ missing ])) in
+        Client.close c;
+        r)
+  in
+  check_bool "scan ok" true (is_ok r);
+  check_int "every path counted" (List.length real + 1) (int_f "files" r);
+  check_int "one file skipped" 1 (int_f "files_skipped" r);
+  (match field "skipped" r with
+  | Some (J.List [ sk ]) -> check_string "the missing path is skipped" missing (str "file" sk)
+  | _ -> Alcotest.fail "expected one skipped entry");
+  let refs = List.map (fun p -> Namer.ref_of_path ~repo:"<files>" ~path:p ~file:p) real in
+  let direct = Namer.scan_refs ~jobs:1 (Namer.load_model ~path:model_a) refs in
+  check_bool "some reports to compare" true (Array.length direct.Namer.sr_reports > 0);
+  let statement = Namer.statement_lookup refs in
+  check_string "reports of a direct scan of the readable files"
+    (String.concat ""
+       (Array.to_list
+          (Array.map (fun x -> Namer.report_text ~statement:(statement x) x)
+             direct.Namer.sr_reports)))
+    (match Client.cli_text_of_scan r with Ok s -> s | Error e -> Alcotest.fail e)
+
 let suite =
   [
     ("serve: status round trip", `Quick, test_status);
@@ -665,4 +703,10 @@ let suite =
     ("serve: shutdown drains and reports stats", `Quick, test_shutdown_drains);
     ("serve: --jobs N runs N domains in all", `Quick, test_jobs_count_the_io_domain);
     ("serve: reload closes the replaced model's pack", `Quick, test_reload_closes_old_pack);
+    ( "serve: a files entry naming a directory leaks no descriptor",
+      `Quick,
+      test_files_dir_leaks_no_fd );
+    ( "serve: an unreadable files entry is skipped, the rest scanned",
+      `Quick,
+      test_files_missing_path_skipped );
   ]

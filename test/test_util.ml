@@ -425,5 +425,32 @@ let test_fs_mkdir_p () =
     (match Namer_util.Fs.mkdir_p file with () -> false | exception Sys_error _ -> true);
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote root)))
 
+(* walk: a tree whose entries were made in reverse name order still lists
+   in name order, nested files in their directory's place, and only files
+   with the suffix — a directory named like a source file is descended *)
+let test_fs_walk () =
+  let root = Filename.temp_file "namer_walk" "" in
+  Sys.remove root;
+  let touch rel =
+    let path = Filename.concat root rel in
+    Namer_util.Fs.mkdir_p (Filename.dirname path);
+    close_out (open_out path)
+  in
+  List.iter touch
+    [ "z.py"; "y/b.py"; "y/a.txt"; "q.py/r.py"; "m.py"; "b/d/e.py"; "b/c.py"; "a.pyc"; "a.py" ];
+  Alcotest.(check (list string)) "sorted, nested, filtered"
+    (List.map (Filename.concat root)
+       [ "a.py"; "b/c.py"; "b/d/e.py"; "m.py"; "q.py/r.py"; "y/b.py"; "z.py" ])
+    (Namer_util.Fs.walk ~ext:".py" root);
+  Alcotest.(check (list string)) "another suffix"
+    [ Filename.concat root "y/a.txt" ]
+    (Namer_util.Fs.walk ~ext:".txt" root);
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote root)))
+
 let suite =
-  suite @ json_suite @ [ Alcotest.test_case "fs: mkdir_p" `Quick test_fs_mkdir_p ]
+  suite @ json_suite
+  @ [
+      Alcotest.test_case "fs: mkdir_p" `Quick test_fs_mkdir_p;
+      Alcotest.test_case "fs: walk is sorted, nested and extension-filtered" `Quick
+        test_fs_walk;
+    ]
