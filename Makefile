@@ -144,8 +144,8 @@ scale-smoke: build
 # be byte-identical to `namer scan --model`, the name-path interner sizes
 # in `status` to be the same before and after the run (scans never grow
 # it), `status` to show --jobs 4 as a pool of 3 workers (the I/O domain
-# is the fourth), a clean SIGTERM drain, and a serve row in the run
-# ledger.  Cache
+# is the fourth) and to count the 50 scans with no errors, a clean
+# SIGTERM drain, and a serve row in the run ledger.  Cache
 # sharing across processes: a CLI scan of a second corpus into the live
 # daemon's cache dir, after which the daemon scans that corpus with no
 # misses (it indexed the CLI's appends) and the CLI's exact text, and
@@ -166,7 +166,8 @@ serve-smoke: build
 	trap '{ kill "$$pid" && wait "$$pid"; } 2>/dev/null || true; rm -rf "$$state"' EXIT; \
 	for _ in $$(seq 1 100); do [ -S "$$state/namer.sock" ] && break; sleep 0.1; done; \
 	[ -S "$$state/namer.sock" ]; \
-	interner() { python3 -c 'import json, socket, sys; s = socket.socket(socket.AF_UNIX); s.connect(sys.argv[1]); s.sendall(b"{\"op\":\"status\"}\n"); print(json.dumps(json.loads(s.makefile().readline())["interner"], sort_keys=True))' "$$state/namer.sock"; }; \
+	status() { python3 -c 'import socket, sys; s = socket.socket(socket.AF_UNIX); s.connect(sys.argv[1]); s.sendall(b"{\"op\":\"status\"}\n"); sys.stdout.write(s.makefile().readline())' "$$state/namer.sock"; }; \
+	interner() { status | python3 -c 'import json, sys; print(json.dumps(json.load(sys.stdin)["interner"], sort_keys=True))'; }; \
 	before=$$(interner); \
 	"$$loadtest" --socket "$$state/namer.sock" --dir "$$state/corpus" \
 	  --clients 8 --requests 50 --max-reports 100000 \
@@ -175,8 +176,7 @@ serve-smoke: build
 	after=$$(interner); \
 	echo "interner before: $$before, after: $$after"; \
 	[ "$$before" = "$$after" ]; \
-	python3 -c 'import json, socket, sys; s = socket.socket(socket.AF_UNIX); s.connect(sys.argv[1]); s.sendall(b"{\"op\":\"status\"}\n"); st = json.loads(s.makefile().readline()); pool = st["pool"] or {}; print("status: jobs %s, pool size %s" % (st["jobs"], pool.get("size"))); sys.exit(0 if st["jobs"] == 4 and pool.get("size") == 3 else "--jobs 4 must run 3 pool workers beside the I/O domain")' \
-	  "$$state/namer.sock"; \
+	status | python3 -c 'import json, sys; st = json.load(sys.stdin); pool = st["pool"] or {}; print("status: jobs %s, pool size %s, %d scans, %d errors" % (st["jobs"], pool.get("size"), st["scans"], st["errors"])); st["jobs"] == 4 and pool.get("size") == 3 or sys.exit("--jobs 4 must run 3 pool workers beside the I/O domain"); st["scans"] >= 50 and st["errors"] == 0 or sys.exit("status must count the 50 scans, and no errors")'; \
 	"$$namer" scan --model "$$state/m.nmdl" --max-reports 100000 "$$state/corpus" \
 	  > "$$state/cli.txt" 2>/dev/null; \
 	diff "$$state/serve.txt" "$$state/cli.txt"; \
@@ -195,8 +195,7 @@ serve-smoke: build
 	python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); print("files request: %d files, %d skipped" % (r["files"], r["files_skipped"])); sys.exit(0 if r["files_skipped"] == 1 else "the missing path must be one skipped file")' \
 	  "$$state/serve3.json"; \
 	diff "$$state/serve3.txt" "$$state/cli2.txt"; \
-	python3 -c 'import json, socket, sys; s = socket.socket(socket.AF_UNIX); s.connect(sys.argv[1]); s.sendall(b"{\"op\":\"status\"}\n"); c = json.loads(s.makefile().readline())["cache"]; print("cache: %d entries, %d pack bytes" % (c["entries"], c["pack_bytes"])); sys.exit(0 if c["entries"] > 0 and c["pack_bytes"] > 0 else "status lacks cache entries")' \
-	  "$$state/namer.sock"; \
+	status | python3 -c 'import json, sys; c = json.load(sys.stdin)["cache"]; print("cache: %d entries, %d pack bytes" % (c["entries"], c["pack_bytes"])); sys.exit(0 if c["entries"] > 0 and c["pack_bytes"] > 0 else "status lacks cache entries")'; \
 	kill -TERM "$$pid"; wait "$$pid"; \
 	[ ! -e "$$state/namer.sock" ]; \
 	grep -q '"cmd":"serve"' "$$state/ledger/ledger.jsonl"; \

@@ -150,7 +150,7 @@ let serve_bench (t : Namer.t) (corpus : Corpus.t) ~jobs =
         sv_jobs = jobs;
       }
   in
-  let daemon = Thread.create (fun () -> ignore (Serve.serve_forever sv)) () in
+  let daemon = Thread.create Serve.serve_forever sv in
   let target =
     match Serve.endpoint sv with
     | Serve.Tcp (h, p) -> Client.Tcp (h, p)
@@ -586,12 +586,44 @@ let telemetry_bench ~jobs_parallel ~scale:(scale_json, scale_ok)
   if not (reports_identical && cache_identical && serve_ok && scale_ok && merge_ok)
   then exit 1
 
+let usage =
+  String.concat "\n"
+    [
+      "usage: main.exe [--quick] [--no-nn] [--sweeps]";
+      "       main.exe --perf";
+      "       main.exe --telemetry [--jobs N] [--scale-files N] [--merge-files N]";
+      "";
+      "  --quick          smaller corpora for the evaluation tables";
+      "  --no-nn          skip the GGNN / Great comparison (Tables 10 and 11)";
+      "  --sweeps         also run the feature ablation and mining sweeps";
+      "  --perf           the speed micro-benchmarks instead of the tables";
+      "  --telemetry      write BENCH_pipeline.json instead of the tables";
+      "  --jobs N         domains of the parallel --telemetry build (default 4)";
+      "  --scale-files N  files of the --telemetry scale corpus (default 20000)";
+      "  --merge-files N  files of the --telemetry merge corpus (default 2000)";
+      "";
+    ]
+
 let () =
-  let args = Array.to_list Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
+  let rec check = function
+    | [] -> ()
+    | ("--quick" | "--no-nn" | "--sweeps" | "--perf" | "--telemetry") :: rest -> check rest
+    | ("--jobs" | "--scale-files" | "--merge-files") :: n :: rest
+      when Option.is_some (int_of_string_opt n) ->
+        check rest
+    | ("-h" | "-help" | "--help") :: _ ->
+        print_string usage;
+        exit 0
+    | a :: _ ->
+        Printf.eprintf "main.exe: bad argument %S\n%s%!" a usage;
+        exit 2
+  in
+  check args;
   let flag f = List.mem f args in
   let opt_int name default =
     let rec find = function
-      | a :: b :: _ when a = name -> ( try int_of_string b with Failure _ -> default)
+      | a :: b :: _ when a = name -> int_of_string b
       | _ :: rest -> find rest
       | [] -> default
     in

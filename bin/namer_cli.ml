@@ -793,16 +793,16 @@ let serve model_path socket_path host port jobs cache_dir max_concurrent timeout
       progress "serving model %s on tcp %s:%d (jobs=%d)" (Serve.model_hash t) h p jobs;
       (* scripts bind --port 0 and read the resolved port from stdout *)
       if port = 0 then Printf.printf "%d\n%!" p);
-  let stats = Serve.serve_forever t in
+  Serve.serve_forever t;
+  let c = Telemetry.counter in
   progress "drained: %d requests (%d scans, %d reloads) over %d connections"
-    stats.Serve.st_requests stats.Serve.st_scans stats.Serve.st_reloads
-    stats.Serve.st_connections;
+    (c "serve.requests") (c "serve.scans") (c "serve.reloads") (c "serve.connections");
   finish
     ~extra:
       [
         ("jobs", J.Int jobs);
-        ("model_hash", J.String stats.Serve.st_model_hash);
-        ("serve", Serve.stats_json stats);
+        ("model_hash", J.String (Serve.model_hash t));
+        ("serve", Serve.ledger_json t);
       ]
     ()
 

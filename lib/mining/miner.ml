@@ -67,13 +67,12 @@ let default_config =
     min_satisfaction_ratio = 0.8;
   }
 
-(** Per-pattern occurrence statistics over the mining dataset — these become
-    the "entire dataset" level features (6, 9, 12) of the classifier. *)
+(** Per-pattern occurrence counts over the mining dataset: the tallies
+    [pruneUncommon] keeps or drops a candidate by. *)
 type pattern_stats = { mutable matches : int; mutable sats : int; mutable viols : int }
 
 type result = {
   store : Pattern.Store.t;
-  dataset_stats : (int, pattern_stats) Hashtbl.t;  (** pattern id → stats *)
   n_candidates : int;  (** patterns generated before pruning *)
   cond_counts : int array array;
       (** pattern id → the line-5 count of each condition path, the rank
@@ -479,7 +478,7 @@ let mine ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
   let counts, checks = prune_tally ?pool ~rank candidate_store stmts in
   Telemetry.count ~by:checks "mine.prune_checks";
   let store = Pattern.Store.create () in
-  let dataset_stats = Hashtbl.create (1 lsl 12) and cond_counts_rev = ref [] in
+  let cond_counts_rev = ref [] in
   Pattern.Store.iter
     (fun p ->
       match Hashtbl.find_opt counts p.id with
@@ -491,14 +490,11 @@ let mine ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
           let new_id = Pattern.Store.add store { p with id = -1 } in
           if new_id = n then
             cond_counts_rev :=
-              Array.map (Namer_util.Counter.count freq) cond_pids.(p.id) :: !cond_counts_rev;
-          Hashtbl.replace dataset_stats new_id
-            { matches = st.matches; sats = st.sats; viols = st.viols }
+              Array.map (Namer_util.Counter.count freq) cond_pids.(p.id) :: !cond_counts_rev
       | _ -> ())
     candidate_store;
   {
     store;
-    dataset_stats;
     n_candidates = Pattern.Store.size candidate_store;
     cond_counts = Array.of_list (List.rev !cond_counts_rev);
   }

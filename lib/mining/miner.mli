@@ -16,13 +16,12 @@ type config = {
 
 val default_config : config
 
-(** Per-pattern occurrence statistics over the mining dataset (the
-    "entire dataset" level of classifier features 6/9/12). *)
+(** Per-pattern occurrence counts over the mining dataset: the tallies
+    [pruneUncommon] keeps or drops a candidate by ({!prune_tally}). *)
 type pattern_stats = { mutable matches : int; mutable sats : int; mutable viols : int }
 
 type result = {
   store : Pattern.Store.t;  (** patterns surviving [pruneUncommon] *)
-  dataset_stats : (int, pattern_stats) Hashtbl.t;  (** pattern id → stats *)
   n_candidates : int;  (** patterns generated before pruning *)
   cond_counts : int array array;
       (** pattern id → the corpus count of each condition path (the line-5

@@ -114,7 +114,10 @@ let source_digest files =
 
 let source_digest_refs files =
   let per_file =
-    List.map (fun (p, load) -> p ^ ":" ^ Digest.to_hex (Digest.string (load ()))) files
+    List.map
+      (fun (p, load) ->
+        p ^ ":" ^ match load () with src -> Digest.to_hex (Digest.string src) | exception Sys_error _ -> "-")
+      files
     |> List.sort compare
   in
   Digest.to_hex (Digest.string (String.concat "\n" per_file))

@@ -58,4 +58,6 @@ val source_digest : (string * string) list -> string
 val source_digest_refs : (string * (unit -> string)) list -> string
 (** {!source_digest} over lazily-loaded sources: each [(path, load)] is
     read and hashed one file at a time, so the input set never has to be
-    resident at once.  Same digest as {!source_digest} on equal content. *)
+    resident at once.  Same digest as {!source_digest} on equal content.
+    A file that cannot be read (a dangling link: the scan skipped it)
+    digests as [-]. *)

@@ -30,46 +30,6 @@ let default_config ~model_path endpoint =
     sv_max_request_bytes = 8 * 1024 * 1024;
   }
 
-type stats = {
-  st_connections : int;
-  st_requests : int;
-  st_scans : int;
-  st_files : int;
-  st_reports : int;
-  st_cache_hits : int;
-  st_cache_misses : int;
-  st_overloaded : int;
-  st_timeouts : int;
-  st_errors : int;
-  st_degraded : int;
-  st_reloads : int;
-  st_p50_ms : float;
-  st_p99_ms : float;
-  st_uptime_s : float;
-  st_model_hash : string;
-}
-
-let stats_json (s : stats) =
-  [
-    ("connections", J.Int s.st_connections);
-    ("requests", J.Int s.st_requests);
-    ("scans", J.Int s.st_scans);
-    ("files_scanned", J.Int s.st_files);
-    ("reports", J.Int s.st_reports);
-    ( "cache",
-      J.Obj [ ("hits", J.Int s.st_cache_hits); ("misses", J.Int s.st_cache_misses) ] );
-    ("overloaded", J.Int s.st_overloaded);
-    ("timeouts", J.Int s.st_timeouts);
-    ("errors", J.Int s.st_errors);
-    ("degraded", J.Int s.st_degraded);
-    ("reloads", J.Int s.st_reloads);
-    ("request_p50_ms", J.Float s.st_p50_ms);
-    ("request_p99_ms", J.Float s.st_p99_ms);
-    ("uptime_s", J.Float s.st_uptime_s);
-    ("model_hash", J.String s.st_model_hash);
-  ]
-  |> fun fields -> J.Obj fields
-
 type t = {
   cfg : config;
   listen_fd : Unix.file_descr;
@@ -83,8 +43,9 @@ type t = {
      against the model's own read-only vocabulary — so only a second
      reload can race a reload. *)
   model_lock : Mutex.t;
-  (* Short critical sections only: counters, the connection registry and
-     the current-model reference.  Never held across a scan. *)
+  (* Short critical sections only: scan admission and release, the
+     current-model reference and the connection registry.  Never held
+     across a scan. *)
   lock : Mutex.t;
   mutable model : Namer.model;
   mutable model_path : string;
@@ -92,20 +53,6 @@ type t = {
   (* in-flight scans per model hash: a model no longer served keeps its
      cache pack open until the last of its scans is done *)
   scans_on : (string, int) Hashtbl.t;
-  mutable c_connections : int;
-  mutable c_requests : int;
-  mutable c_scans : int;
-  mutable c_files : int;
-  mutable c_reports : int;
-  mutable c_cache_hits : int;
-  mutable c_cache_misses : int;
-  mutable c_overloaded : int;
-  mutable c_timeouts : int;
-  mutable c_errors : int;
-  mutable c_degraded : int;
-  mutable c_reloads : int;
-  (* request latencies for [status], ledger on or off; guarded by [lock] *)
-  latency : Telemetry.Histogram.t;
   conns : (int, Unix.file_descr * Thread.t) Hashtbl.t;
   mutable next_conn : int;
   t_start : float;
@@ -116,11 +63,24 @@ let locked t f = Mutex.protect t.lock f
 let model_hash t = locked t (fun () -> t.model.Namer.m_hash)
 let endpoint t = t.resolved
 
-(* [(n, p50, p99)] of the request latencies, zeros before any request *)
-let latency t =
-  match locked t (fun () -> Telemetry.Histogram.summarize [ t.latency ]) with
+(* The daemon's counters are the telemetry registry's: [counts ()] reads
+   them once, a name never counted being 0, and [latency ()] is
+   [(n, p50, p99)] of the request latencies, zeros before any request. *)
+let counts () =
+  let all = Telemetry.counters () in
+  fun name -> Option.value ~default:0 (List.assoc_opt name all)
+
+let latency () =
+  match Telemetry.histogram "serve.request_ms" with
   | Some s -> (s.Telemetry.n, s.Telemetry.p50, s.Telemetry.p99)
   | None -> (0, 0.0, 0.0)
+
+(* the counters [status] and the ledger row both carry: field [f] is the
+   registry's [serve.f] *)
+let counter_fields c =
+  List.map
+    (fun f -> (f, J.Int (c ("serve." ^ f))))
+    [ "requests"; "scans"; "overloaded"; "timeouts"; "errors"; "degraded"; "reloads"; "connections" ]
 
 (* ---------------- socket setup ---------------- *)
 
@@ -171,6 +131,9 @@ let create cfg =
   (* a client that disconnects mid-response must not kill the daemon *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let stop_r, stop_w = Unix.pipe ~cloexec:true () in
+  (* [status] reads the registry, so a daemon records even when nothing
+     else asked for telemetry; a sink already on is kept as it is *)
+  if not (Telemetry.enabled ()) then Telemetry.set_sink Telemetry.Memory;
   (* [sv_jobs] domains in all: the domain running the accept loop and the
      connection threads is one of them, so the pool gets the rest.  Its
      awaiters only block (Pool.create), and every domain, parked or not,
@@ -192,19 +155,6 @@ let create cfg =
     model_path = cfg.sv_model_path;
     in_flight = 0;
     scans_on = Hashtbl.create 2;
-    c_connections = 0;
-    c_requests = 0;
-    c_scans = 0;
-    c_files = 0;
-    c_reports = 0;
-    c_cache_hits = 0;
-    c_cache_misses = 0;
-    c_overloaded = 0;
-    c_timeouts = 0;
-    c_errors = 0;
-    c_degraded = 0;
-    c_reloads = 0;
-    latency = Telemetry.Histogram.create ();
     conns = Hashtbl.create 64;
     next_conn = 0;
     t_start = Unix.gettimeofday ();
@@ -311,7 +261,6 @@ let handle_scan t req =
   in
   match admitted with
   | None ->
-      locked t (fun () -> t.c_overloaded <- t.c_overloaded + 1);
       Telemetry.count "serve.overloaded";
       error_response ~op:"scan" "overloaded"
         (Printf.sprintf "%d scans already in flight" t.cfg.sv_max_concurrent)
@@ -340,39 +289,28 @@ let handle_scan t req =
               let result =
                 Namer.scan_refs ?pool:t.pool ~jobs:1 ?cache_dir:t.cfg.sv_cache_dir m refs
               in
-              locked t (fun () ->
-                  t.c_scans <- t.c_scans + 1;
-                  t.c_files <- t.c_files + List.length refs;
-                  t.c_reports <- t.c_reports + Array.length result.Namer.sr_reports;
-                  t.c_cache_hits <- t.c_cache_hits + result.Namer.sr_cache_hits;
-                  t.c_cache_misses <- t.c_cache_misses + result.Namer.sr_cache_misses);
               Telemetry.count "serve.scans";
+              Telemetry.count ~by:(List.length refs) "serve.files";
               scan_response m refs result ~max_reports
           | exception (Sys_error msg | Failure msg) ->
               error_response ~op:"scan" "bad_request" msg)
 
 let handle_status t =
-  let n, p50, p99 = latency t in
-  let c f = locked t (fun () -> f t) in
-  let m = locked t (fun () -> t.model) in
+  let c = counts () and n, p50, p99 = latency () in
+  let m, model_path, in_flight = locked t (fun () -> (t.model, t.model_path, t.in_flight)) in
   J.Obj
-    [
+    ([
       ("ok", J.Bool true);
       ("op", J.String "status");
       ("model", J.String m.Namer.m_hash);
-      ("model_path", J.String (locked t (fun () -> t.model_path)));
+      ("model_path", J.String model_path);
       ("lang", J.String (Corpus.lang_name m.Namer.m_lang));
       ("patterns", J.Int (Pattern.Store.size m.Namer.m_store));
       ("uptime_s", J.Float (Unix.gettimeofday () -. t.t_start));
-      ("requests", J.Int (c (fun t -> t.c_requests)));
-      ("scans", J.Int (c (fun t -> t.c_scans)));
-      ("in_flight", J.Int (c (fun t -> t.in_flight)));
-      ("overloaded", J.Int (c (fun t -> t.c_overloaded)));
-      ("timeouts", J.Int (c (fun t -> t.c_timeouts)));
-      ("errors", J.Int (c (fun t -> t.c_errors)));
-      ("degraded", J.Int (c (fun t -> t.c_degraded)));
-      ("reloads", J.Int (c (fun t -> t.c_reloads)));
-      ("connections", J.Int (c (fun t -> t.c_connections)));
+      ("in_flight", J.Int in_flight);
+    ]
+    @ counter_fields c
+    @ [
       ("jobs", J.Int t.cfg.sv_jobs);
       ( "interner",
         (* the global name-path interner: only a reload may grow it, so
@@ -400,13 +338,13 @@ let handle_status t =
             J.Obj
               [
                 ("dir", J.String dir);
-                ("hits", J.Int (c (fun t -> t.c_cache_hits)));
-                ("misses", J.Int (c (fun t -> t.c_cache_misses)));
+                ("hits", J.Int (c "scan_cache.hits"));
+                ("misses", J.Int (c "scan_cache.misses"));
                 ("entries", J.Int entries);
                 ("pack_bytes", J.Int pack_bytes);
               ] );
       ("latency_ms", J.Obj [ ("p50", J.Float p50); ("p99", J.Float p99); ("n", J.Int n) ]);
-    ]
+    ])
 
 let handle_reload t req =
   let path =
@@ -425,7 +363,6 @@ let handle_reload t req =
             let prev = t.model.Namer.m_hash in
             t.model <- m;
             t.model_path <- path;
-            t.c_reloads <- t.c_reloads + 1;
             release_pack t prev;
             prev)
       in
@@ -455,12 +392,10 @@ let handle_reload t req =
    and then begins the drain. *)
 let handle_request t ~conn_id ~req_id line =
   let t0 = Unix.gettimeofday () in
-  locked t (fun () -> t.c_requests <- t.c_requests + 1);
   Telemetry.count "serve.requests";
   let response, keep, op =
     match J.parse line with
     | Error msg ->
-        locked t (fun () -> t.c_errors <- t.c_errors + 1);
         Telemetry.count "serve.errors";
         (error_response "bad_request" ("request is not valid JSON: " ^ msg), true, "?")
     | Ok req -> (
@@ -482,21 +417,18 @@ let handle_request t ~conn_id ~req_id line =
                   ],
                 false )
           | _ ->
-              locked t (fun () -> t.c_errors <- t.c_errors + 1);
+              Telemetry.count "serve.errors";
               (error_response "bad_request" (Printf.sprintf "unknown op %S" op), true))
         with
         | response, keep -> (response, keep, op)
         | exception Fault.Injected point ->
-            locked t (fun () -> t.c_degraded <- t.c_degraded + 1);
             Telemetry.count "serve.degraded";
             (error_response ~op "degraded" ("injected fault: " ^ point), true, op)
         | exception e ->
-            locked t (fun () -> t.c_errors <- t.c_errors + 1);
             Telemetry.count "serve.errors";
             (error_response ~op "internal" (Printexc.to_string e), true, op))
   in
   let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-  locked t (fun () -> Telemetry.Histogram.add t.latency ms);
   Telemetry.observe "serve.request_ms" ms;
   let ok = match field "ok" response with Some (J.Bool b) -> b | _ -> false in
   Telemetry.emit
@@ -555,7 +487,7 @@ let conn_loop t conn_id fd =
     | None ->
         searched := Buffer.length pending;
         if Buffer.length pending - !start > t.cfg.sv_max_request_bytes then begin
-          locked t (fun () -> t.c_errors <- t.c_errors + 1);
+          Telemetry.count "serve.errors";
           ignore
             (respond_safe
                (error_response "bad_request"
@@ -580,7 +512,6 @@ let conn_loop t conn_id fd =
               if Buffer.length pending > !start then begin
                 (* mid-request stall: a partial line is buffered and the
                    client went quiet — answer and hang up *)
-                locked t (fun () -> t.c_timeouts <- t.c_timeouts + 1);
                 Telemetry.count "serve.timeouts";
                 ignore
                   (respond_safe
@@ -606,7 +537,6 @@ let spawn_conn t fd =
   let key = locked t (fun () ->
       let k = t.next_conn in
       t.next_conn <- k + 1;
-      t.c_connections <- t.c_connections + 1;
       k)
   in
   Telemetry.count "serve.connections";
@@ -670,28 +600,6 @@ let drain_conns t =
   in
   loop ()
 
-let stats_of t =
-  let _, p50, p99 = latency t in
-  locked t (fun () ->
-      {
-        st_connections = t.c_connections;
-        st_requests = t.c_requests;
-        st_scans = t.c_scans;
-        st_files = t.c_files;
-        st_reports = t.c_reports;
-        st_cache_hits = t.c_cache_hits;
-        st_cache_misses = t.c_cache_misses;
-        st_overloaded = t.c_overloaded;
-        st_timeouts = t.c_timeouts;
-        st_errors = t.c_errors;
-        st_degraded = t.c_degraded;
-        st_reloads = t.c_reloads;
-        st_p50_ms = p50;
-        st_p99_ms = p99;
-        st_uptime_s = Unix.gettimeofday () -. t.t_start;
-        st_model_hash = t.model.Namer.m_hash;
-      })
-
 let endpoint_string = function
   | Unix_path p -> "unix:" ^ p
   | Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p
@@ -714,13 +622,27 @@ let serve_forever t =
   Option.iter Pool.shutdown t.pool;
   (try Unix.close t.stop_r with Unix.Unix_error _ -> ());
   (try Unix.close t.stop_w with Unix.Unix_error _ -> ());
-  let stats = stats_of t in
+  let c = counts () in
   Telemetry.emit
     ~fields:
       [
-        ("requests", J.Int stats.st_requests);
-        ("scans", J.Int stats.st_scans);
-        ("connections", J.Int stats.st_connections);
+        ("requests", J.Int (c "serve.requests"));
+        ("scans", J.Int (c "serve.scans"));
+        ("connections", J.Int (c "serve.connections"));
       ]
-    Telemetry.Info "serve.stop";
-  stats
+    Telemetry.Info "serve.stop"
+
+let ledger_json t =
+  let c = counts () and _, p50, p99 = latency () in
+  J.Obj
+    (counter_fields c
+    @ [
+      ("files_scanned", J.Int (c "serve.files"));
+      ("reports", J.Int (c "scan_model.reports"));
+      ( "cache",
+        J.Obj [ ("hits", J.Int (c "scan_cache.hits")); ("misses", J.Int (c "scan_cache.misses")) ] );
+      ("request_p50_ms", J.Float p50);
+      ("request_p99_ms", J.Float p99);
+      ("uptime_s", J.Float (Unix.gettimeofday () -. t.t_start));
+      ("model_hash", J.String (model_hash t));
+    ])

@@ -29,7 +29,8 @@
     - optional [{"max_reports":N}] on any scan caps the rendered report
       list (the [violations] count stays exact);
     - [{"op":"status"}] — model identity, counters, pool, interner
-      sizes ([{"prefixes","ends","paths"}]) and latency snapshot;
+      sizes ([{"prefixes","ends","paths"}]) and latency snapshot (see
+      {e Counters} below);
     - [{"op":"reload"}] or [{"op":"reload","model":PATH}] — hot-swap the
       model (see below);
     - [{"op":"shutdown"}] — acknowledge, then drain and exit.
@@ -84,9 +85,23 @@
       response; the daemon stays up (the scan pipeline's own per-file
       isolation applies inside scans, surfacing as [skipped] entries).
     - {e Drain}: SIGTERM/SIGINT (via {!request_stop}) stop the accept
-      loop, let in-flight requests finish, close idle connections, and
-      return aggregate {!stats} — which the CLI lands as one [serve] row
-      in the run ledger. *)
+      loop, let in-flight requests finish and close idle connections;
+      the CLI then lands {!ledger_json} as one [serve] row in the run
+      ledger.
+
+    {2 Counters}
+
+    The daemon keeps no counters of its own: it counts into the
+    telemetry registry ({!Namer_telemetry.Telemetry.count}), and
+    [status], the drain summary and {!ledger_json} read them back from
+    there.  [status]'s [requests], [scans], [overloaded], [timeouts],
+    [errors], [degraded], [reloads] and [connections] are the registry's
+    [serve.*] counters of those names; [cache.hits] and [cache.misses]
+    are [scan_cache.hits] and [scan_cache.misses]; [latency_ms] is the
+    [serve.request_ms] histogram.  Counts run from the process's last
+    {!Namer_telemetry.Telemetry.reset} ([namer serve] resets at
+    start-up), which is the daemon's lifetime as long as the process
+    runs one daemon. *)
 
 (** Where the daemon listens.  [Tcp (host, 0)] binds an ephemeral port —
     read the resolved endpoint back with {!endpoint}. *)
@@ -109,34 +124,13 @@ val default_config : model_path:string -> endpoint -> config
 (** jobs = recommended domain count, 64 concurrent scans, 30 s timeout,
     8 MiB request cap, no cache. *)
 
-(** Aggregate counters of one daemon lifetime (the ledger row). *)
-type stats = {
-  st_connections : int;
-  st_requests : int;
-  st_scans : int;
-  st_files : int;  (** files scanned (cache hits included) *)
-  st_reports : int;  (** violation reports returned *)
-  st_cache_hits : int;
-  st_cache_misses : int;
-  st_overloaded : int;
-  st_timeouts : int;
-  st_errors : int;  (** bad requests + internal errors *)
-  st_degraded : int;  (** injected-fault responses *)
-  st_reloads : int;
-  st_p50_ms : float;  (** request latency percentiles (recent window) *)
-  st_p99_ms : float;
-  st_uptime_s : float;
-  st_model_hash : string;  (** hash serving at shutdown *)
-}
-
-val stats_json : stats -> Namer_util.Json.t
-(** The ledger [extra] fields for a serve run. *)
-
 type t
 
 val create : config -> t
 (** Load the model, bind and listen.  Replaces a stale Unix socket file,
-    but refuses one another daemon is still accepting on.
+    but refuses one another daemon is still accepting on.  Turns telemetry
+    recording on ([Memory]) when the sink is [Null], so [status] counts
+    without a ledger too; a sink already on is left as it is.
     @raise Namer_model.Snapshot.Error on an unreadable/corrupt snapshot.
     @raise Unix.Unix_error if the endpoint cannot be bound. *)
 
@@ -146,10 +140,17 @@ val endpoint : t -> endpoint
 val model_hash : t -> string
 (** Hash of the currently-served model (changes on reload). *)
 
-val serve_forever : t -> stats
+val serve_forever : t -> unit
 (** Run the accept loop until {!request_stop} (or a [shutdown] request),
-    then drain in-flight requests, close the socket and return the
-    lifetime stats.  Call at most once. *)
+    then drain in-flight requests and close the socket.  Call at most
+    once. *)
+
+val ledger_json : t -> Namer_util.Json.t
+(** The ledger row's [serve] object, read from the registry (see
+    {e Counters}): [status]'s counters, [files_scanned] and [reports]
+    (the registry's [serve.files] and [scan_model.reports]), [cache]
+    hits and misses, [request_p50_ms], [request_p99_ms], [uptime_s] and
+    the [model_hash] serving now. *)
 
 val request_stop : t -> unit
 (** Begin a graceful drain; safe to call from a signal handler or any

@@ -405,7 +405,13 @@ let histograms () =
   |> List.filter_map (fun (k, hs) -> Option.map (fun s -> (k, s)) (Histogram.summarize hs))
   |> List.sort compare
 
-let histogram name = List.assoc_opt name (histograms ())
+(** The summary of one histogram, every domain's observations of it
+    merged; [None] before the first. *)
+let histogram name =
+  List.filter_map
+    (fun r -> locked r (fun () -> Option.map Histogram.copy (Hashtbl.find_opt r.hists name)))
+    (all_registries ())
+  |> Histogram.summarize
 
 (** Spans aggregated by name, in order of first start.  This is the
     "stage" view: per-file [parse] spans fold into one row, etc. *)

@@ -18,4 +18,7 @@ val walk : ext:string -> string -> string list
     subdirectory's files in its place.  The order depends only on the
     names, never on the file system, so whatever is built from the list
     in order (a trained model) has the same bytes on any copy of the
-    tree.  @raise Sys_error when a directory cannot be read. *)
+    tree.  Symbolic links are followed, and each directory is walked once
+    per [(st_dev, st_ino)], so a link back up the tree ends there; a
+    dangling link is a file, listed if its name ends in [ext].
+    @raise Sys_error when a directory cannot be read. *)

@@ -198,18 +198,6 @@ let test_miner_prunes_low_satisfaction () =
   let result = Miner.mine ~config ~kind:`Confusing ~pairs stmts in
   check_int "contested idiom pruned" 0 (Pattern.Store.size result.Miner.store)
 
-let test_miner_dataset_stats () =
-  let result, _ = mine_corpus () in
-  let all_good =
-    Hashtbl.fold
-      (fun _ (s : Miner.pattern_stats) acc ->
-        acc && s.Miner.matches >= s.Miner.sats && s.Miner.matches >= s.Miner.viols)
-      result.Miner.dataset_stats true
-  in
-  check_bool "stats internally consistent" true all_good;
-  check_bool "stats cover kept patterns" true
-    (Hashtbl.length result.Miner.dataset_stats = Pattern.Store.size result.Miner.store)
-
 let test_consistency_mining_end_to_end () =
   let pairs = Confusing_pairs.create () in
   let mk attr value =
@@ -593,7 +581,6 @@ let suite =
     Alcotest.test_case "pairs: from commit trees" `Quick test_pairs_from_commit_trees;
     Alcotest.test_case "miner: end to end (confusing)" `Quick test_miner_end_to_end;
     Alcotest.test_case "miner: satisfaction pruning" `Quick test_miner_prunes_low_satisfaction;
-    Alcotest.test_case "miner: dataset stats" `Quick test_miner_dataset_stats;
     Alcotest.test_case "miner: end to end (consistency)" `Quick
       test_consistency_mining_end_to_end;
     QCheck_alcotest.to_alcotest prop_anchored_prune_matches_reference;

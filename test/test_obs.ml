@@ -129,7 +129,14 @@ let test_source_digest () =
   let d2 = Ledger.source_digest [ ("b.py", "y = 2"); ("a.py", "x = 1") ] in
   let d3 = Ledger.source_digest [ ("a.py", "x = 9"); ("b.py", "y = 2") ] in
   Alcotest.(check string) "order independent" d1 d2;
-  Alcotest.(check bool) "content sensitive" true (d1 <> d3)
+  Alcotest.(check bool) "content sensitive" true (d1 <> d3);
+  let lazily = List.map (fun (p, src) -> (p, fun () -> src)) in
+  Alcotest.(check string) "lazily loaded sources digest the same" d1
+    (Ledger.source_digest_refs (lazily [ ("a.py", "x = 1"); ("b.py", "y = 2") ]));
+  (* a file the scan skipped (a dangling link) still digests *)
+  let gone () = raise (Sys_error "b.py: No such file or directory") in
+  Alcotest.(check bool) "an unreadable file digests apart" true
+    (Ledger.source_digest_refs (("b.py", gone) :: lazily [ ("a.py", "x = 1") ]) <> d1)
 
 (* ---------------- OpenMetrics ---------------- *)
 

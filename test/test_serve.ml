@@ -60,20 +60,34 @@ let env =
        corpus.Corpus.files;
      (dir, model_a, m_a.Namer.m_hash, model_b, m_b.Namer.m_hash))
 
+(* The daemon's counters are the telemetry registry's, so each daemon
+   starts from a reset registry, as [namer serve] does, and the sink that
+   [Serve.create] may switch on is put back afterwards.  The registry
+   keeps what the daemon counted until the next reset. *)
 let with_daemon ?(jobs = 1) ?cache_dir ?(max_concurrent = 64) ?(timeout_ms = 30_000)
-    ~model f =
+    ?max_request_bytes ~model f =
+  let sink = !Telemetry.sink in
+  Telemetry.reset ();
+  let cfg = Serve.default_config ~model_path:model (Serve.Tcp ("127.0.0.1", 0)) in
   let sv =
     Serve.create
       {
-        (Serve.default_config ~model_path:model (Serve.Tcp ("127.0.0.1", 0))) with
+        cfg with
         Serve.sv_jobs = jobs;
         sv_cache_dir = cache_dir;
         sv_max_concurrent = max_concurrent;
         sv_timeout_ms = timeout_ms;
+        sv_max_request_bytes = Option.value max_request_bytes ~default:cfg.Serve.sv_max_request_bytes;
       }
   in
-  let stats = ref None in
-  let th = Thread.create (fun () -> stats := Some (Serve.serve_forever sv)) () in
+  let drained = ref false in
+  let th =
+    Thread.create
+      (fun () ->
+        Serve.serve_forever sv;
+        drained := true)
+      ()
+  in
   let target =
     match Serve.endpoint sv with
     | Serve.Tcp (h, p) -> Client.Tcp (h, p)
@@ -83,10 +97,12 @@ let with_daemon ?(jobs = 1) ?cache_dir ?(max_concurrent = 64) ?(timeout_ms = 30_
     Fun.protect
       ~finally:(fun () ->
         Serve.request_stop sv;
-        Thread.join th)
+        Thread.join th;
+        Telemetry.set_sink sink)
       (fun () -> f sv target)
   in
-  (result, !stats)
+  check_bool "serve_forever returned after the drain" true !drained;
+  result
 
 let req conn obj =
   match Client.request conn obj with
@@ -253,7 +269,7 @@ let test_pooled_daemon_matches_sequential () =
   (* jobs=3 forces a resident pool of two workers, which steal from each
      other, even on a 1-core machine; its scans must be byte-identical to
      the jobs=1 daemon's *)
-  let (seq_fp, _), _ =
+  let seq_fp, _ =
     with_daemon ~jobs:1 ~model:model_a (fun _ target ->
         let c = Client.connect ~retry_for:5.0 target in
         let r = req c (scan_payload dir) in
@@ -488,23 +504,22 @@ let test_request_fault_degrades () =
 
 let test_shutdown_drains () =
   let dir, model_a, _, _, _ = Lazy.force env in
-  let (), stats =
-    with_daemon ~model:model_a (fun _ target ->
-        let c = Client.connect ~retry_for:5.0 target in
-        let scan = req c (scan_payload dir) in
-        check_bool "scan before shutdown" true (is_ok scan);
-        let r = req c (J.Obj [ ("op", J.String "shutdown") ]) in
-        check_bool "shutdown acknowledged" true (is_ok r);
-        check_bool "shutdown says draining" true
-          (field "draining" r = Some (J.Bool true));
-        Client.close c)
-  in
-  match stats with
-  | None -> Alcotest.fail "serve_forever did not return after shutdown"
-  | Some (s : Serve.stats) ->
-      check_int "both requests in the lifetime stats" 2 s.Serve.st_requests;
-      check_int "one scan in the lifetime stats" 1 s.Serve.st_scans;
-      check_bool "latency percentiles recorded" true (s.Serve.st_p99_ms > 0.0)
+  with_daemon ~model:model_a (fun _ target ->
+      let c = Client.connect ~retry_for:5.0 target in
+      let scan = req c (scan_payload dir) in
+      check_bool "scan before shutdown" true (is_ok scan);
+      let r = req c (J.Obj [ ("op", J.String "shutdown") ]) in
+      check_bool "shutdown acknowledged" true (is_ok r);
+      check_bool "shutdown says draining" true
+        (field "draining" r = Some (J.Bool true));
+      Client.close c);
+  (* the drained daemon's lifetime, as the ledger row reads it *)
+  check_int "both requests in the registry" 2 (Telemetry.counter "serve.requests");
+  check_int "one scan in the registry" 1 (Telemetry.counter "serve.scans");
+  check_bool "latency percentiles recorded" true
+    (match Telemetry.histogram "serve.request_ms" with
+    | Some s -> s.Telemetry.n = 2 && s.Telemetry.p99 > 0.0
+    | None -> false)
 
 (* -------- domains and descriptors -------- *)
 
@@ -514,36 +529,81 @@ let status_of target =
   Client.close c;
   s
 
+(* Every refusal path counts once, in the registry, and [status] reads it
+   there: a malformed line, an unknown op, an over-size request, an
+   overloaded refusal beside a held scan and a stalled partial request. *)
+let test_status_counts_are_the_registry () =
+  let dir, model_a, _, _, _ = Lazy.force env in
+  with_daemon ~max_concurrent:1 ~timeout_ms:300 ~max_request_bytes:1024 ~model:model_a
+    (fun _ target ->
+      let host, port =
+        match target with
+        | Client.Tcp (h, p) -> (h, p)
+        | Client.Unix_path _ -> Alcotest.fail "expected tcp target"
+      in
+      (* one raw connection: send [bytes], read the one response line *)
+      let raw bytes =
+        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+        ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+        let line = input_line (Unix.in_channel_of_descr fd) in
+        Unix.close fd;
+        match J.parse line with Ok j -> str "code" j | Error e -> Alcotest.fail e
+      in
+      check_string "malformed line" "bad_request" (raw "{this is not json\n");
+      check_string "unknown op" "bad_request" (raw "{\"op\":\"frobnicate\"}\n");
+      check_string "over-size request" "bad_request" (raw (String.make 2048 'x'));
+      check_string "stalled partial request" "timeout" (raw "{\"op\":\"sta");
+      Fault.reset ();
+      Fault.arm ~times:1 "serve.slow";
+      let slow =
+        Thread.create
+          (fun () ->
+            let c = Client.connect ~retry_for:5.0 target in
+            ignore (req c (scan_payload dir));
+            Client.close c)
+          ()
+      in
+      while int_f "in_flight" (status_of target) < 1 do
+        Thread.delay 0.01
+      done;
+      let c = Client.connect ~retry_for:5.0 target in
+      check_string "overloaded beside the held scan" "overloaded"
+        (str "code" (req c (scan_payload dir)));
+      Thread.join slow;
+      Fault.reset ();
+      let s = req c (J.Obj [ ("op", J.String "status") ]) in
+      Client.close c;
+      List.iter
+        (fun f ->
+          check_int ("status " ^ f ^ " = serve." ^ f) (Telemetry.counter ("serve." ^ f)) (int_f f s))
+        [ "requests"; "scans"; "errors"; "overloaded"; "timeouts" ];
+      check_int "three refusals are errors" 3 (int_f "errors" s);
+      check_int "one overloaded" 1 (int_f "overloaded" s);
+      check_int "one timeout" 1 (int_f "timeouts" s);
+      check_int "one scan done" 1 (int_f "scans" s))
+
 (* [--jobs N] means N domains in all: the domain that runs the accept loop
    and the connection threads is one of them, so the resident pool gets
    N - 1 workers and [--jobs 1] gets no pool at all. *)
 let test_jobs_count_the_io_domain () =
   let _, model_a, _, _, _ = Lazy.force env in
-  let was = Telemetry.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Telemetry.set_sink (if was then Telemetry.Memory else Telemetry.Null))
-    (fun () ->
-      Telemetry.set_sink Telemetry.Memory;
-      List.iter
-        (fun jobs ->
-          Telemetry.reset ();
-          ignore
-            (with_daemon ~jobs ~model:model_a (fun _ target ->
-                 let s = status_of target in
-                 check_int (Printf.sprintf "jobs=%d: status reports jobs" jobs) jobs
-                   (int_f "jobs" s);
-                 (match field "pool" s with
-                 | Some J.Null when jobs = 1 -> ()
-                 | Some pool when jobs > 1 ->
-                     check_int
-                       (Printf.sprintf "jobs=%d: pool size" jobs)
-                       (jobs - 1) (int_f "size" pool)
-                 | _ -> Alcotest.failf "jobs=%d: unexpected status.pool" jobs);
-                 check_int
-                   (Printf.sprintf "jobs=%d: domains spawned" jobs)
-                   (jobs - 1)
-                   (Telemetry.counter "pool.domains_spawned"))))
-        [ 1; 2; 3 ])
+  List.iter
+    (fun jobs ->
+      with_daemon ~jobs ~model:model_a (fun _ target ->
+          let s = status_of target in
+          check_int (Printf.sprintf "jobs=%d: status reports jobs" jobs) jobs (int_f "jobs" s);
+          (match field "pool" s with
+          | Some J.Null when jobs = 1 -> ()
+          | Some pool when jobs > 1 ->
+              check_int (Printf.sprintf "jobs=%d: pool size" jobs) (jobs - 1) (int_f "size" pool)
+          | _ -> Alcotest.failf "jobs=%d: unexpected status.pool" jobs);
+          check_int
+            (Printf.sprintf "jobs=%d: domains spawned" jobs)
+            (jobs - 1)
+            (Telemetry.counter "pool.domains_spawned")))
+    [ 1; 2; 3 ]
 
 (* Descriptors this process holds open on [.pack] files under [dir]. *)
 let open_packs dir =
@@ -563,7 +623,7 @@ let reload_payload model = J.Obj [ ("op", J.String "reload"); ("model", J.String
    those of an uncached scan. *)
 let test_reload_closes_old_pack () =
   let dir, model_a, hash_a, model_b, hash_b = Lazy.force env in
-  let (uncached_a, uncached_b), _ =
+  let uncached_a, uncached_b =
     with_daemon ~model:model_a (fun _ target ->
         let c = Client.connect ~retry_for:5.0 target in
         let a = Client.scan_fingerprint (req c (scan_payload dir)) in
@@ -655,7 +715,7 @@ let test_files_missing_path_skipped () =
   let dir, model_a, _, _, _ = Lazy.force env in
   let real = Namer_util.Fs.walk ~ext:".py" dir in
   let missing = Filename.concat dir "no_such_file.py" in
-  let r, _ =
+  let r =
     with_daemon ~model:model_a (fun _ target ->
         let c = Client.connect ~retry_for:5.0 target in
         let r = req c (files_payload (real @ [ missing ])) in
@@ -701,6 +761,9 @@ let suite =
     ("serve: backpressure -> overloaded", `Quick, test_backpressure_overloaded);
     ("serve: injected fault -> degraded", `Quick, test_request_fault_degrades);
     ("serve: shutdown drains and reports stats", `Quick, test_shutdown_drains);
+    ( "serve: status counts equal the registry's",
+      `Quick,
+      test_status_counts_are_the_registry );
     ("serve: --jobs N runs N domains in all", `Quick, test_jobs_count_the_io_domain);
     ("serve: reload closes the replaced model's pack", `Quick, test_reload_closes_old_pack);
     ( "serve: a files entry naming a directory leaks no descriptor",

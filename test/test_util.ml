@@ -447,10 +447,28 @@ let test_fs_walk () =
     (Namer_util.Fs.walk ~ext:".txt" root);
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote root)))
 
+(* walk over symbolic links: a link back up the tree and a link to a
+   directory already walked end there, so each real file is listed once;
+   a dangling link is a file, listed only if it has the suffix *)
+let test_fs_walk_symlinks () =
+  let root = Filename.temp_file "namer_walk_links" "" in
+  Sys.remove root;
+  Namer_util.Fs.mkdir_p (Filename.concat root "a");
+  close_out (open_out (Filename.concat root "a/f.py"));
+  List.iter
+    (fun (target, link) -> Unix.symlink target (Filename.concat root link))
+    [ ("..", "a/up"); ("../nowhere", "a/dangling"); ("../nowhere.py", "a/gone.py"); ("a", "b") ];
+  Alcotest.(check (list string)) "each real file once, the dangling .py link listed"
+    (List.map (Filename.concat root) [ "a/f.py"; "a/gone.py" ])
+    (Namer_util.Fs.walk ~ext:".py" root);
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote root)))
+
 let suite =
   suite @ json_suite
   @ [
       Alcotest.test_case "fs: mkdir_p" `Quick test_fs_mkdir_p;
       Alcotest.test_case "fs: walk is sorted, nested and extension-filtered" `Quick
         test_fs_walk;
+      Alcotest.test_case "fs: walk follows each linked directory once" `Quick
+        test_fs_walk_symlinks;
     ]
