@@ -247,7 +247,7 @@ perfbench-check: build
 	python3 perfbench/run.py --workload all --seed 1 --seconds 5 --trace 0
 
 # Everything the CI workflow checks, in order.
-ci: build test fmt bench-smoke fuzz-smoke obs-smoke scale-smoke serve-smoke merge-smoke perfbench-check
+ci: build test fmt doc bench-smoke fuzz-smoke obs-smoke scale-smoke serve-smoke merge-smoke perfbench-check
 
 clean:
 	dune clean

@@ -134,8 +134,9 @@ let default_stats_path () =
     histogram tables (with --metrics), writes the Chrome trace and the
     OpenMetrics textfile, persists the metric registry for [namer stats],
     and appends one self-contained record to the run ledger —
-    [extra] carries the per-subcommand fields (corpus digest, model hash,
-    cache hits/misses, fuzz campaign summary, …). *)
+    [extra] gives the per-subcommand fields (corpus digest, model hash,
+    cache hits/misses, fuzz campaign summary, …).  It is called only when
+    a record is written: the corpus digest re-reads every input. *)
 let obs_setup ~cmd obs =
   quiet_flag := obs.o_quiet;
   (match obs.o_log_json with
@@ -161,7 +162,7 @@ let obs_setup ~cmd obs =
   Telemetry.emit
     ~fields:[ ("cmd", J.String cmd); ("argv", J.List (List.map (fun a -> J.String a) argv)) ]
     Telemetry.Info "cli.start";
-  fun ?(extra = []) () ->
+  fun ?(extra = fun () -> []) () ->
     if telemetry_on then begin
       if obs.o_metrics then begin
         prerr_newline ();
@@ -221,7 +222,7 @@ let obs_setup ~cmd obs =
                  ("counters", Telemetry.counters_json ());
                  ("peak_rss_kb", J.Int (Ledger.peak_rss_kb ()));
                ]
-              @ extra)
+              @ extra ())
           in
           try Ledger.append ~dir record
           with Sys_error e | Unix.Unix_error (_, e, _) ->
@@ -429,7 +430,7 @@ let train_fresh lang dir jobs model_path partial_out obs =
         emit_outputs ~model_path ~partial_out:None (lazy (Some t)) None
         @ [ ("skipped", J.Int (List.length t.Namer.skipped)) ]
   in
-  finish ~extra:(refs_fields ~jobs refs @ extra) ()
+  finish ~extra:(fun () -> refs_fields ~jobs refs @ extra) ()
 
 let load_partial path =
   try Namer.Partial.load ~path
@@ -460,8 +461,8 @@ let train_merge paths jobs model_path partial_out obs =
       (Some merged)
   in
   finish
-    ~extra:
-      ([
+    ~extra:(fun () ->
+      [
          ("jobs", J.Int jobs);
          ("partials_in", J.Int (List.length parts));
          ( "partials",
@@ -507,8 +508,8 @@ let train_update lang update_path add_dir jobs model_path partial_out obs =
       (Some merged)
   in
   finish
-    ~extra:
-      (refs_fields ~jobs refs
+    ~extra:(fun () ->
+      refs_fields ~jobs refs
       @ [
           ("partials_in", J.Int 1);
           ("partials", J.List [ J.String p_hash ]);
@@ -609,7 +610,7 @@ let print_reports ~json ~max_reports ~refs ~reports json_fields =
 (* Scan against a saved model: no mining, no corpus re-digest — load the
    snapshot, digest only the target files, and optionally replay unchanged
    files from the per-file report cache.  Returns the ledger fields of the
-   run. *)
+   run, as {!obs_setup}'s finalizer takes them. *)
 let scan_with_model ~model_path ~cache_dir ~dir ~jobs ~max_reports ~json =
   let m =
     try Namer.load_model ~path:model_path
@@ -632,18 +633,19 @@ let scan_with_model ~model_path ~cache_dir ~dir ~jobs ~max_reports ~json =
   report_skipped result.Namer.sr_skipped;
   print_reports ~json ~max_reports ~refs ~reports:result.Namer.sr_reports (fun statement ->
       Namer.scan_json_fields m ~files:(List.length refs) ~statement ~max_reports result);
-  refs_fields ~jobs refs
-  @ [
-      ("model_hash", J.String m.Namer.m_hash);
-      ( "cache",
-        J.Obj
-          [
-            ("hits", J.Int result.Namer.sr_cache_hits);
-            ("misses", J.Int result.Namer.sr_cache_misses);
-          ] );
-      ("reports", J.Int (Array.length result.Namer.sr_reports));
-      ("skipped", J.Int (List.length result.Namer.sr_skipped));
-    ]
+  fun () ->
+    refs_fields ~jobs refs
+    @ [
+        ("model_hash", J.String m.Namer.m_hash);
+        ( "cache",
+          J.Obj
+            [
+              ("hits", J.Int result.Namer.sr_cache_hits);
+              ("misses", J.Int result.Namer.sr_cache_misses);
+            ] );
+        ("reports", J.Int (Array.length result.Namer.sr_reports));
+        ("skipped", J.Int (List.length result.Namer.sr_skipped));
+      ]
 
 let scan lang dir jobs max_reports model_path cache_dir apply_fixes json obs =
   let finish = obs_setup ~cmd:"scan" obs in
@@ -701,8 +703,8 @@ let scan lang dir jobs max_reports model_path cache_dir apply_fixes json obs =
     progress "applied %d fixes in place (%d skipped as ambiguous)" !applied !skipped
   end;
   finish
-    ~extra:
-      (refs_fields ~jobs refs
+    ~extra:(fun () ->
+      refs_fields ~jobs refs
       @ [
           ("patterns", J.Int (Pattern.Store.size t.Namer.store));
           ("reports", J.Int (Array.length reports));
@@ -798,12 +800,12 @@ let serve model_path socket_path host port jobs cache_dir max_concurrent timeout
   progress "drained: %d requests (%d scans, %d reloads) over %d connections"
     (c "serve.requests") (c "serve.scans") (c "serve.reloads") (c "serve.connections");
   finish
-    ~extra:
+    ~extra:(fun () ->
       [
         ("jobs", J.Int jobs);
         ("model_hash", J.String (Serve.model_hash t));
         ("serve", Serve.ledger_json t);
-      ]
+      ])
     ()
 
 let serve_cmd =
@@ -870,13 +872,13 @@ let demo repos jobs obs =
     o.Namer.n_reports o.Namer.semantic o.Namer.quality o.Namer.false_pos
     (Namer_util.Tablefmt.pct (Namer.precision o));
   finish
-    ~extra:
+    ~extra:(fun () ->
       [
         ("jobs", J.Int jobs);
         ("repos", J.Int repos);
         ("reports", J.Int (Array.length t.Namer.violations));
         ("skipped", J.Int (List.length t.Namer.skipped));
-      ]
+      ])
     ()
 
 let demo_cmd =
@@ -906,13 +908,13 @@ let fuzz lang seed iters out jobs repos bomb_depth obs =
   let s = Fuzz.run ~progress:(fun msg -> progress "%s" msg) cfg in
   Format.printf "%a@?" Fuzz.pp_summary s;
   finish
-    ~extra:
+    ~extra:(fun () ->
       [
         ("jobs", J.Int jobs);
         ("seed", J.Int seed);
         ("campaign", Fuzz.summary_json s);
         ("skipped", J.Int s.Fuzz.s_skipped);
-      ]
+      ])
     ();
   if not (Fuzz.ok s) then exit 1
 

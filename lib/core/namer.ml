@@ -526,16 +526,11 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
   (* 3. mine all three pattern types *)
   let store, n_candidates, cond_counts =
     Telemetry.with_span "pattern-mining" @@ fun () ->
-    let digests = List.map (fun s -> s.digest) stmts in
-    let consistency =
-      Miner.mine ?pool ~config:cfg.miner ~kind:`Consistency ~pairs digests
-    in
-    let confusing =
-      Miner.mine ?pool ~config:cfg.miner ~kind:`Confusing ~pairs digests
-    in
-    let ordering =
-      Miner.mine ?pool ~config:cfg.miner ~kind:(`Ordering cfg.ordering_vocab) ~pairs
-        digests
+    let results =
+      Miner.mine_kinds ?pool ~config:cfg.miner
+        ~kinds:[ `Consistency; `Confusing; `Ordering cfg.ordering_vocab ]
+        ~pairs
+        (List.map (fun s -> s.digest) stmts)
     in
     let store = Pattern.Store.create () and cond_counts_rev = ref [] in
     List.iter
@@ -546,10 +541,9 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
             if Pattern.Store.add store { p with id = -1 } = n then
               cond_counts_rev := r.Miner.cond_counts.(p.Pattern.id) :: !cond_counts_rev)
           r.Miner.store)
-      [ consistency; confusing; ordering ];
+      results;
     ( store,
-      consistency.Miner.n_candidates + confusing.Miner.n_candidates
-      + ordering.Miner.n_candidates,
+      List.fold_left (fun n (r : Miner.result) -> n + r.Miner.n_candidates) 0 results,
       Array.of_list (List.rev !cond_counts_rev) )
   in
   Telemetry.count ~by:n_candidates "build.pattern_candidates";

@@ -25,6 +25,14 @@
     no canonical text is rendered until a surviving pattern reaches the
     final store.
 
+    Both corpus-wide counts are dense [int array]s.  The line-5 path
+    frequencies are indexed by pid (the global table is frozen while a
+    build mines, so the pid space is fixed), and {!mine_kinds} counts them
+    once for all the pattern kinds it mines.  [pruneUncommon]'s tallies
+    are indexed by candidate id, [0 .. n-1] in generation order.  With a
+    pool, each shard counts into arrays of its own, summed element-wise in
+    shard order, so every count is the sequential one at any [--jobs].
+
     Candidates are compiled from the ids of the paths the miner holds
     ({!Pattern.of_ids}), so no prefix text is rendered to compile them.
 
@@ -67,9 +75,7 @@ let default_config =
     min_satisfaction_ratio = 0.8;
   }
 
-(** Per-pattern occurrence counts over the mining dataset: the tallies
-    [pruneUncommon] keeps or drops a candidate by. *)
-type pattern_stats = { mutable matches : int; mutable sats : int; mutable viols : int }
+type kind = [ `Confusing | `Consistency | `Ordering of (string * string) list ]
 
 type result = {
   store : Pattern.Store.t;
@@ -230,118 +236,85 @@ let combinations ~max_subset_size (conds : 'a list) : 'a list list =
 (* minePatterns (Algorithm 1)                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-shard pattern statistics merge: plain integer sums, so the merged
-   table is independent of the shard plan. *)
-module Stats_acc = struct
-  type t = (int, pattern_stats) Hashtbl.t
+(* [count_sharded ?pool ~n f stmts]: each shard of [stmts] counts into a
+   zeroed [int array] of length [n] of its own ([f counts shard]), and the
+   shards' arrays are summed element-wise in shard order — integer sums,
+   so the total is independent of the shard plan. *)
+let count_sharded ?pool ~n f stmts =
+  let module Sum = struct
+    type t = int array
 
-  let empty () : t = Hashtbl.create (1 lsl 10)
+    let empty () = Array.make n 0
+    let merge ~into a = Array.iteri (fun i x -> into.(i) <- into.(i) + x) a
+  end in
+  let jobs = match pool with Some p -> Namer_parallel.Pool.size p | None -> 1 in
+  Namer_parallel.Accumulator.sharded_reduce
+    (module Sum)
+    ?pool
+    ~shards:(Namer_parallel.Shard.oversubscribe ~jobs)
+    (fun shard ->
+      let counts = Sum.empty () in
+      f counts shard;
+      counts)
+    stmts
 
-  let stat (t : t) id =
-    match Hashtbl.find_opt t id with
-    | Some s -> s
-    | None ->
-        let s = { matches = 0; sats = 0; viols = 0 } in
-        Hashtbl.replace t id s;
-        s
-
-  let merge ~into (t : t) =
-    Hashtbl.iter
-      (fun id (s : pattern_stats) ->
-        let d = stat into id in
-        d.matches <- d.matches + s.matches;
-        d.sats <- d.sats + s.sats;
-        d.viols <- d.viols + s.viols)
-      t
-end
-
-module Freq_acc = struct
-  type t = int Namer_util.Counter.t
-
-  let empty () : t = Namer_util.Counter.create ~size:(1 lsl 16) ()
-  let merge ~into t = Namer_util.Counter.merge ~into t
-end
-
-let shards_of pool =
-  Namer_parallel.Shard.oversubscribe
-    ~jobs:(match pool with Some p -> Namer_parallel.Pool.size p | None -> 1)
-
-module Anchor_acc = struct
-  (* per-shard tallies plus the number of full checks run *)
-  type t = { stats : Stats_acc.t; mutable checks : int }
-
-  let empty () = { stats = Stats_acc.empty (); checks = 0 }
-
-  let merge ~into t =
-    Stats_acc.merge ~into:into.stats t.stats;
-    into.checks <- into.checks + t.checks
-end
-
-(* Tally one match; with [acc] applied once per shard, the prune makes no
-   closure per statement. *)
-let tally (acc : Anchor_acc.t) (p : Pattern.t) = function
-  | Pattern.No_match -> ()
-  | Pattern.Satisfied ->
-      let st = Stats_acc.stat acc.stats p.id in
-      st.matches <- st.matches + 1;
-      st.sats <- st.sats + 1
-  | Pattern.Violated _ ->
-      let st = Stats_acc.stat acc.stats p.id in
-      st.matches <- st.matches + 1;
-      st.viols <- st.viols + 1
+type tally = { sats : int array; viols : int array; checks : int }
 
 let prune_tally ?pool ~rank (candidates : Pattern.Store.t) stmts =
   (* Build the anchor table before the fan-out; shards only read it. *)
   let matcher = Pattern.Matcher.create ~rank candidates in
-  let shards = shards_of pool in
-  let acc =
-    Namer_parallel.Accumulator.sharded_reduce
-      (module Anchor_acc)
-      ?pool ~shards
-      (fun shard ->
-        let acc = Anchor_acc.empty () in
-        let f = tally acc in
+  let n = Pattern.Store.size candidates in
+  (* one array per shard: candidate [id]'s satisfactions at [2 id], its
+     violations at [2 id + 1], the full checks run at [2 n] *)
+  let counts =
+    count_sharded ?pool ~n:((2 * n) + 1)
+      (fun counts shard ->
+        let tally (p : Pattern.t) = function
+          | Pattern.No_match -> ()
+          | Pattern.Satisfied -> counts.(2 * p.id) <- counts.(2 * p.id) + 1
+          | Pattern.Violated _ -> counts.((2 * p.id) + 1) <- counts.((2 * p.id) + 1) + 1
+        in
         List.iter
-          (fun s -> acc.checks <- acc.checks + Pattern.Matcher.iter_matches matcher f s)
-          shard;
-        acc)
+          (fun s -> counts.(2 * n) <- counts.(2 * n) + Pattern.Matcher.iter_matches matcher tally s)
+          shard)
       stmts
   in
-  (acc.stats, acc.checks)
+  {
+    sats = Array.init n (fun id -> counts.(2 * id));
+    viols = Array.init n (fun id -> counts.((2 * id) + 1));
+    checks = counts.(2 * n);
+  }
+
+(* Line 5 of Algorithm 1: global path frequencies, indexed by pid — one
+   count per pid (concrete form) plus one per symbolic pid, the form
+   consistency deductions are checked in.  The pid space is the global
+   table's, which holds every path of [stmts]. *)
+let path_freq ?pool (stmts : Pattern.Stmt_paths.t list) =
+  Telemetry.with_span "mine:path-freq" @@ fun () ->
+  let n, _, _ = I.sizes I.global in
+  count_sharded ?pool ~n
+    (fun freq shard ->
+      List.iter
+        (fun (s : Pattern.Stmt_paths.t) ->
+          Array.iter
+            (fun (it : I.t) ->
+              freq.(it.I.pid) <- freq.(it.I.pid) + 1;
+              freq.(it.I.sym) <- freq.(it.I.sym) + 1)
+            s.Pattern.Stmt_paths.ipaths)
+        shard)
+    stmts
 
 (* A pid's compiled form: its (prefix id, end id), read off the table —
    the ids compiling its rendered text would look up. *)
 let ids_of_pid pid = (I.prefix_of_pid pid, I.end_of_pid pid)
 
 (* Lines 4–8 of Algorithm 1: frequency filter → FP-tree growth → pattern
-   generation.  Returns the candidates in generation order — the order
-   that assigns their ids — each with the pids of its condition paths, and
-   the line-5 path frequencies. *)
-let generate ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
+   generation, given the line-5 path frequencies [freq] ({!path_freq}).
+   Returns the candidates in generation order — the order that assigns
+   their ids — each with the pids of its condition paths. *)
+let generate ~(config : config) ~freq ~kind ~(pairs : Confusing_pairs.t)
     (stmts : Pattern.Stmt_paths.t list) =
-  let shards = shards_of pool in
-  (* Line 5 regularization: global path frequencies — one count per pid
-     (concrete form) plus one per symbolic pid, the form consistency
-     deductions are checked in. *)
-  let freq =
-    Telemetry.with_span "mine:path-freq" @@ fun () ->
-    Namer_parallel.Accumulator.sharded_reduce
-      (module Freq_acc)
-      ?pool ~shards
-      (fun shard ->
-        let freq = Freq_acc.empty () in
-        List.iter
-          (fun (s : Pattern.Stmt_paths.t) ->
-            Array.iter
-              (fun (it : I.t) ->
-                Namer_util.Counter.add freq it.I.pid;
-                Namer_util.Counter.add freq it.I.sym)
-              s.Pattern.Stmt_paths.ipaths)
-          shard;
-        freq)
-      stmts
-  in
-  let frequent_pid pid = Namer_util.Counter.count freq pid > config.min_path_freq in
+  let frequent_pid pid = freq.(pid) > config.min_path_freq in
   (* Grow the FP-tree (lines 4–7).  The line-5 frequency filter applies to
      condition paths in their concrete form; deduction paths are checked in
      the form they take inside the pattern (symbolic for consistency
@@ -429,7 +402,7 @@ let generate ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
                    end)
           end)
         ());
-  (List.rev !cand_rev, freq)
+  List.rev !cand_rev
 
 (* Candidates get ids 0, 1, … in generation order. *)
 let candidate_store cands =
@@ -438,18 +411,14 @@ let candidate_store cands =
   store
 
 let candidates ?pool ~config ~kind ~pairs stmts =
-  candidate_store (fst (generate ?pool ~config ~kind ~pairs stmts))
+  candidate_store (generate ~config ~freq:(path_freq ?pool stmts) ~kind ~pairs stmts)
 
-(** [mine ?pool ~config ~kind ~pairs stmts] runs the full pipeline:
-    frequency filter → FP-tree growth → pattern generation → pruning.
-    [stmts] are the digests of every statement in the mining corpus.
-    With [pool], the two corpus-wide counting passes (path frequencies and
-    [pruneUncommon] statistics) run sharded across its domains; both
-    accumulate commutative sums, so the mined store is identical to the
-    sequential run.  FP-tree growth stays sequential: the tree's node order
-    (and hence pattern-id assignment downstream) depends on insertion
-    order, which sharding would perturb. *)
-let mine ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
+(* The pipeline for one pattern kind over the line-5 frequencies [freq]:
+   FP-tree growth and pattern generation, then pruning.  FP-tree growth
+   stays sequential: the tree's node order (and hence pattern-id
+   assignment downstream) depends on insertion order, which sharding
+   would perturb. *)
+let mine_kind ?pool ~(config : config) ~freq ~kind ~(pairs : Confusing_pairs.t)
     (stmts : Pattern.Stmt_paths.t list) : result =
   let kind_label =
     match kind with
@@ -459,7 +428,7 @@ let mine ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
   in
   Telemetry.with_span ~args:[ ("kind", kind_label) ] ("mine:" ^ kind_label)
   @@ fun () ->
-  let cands, freq = generate ?pool ~config ~kind ~pairs stmts in
+  let cands = generate ~config ~freq ~kind ~pairs stmts in
   (* pruneUncommon (line 9): count matches and satisfactions over the
      corpus, keep patterns with enough support and a high enough
      satisfaction ratio.  Candidates are enumerated through the anchor
@@ -474,27 +443,34 @@ let mine ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
      checks as an exact count of index items, without another corpus
      pass. *)
   let cond_pids = Array.of_list (List.map snd cands) in
-  let rank (p : Pattern.t) i = Namer_util.Counter.count freq cond_pids.(p.id).(i) in
-  let counts, checks = prune_tally ?pool ~rank candidate_store stmts in
-  Telemetry.count ~by:checks "mine.prune_checks";
+  let rank (p : Pattern.t) i = freq.(cond_pids.(p.id).(i)) in
+  let tally = prune_tally ?pool ~rank candidate_store stmts in
+  Telemetry.count ~by:tally.checks "mine.prune_checks";
   let store = Pattern.Store.create () in
   let cond_counts_rev = ref [] in
   Pattern.Store.iter
     (fun p ->
-      match Hashtbl.find_opt counts p.id with
-      | Some st
-        when st.matches >= config.min_support
-             && float_of_int st.sats /. float_of_int st.matches
-                >= config.min_satisfaction_ratio ->
-          let n = Pattern.Store.size store in
-          let new_id = Pattern.Store.add store { p with id = -1 } in
-          if new_id = n then
-            cond_counts_rev :=
-              Array.map (Namer_util.Counter.count freq) cond_pids.(p.id) :: !cond_counts_rev
-      | _ -> ())
+      let sats = tally.sats.(p.id) in
+      let matches = sats + tally.viols.(p.id) in
+      if
+        matches >= config.min_support
+        && float_of_int sats /. float_of_int matches >= config.min_satisfaction_ratio
+      then begin
+        let n = Pattern.Store.size store in
+        let new_id = Pattern.Store.add store { p with id = -1 } in
+        if new_id = n then
+          cond_counts_rev := Array.map (fun pid -> freq.(pid)) cond_pids.(p.id) :: !cond_counts_rev
+      end)
     candidate_store;
   {
     store;
     n_candidates = Pattern.Store.size candidate_store;
     cond_counts = Array.of_list (List.rev !cond_counts_rev);
   }
+
+let mine_kinds ?pool ~config ~kinds ~pairs stmts =
+  let freq = path_freq ?pool stmts in
+  List.map (fun kind -> mine_kind ?pool ~config ~freq ~kind ~pairs stmts) kinds
+
+let mine ?pool ~config ~kind ~pairs stmts =
+  mine_kind ?pool ~config ~freq:(path_freq ?pool stmts) ~kind ~pairs stmts

@@ -16,9 +16,9 @@ type config = {
 
 val default_config : config
 
-(** Per-pattern occurrence counts over the mining dataset: the tallies
-    [pruneUncommon] keeps or drops a candidate by ({!prune_tally}). *)
-type pattern_stats = { mutable matches : int; mutable sats : int; mutable viols : int }
+(** The pattern kinds Algorithm 1 mines: consistency, confusing words, and
+    argument ordering over a vocabulary of word pairs. *)
+type kind = [ `Confusing | `Consistency | `Ordering of (string * string) list ]
 
 type result = {
   store : Pattern.Store.t;  (** patterns surviving [pruneUncommon] *)
@@ -32,7 +32,7 @@ type result = {
 (** All (condition, deduction) splits of one statement's paths
     (Algorithm 1, line 6).  Exposed for tests. *)
 val split_paths :
-  kind:[ `Confusing | `Consistency | `Ordering of (string * string) list ] ->
+  kind:kind ->
   pairs:Confusing_pairs.t ->
   Namepath.t list ->
   (Namepath.t list * Namepath.t list) list
@@ -48,35 +48,58 @@ val combinations : max_subset_size:int -> 'a list -> 'a list list
 val candidates :
   ?pool:Namer_parallel.Pool.t ->
   config:config ->
-  kind:[ `Confusing | `Consistency | `Ordering of (string * string) list ] ->
+  kind:kind ->
   pairs:Confusing_pairs.t ->
   Pattern.Stmt_paths.t list ->
   Pattern.Store.t
 
+(** [pruneUncommon]'s counts, indexed by candidate id: a candidate's
+    matches are [sats.(id) + viols.(id)]. *)
+type tally = {
+  sats : int array;  (** statements that satisfy the candidate *)
+  viols : int array;  (** statements that violate it *)
+  checks : int;  (** full {!Pattern.check}s run *)
+}
+
 (** [prune_tally ?pool ~rank candidates stmts] is [pruneUncommon]'s
-    counting pass: per candidate id, its matches, satisfactions and
-    violations over [stmts], plus the number of full {!Pattern.check}s run.
-    Candidates are found through a {!Pattern.Matcher} built with [rank],
-    so the tallies equal those of checking every
-    {!Pattern.Store.candidates} entry, under any [rank]; the rank decides
-    only how many checks run.  Exposed for tests. *)
+    counting pass: per candidate id ([0 .. Store.size candidates - 1]), its
+    satisfactions and violations over [stmts], plus the number of full
+    {!Pattern.check}s run.  Candidates are found through a
+    {!Pattern.Matcher} built with [rank], so the tallies equal those of
+    checking every {!Pattern.Store.candidates} entry, under any [rank]; the
+    rank decides only how many checks run.  With [pool], shards count into
+    arrays of their own, summed in shard order: the tally is the same with
+    or without one.  Exposed for tests. *)
 val prune_tally :
   ?pool:Namer_parallel.Pool.t ->
   rank:(Pattern.t -> int -> int) ->
   Pattern.Store.t ->
   Pattern.Stmt_paths.t list ->
-  (int, pattern_stats) Hashtbl.t * int
+  tally
 
-(** [mine ?pool ~config ~kind ~pairs stmts] runs the full mining pipeline
-    over the digests of every statement in the corpus.  With [pool], the
-    corpus-wide counting passes (path frequencies, [pruneUncommon]
-    statistics) run sharded across its domains; the mined store is
-    identical to the sequential run because both passes accumulate
-    commutative sums. *)
+(** [mine_kinds ?pool ~config ~kinds ~pairs stmts] runs the full mining
+    pipeline over the digests of every statement in the corpus, once per
+    kind of [kinds], and returns the results in that order.  The line-5
+    path frequencies are counted once ([mine:path-freq]) and shared by
+    every kind.  With [pool], the corpus-wide counting passes (path
+    frequencies, [pruneUncommon] tallies) run sharded across its domains;
+    the mined stores are identical to the sequential run because both
+    passes accumulate integer sums.  Each result equals [mine] of its
+    kind. *)
+val mine_kinds :
+  ?pool:Namer_parallel.Pool.t ->
+  config:config ->
+  kinds:kind list ->
+  pairs:Confusing_pairs.t ->
+  Pattern.Stmt_paths.t list ->
+  result list
+
+(** [mine ?pool ~config ~kind ~pairs stmts] is {!mine_kinds} for one
+    kind. *)
 val mine :
   ?pool:Namer_parallel.Pool.t ->
   config:config ->
-  kind:[ `Confusing | `Consistency | `Ordering of (string * string) list ] ->
+  kind:kind ->
   pairs:Confusing_pairs.t ->
   Pattern.Stmt_paths.t list ->
   result

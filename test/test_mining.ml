@@ -252,12 +252,11 @@ let reference_tally store stmts =
   in
   (rows, !checks)
 
-let tally_rows (t : (int, Miner.pattern_stats) Hashtbl.t) =
-  Hashtbl.fold
-    (fun id (s : Miner.pattern_stats) acc ->
-      (id, s.Miner.matches, s.Miner.sats, s.Miner.viols) :: acc)
-    t []
-  |> List.sort compare
+(* A tally in the reference's rows: the candidates with a match, by id. *)
+let tally_rows (t : Miner.tally) =
+  List.init (Array.length t.Miner.sats) (fun id ->
+      (id, t.Miner.sats.(id) + t.Miner.viols.(id), t.Miner.sats.(id), t.Miner.viols.(id)))
+  |> List.filter (fun (_, m, _, _) -> m > 0)
 
 let total_matches rows = List.fold_left (fun acc (_, m, _, _) -> acc + m) 0 rows
 
@@ -334,41 +333,66 @@ let make_pattern d =
 
 let stmt_gen = QCheck.Gen.(list_size (int_range 1 6) (pair (int_range 0 3) (int_range 0 3)))
 
+(* The store and statements of a random anchor case: patterns under ids
+   [0 .. n-1] in [descs] order, compiled. *)
+let anchor_case descs stmt_descs =
+  let stmts =
+    List.map
+      (fun ps -> Pattern.Stmt_paths.of_paths (List.map (fun (p, w) -> anchor_path p w) ps))
+      stmt_descs
+  in
+  (* intern the whole universe, then compile the unknown-id patterns
+     while the table is frozen *)
+  List.iter (fun w -> ignore (I.end_id w)) (Array.to_list anchor_words);
+  List.iter (fun p -> ignore (I.prefix_id (anchor_path p 0))) [ 0; 1; 2; 3 ];
+  let pats = List.map (fun d -> (d, make_pattern d)) descs in
+  List.iter (fun (d, p) -> if d.unknown = Known then ignore (Pattern.ensure_compiled p)) pats;
+  I.freeze ();
+  Fun.protect ~finally:I.thaw (fun () ->
+      List.iter (fun (_, p) -> ignore (Pattern.ensure_compiled p)) pats);
+  let store = Pattern.Store.create () in
+  List.iter (fun (_, p) -> ignore (Pattern.Store.add_nodedup store p)) pats;
+  (store, stmts)
+
+let anchor_case_arb =
+  QCheck.(
+    make
+      Gen.(
+        triple
+          (list_size (int_range 1 25) pat_desc_gen)
+          (list_size (int_range 1 30) stmt_gen)
+          (int_range 0 1000)))
+
 let prop_anchored_prune_matches_reference =
   QCheck.Test.make ~name:"anchored prune tallies = candidates + check" ~count:300
-    QCheck.(
-      make
-        Gen.(
-          triple
-            (list_size (int_range 1 25) pat_desc_gen)
-            (list_size (int_range 1 30) stmt_gen)
-            (int_range 0 1000)))
+    anchor_case_arb
     (fun (descs, stmt_descs, salt) ->
-      let stmts =
-        List.map
-          (fun ps -> Pattern.Stmt_paths.of_paths (List.map (fun (p, w) -> anchor_path p w) ps))
-          stmt_descs
-      in
-      (* intern the whole universe, then compile the unknown-id patterns
-         while the table is frozen *)
-      List.iter (fun w -> ignore (I.end_id w)) (Array.to_list anchor_words);
-      List.iter (fun p -> ignore (I.prefix_id (anchor_path p 0))) [ 0; 1; 2; 3 ];
-      let pats = List.map (fun d -> (d, make_pattern d)) descs in
-      List.iter (fun (d, p) -> if d.unknown = Known then ignore (Pattern.ensure_compiled p)) pats;
-      I.freeze ();
-      Fun.protect ~finally:I.thaw (fun () ->
-          List.iter (fun (_, p) -> ignore (Pattern.ensure_compiled p)) pats);
-      let store = Pattern.Store.create () in
-      List.iter (fun (_, p) -> ignore (Pattern.Store.add_nodedup store p)) pats;
+      let store, stmts = anchor_case descs stmt_descs in
       let expect, _ = reference_tally store stmts in
       let agrees rank =
-        let got, checks = Miner.prune_tally ~rank store stmts in
-        tally_rows got = expect && checks >= total_matches expect
+        let got = Miner.prune_tally ~rank store stmts in
+        tally_rows got = expect && got.Miner.checks >= total_matches expect
       in
       (* all ties (the first exact item), then rankings full of ties *)
       agrees (fun _ _ -> 0)
       && agrees (fun (p : Pattern.t) i -> Hashtbl.hash (salt, p.Pattern.id, i) mod 3)
       && agrees (fun _ i -> -i))
+
+(* Sharded over a 3-domain pool, each shard counting into arrays of its
+   own, the prune gives the sequential tallies and check count. *)
+let prop_pooled_prune_matches_sequential =
+  QCheck.Test.make ~name:"pooled prune tallies = sequential prune tallies" ~count:100
+    anchor_case_arb
+    (fun (descs, stmt_descs, salt) ->
+      let store, stmts = anchor_case descs stmt_descs in
+      let rank (p : Pattern.t) i = Hashtbl.hash (salt, p.Pattern.id, i) mod 3 in
+      let pool = Namer_parallel.Pool.create ~domains:3 () in
+      let pooled =
+        Fun.protect
+          ~finally:(fun () -> Namer_parallel.Pool.shutdown pool)
+          (fun () -> Miner.prune_tally ~pool ~rank store stmts)
+      in
+      pooled = Miner.prune_tally ~rank store stmts)
 
 (* On the mining corpus: the anchored prune agrees with the reference, and
    the [mine.prune_checks] counter lies between the matches and the
@@ -389,7 +413,7 @@ let test_prune_checks_counter () =
   let expect, ref_checks = reference_tally cands stmts in
   check_int "candidates = n_candidates" result.Miner.n_candidates (Pattern.Store.size cands);
   check_bool "anchored tallies = reference" true
-    (tally_rows (fst (Miner.prune_tally ~rank:(fun _ i -> i) cands stmts)) = expect);
+    (tally_rows (Miner.prune_tally ~rank:(fun _ i -> i) cands stmts) = expect);
   check_bool "some matches" true (total_matches expect > 0);
   check_bool
     (Printf.sprintf "checks %d >= matches %d" checks (total_matches expect))
@@ -398,6 +422,79 @@ let test_prune_checks_counter () =
   check_bool
     (Printf.sprintf "checks %d <= reference checks %d" checks ref_checks)
     true (checks <= ref_checks)
+
+(* ---------------- one line-5 frequency pass ---------------- *)
+
+let small_corpus () =
+  Namer_corpus.Corpus.generate
+    {
+      (Namer_corpus.Corpus.default_config Namer_corpus.Corpus.Python) with
+      Namer_corpus.Corpus.n_repos = 6;
+      files_per_repo = (4, 6);
+    }
+
+let small_miner = { Miner.default_config with min_support = 5; min_path_freq = 3 }
+
+(* The digests a build mines: every statement of a generated corpus,
+   through the frontend, AST+ and name-path extraction. *)
+let corpus_digests (corpus : Namer_corpus.Corpus.t) =
+  let module Frontend = Namer_core.Frontend in
+  List.concat_map
+    (fun (f : Namer_corpus.Corpus.file) ->
+      match Frontend.parse_file_opt corpus.lang ~use_analysis:true f.source with
+      | None -> []
+      | Some parsed ->
+          List.map
+            (fun (s : Frontend.stmt) ->
+              Namer_namepath.Astplus.transform ~origins:(parsed.origins ~cls:s.cls ~fn:s.fn)
+                s.tree
+              |> Pattern.Stmt_paths.of_tree ~limit:small_miner.max_stmt_paths)
+            parsed.stmts)
+    corpus.files
+
+(* [mine_kinds] counts the line-5 frequencies once for all its kinds, and
+   each result is that kind's own [mine]: the same patterns under the same
+   ids, candidates and condition counts. *)
+let test_mine_kinds_matches_mine () =
+  let digests = corpus_digests (small_corpus ()) in
+  let pairs = Confusing_pairs.create () in
+  List.iter
+    (Confusing_pairs.add_pair ~count:10 pairs)
+    (Namer_core.Namer.builtin_pairs Namer_corpus.Corpus.Python);
+  let kinds = [ `Consistency; `Confusing; `Ordering [ ("width", "height"); ("x", "y") ] ] in
+  let view (r : Miner.result) =
+    ( Pattern.Store.fold (fun acc p -> (p.Pattern.id, Pattern.canonical p) :: acc) r.store [],
+      r.n_candidates,
+      r.cond_counts )
+  in
+  let once = Miner.mine_kinds ~config:small_miner ~kinds ~pairs digests in
+  let each = List.map (fun kind -> Miner.mine ~config:small_miner ~kind ~pairs digests) kinds in
+  check_bool "some patterns mined" true
+    (List.exists (fun (r : Miner.result) -> Pattern.Store.size r.store > 0) once);
+  check_bool "mine_kinds = one mine per kind" true
+    (List.map view once = List.map view each)
+
+(* A build runs the line-5 frequency pass once, not once per kind. *)
+let test_build_counts_path_freq_once () =
+  let module T = Namer_telemetry.Telemetry in
+  let corpus = small_corpus () in
+  let was = T.enabled () in
+  T.reset ();
+  T.set_sink T.Memory;
+  Fun.protect
+    ~finally:(fun () -> T.set_sink (if was then T.Memory else T.Null))
+    (fun () ->
+      ignore
+        (Namer_core.Namer.build
+           { Namer_core.Namer.default_config with miner = small_miner; n_labeled = 30 }
+           corpus);
+      let count name =
+        match List.find_opt (fun (s : T.stage) -> s.T.stage = name) (T.stages ()) with
+        | Some s -> s.T.s_count
+        | None -> 0
+      in
+      check_int "mine:path-freq spans" 1 (count "mine:path-freq");
+      check_int "mine:prune spans" 3 (count "mine:prune"))
 
 (* ---------------- the anchored matcher ---------------- *)
 
@@ -584,7 +681,12 @@ let suite =
     Alcotest.test_case "miner: end to end (consistency)" `Quick
       test_consistency_mining_end_to_end;
     QCheck_alcotest.to_alcotest prop_anchored_prune_matches_reference;
+    QCheck_alcotest.to_alcotest prop_pooled_prune_matches_sequential;
     Alcotest.test_case "miner: prune_checks counter" `Quick test_prune_checks_counter;
+    Alcotest.test_case "miner: mine_kinds = one mine per kind" `Quick
+      test_mine_kinds_matches_mine;
+    Alcotest.test_case "build: one path-frequency pass" `Quick
+      test_build_counts_path_freq_once;
     QCheck_alcotest.to_alcotest prop_matcher_matches_reference;
     Alcotest.test_case "miner: candidates compiled from ids" `Quick
       test_candidates_compile_from_ids;
