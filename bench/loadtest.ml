@@ -5,8 +5,7 @@
    is identical (modulo cache hit/miss counters), and can fire one model
    reload mid-traffic to exercise hot-swap under load.  The serve-smoke
    CI job drives 50 concurrent requests through this and diffs the dumped
-   CLI-format output against a real [namer scan --model] run; the bench
-   harness embeds the same generator in-process for BENCH_pipeline.json.
+   CLI-format output against a real [namer scan --model] run.
 
    Usage:
      dune exec bench/loadtest.exe -- --socket /tmp/namer.sock \

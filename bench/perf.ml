@@ -104,8 +104,7 @@ let tests () =
 (* ---------------- interning micro-benchmarks ---------------- *)
 
 (* The hot-path primitives behind the hash-consed pipeline, plus the
-   canonical-text-vs-interned-id comparison they replace.  Estimates feed
-   the "micro" section of BENCH_pipeline.json (schema 3). *)
+   canonical-text-vs-interned-id comparison they replace. *)
 let micro_tests () =
   let module Interner = Namer_util.Interner in
   let module Namepath = Namer_namepath.Namepath in
@@ -160,10 +159,6 @@ let estimates ?(quota = 1.0) tests =
       | _ -> ())
     results;
   List.sort compare !rows
-
-(* (benchmark, ns/run) for the interning primitives — exported for the
-   telemetry bench's BENCH_pipeline.json "micro" section. *)
-let micro_estimates () = estimates ~quota:0.25 (micro_tests ())
 
 let pretty_ns ns =
   if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)

@@ -333,25 +333,10 @@ let report_skipped (skipped : Namer.skipped list) =
           progress "  skipped %s: %s" s.Namer.sk_file s.Namer.sk_reason)
         sk
 
-(* Self-mining: no commit history and no labeled data on a raw directory,
-   so confusing pairs fall back to a built-in catalog and the classifier
-   is disabled (the paper's "w/o C" configuration).  [train] and the
-   mine-and-scan path share this so a saved model scans exactly like a
-   same-directory self-mining run. *)
+(* [train] and the mine-and-scan path share this so a saved model scans
+   exactly like a same-directory self-mining run. *)
 let self_mining_config ~n_files ~jobs =
-  {
-    Namer.default_config with
-    Namer.use_classifier = false;
-    jobs;
-    miner =
-      {
-        Namer_mining.Miner.default_config with
-        (* thresholds scale with corpus size so small directories still
-           yield patterns *)
-        min_support = max 5 (n_files / 20);
-        min_path_freq = max 3 (n_files / 50);
-      };
-  }
+  { (Namer.self_mining_config ~n_files) with Namer.jobs }
 
 (* ---------------- train ---------------- *)
 

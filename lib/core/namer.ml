@@ -86,6 +86,18 @@ let default_config =
     digest_batch = 1024;
   }
 
+let self_mining_config ~n_files =
+  {
+    default_config with
+    use_classifier = false;
+    miner =
+      {
+        Miner.default_config with
+        min_support = max 5 (n_files / 20);
+        min_path_freq = max 3 (n_files / 50);
+      };
+  }
+
 (** One scanned statement: digest plus everything feature extraction and
     reporting need. *)
 type scanned_stmt = {

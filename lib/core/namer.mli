@@ -43,6 +43,15 @@ type config = {
 
 val default_config : config
 
+(** The configuration for mining a raw directory of [n_files] files.  It
+    has no commit history and no labeled data, so the classifier is off
+    (the paper's "w/o C" configuration), and the mining thresholds scale
+    with the corpus so that small directories still yield patterns:
+    [min_support = max 5 (n_files / 20)], [min_path_freq = max 3
+    (n_files / 50)].  CLI training and self-mining scans use it, and so
+    does the fuzzer, so a saved model scans like a self-mining run. *)
+val self_mining_config : n_files:int -> config
+
 (** One scanned statement: its digest plus feature/reporting context. *)
 type scanned_stmt = {
   sctx : Features.stmt_ctx;

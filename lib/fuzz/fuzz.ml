@@ -2,7 +2,6 @@
 
 module Namer = Namer_core.Namer
 module Corpus = Namer_corpus.Corpus
-module Miner = Namer_mining.Miner
 module Confusing_pairs = Namer_mining.Confusing_pairs
 module Prng = Namer_util.Prng
 
@@ -85,18 +84,7 @@ let build_model ~progress cfg =
   let corpus = Corpus.generate ccfg in
   let n_files = List.length corpus.Corpus.files in
   let bcfg =
-    {
-      Namer.default_config with
-      Namer.use_classifier = false;
-      seed = cfg.f_seed;
-      jobs = cfg.f_jobs;
-      miner =
-        {
-          Miner.default_config with
-          Miner.min_support = max 5 (n_files / 20);
-          min_path_freq = max 3 (n_files / 50);
-        };
-    }
+    { (Namer.self_mining_config ~n_files) with Namer.seed = cfg.f_seed; jobs = cfg.f_jobs }
   in
   let t = Namer.build bcfg corpus in
   let m = Namer.model_of t in

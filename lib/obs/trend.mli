@@ -7,14 +7,13 @@
     subcommand, and {!check} turns the same comparison into a gate:
     the latest run of each subcommand is compared against the mean of its
     previous runs, and regressions past the configured thresholds are
-    reported as failures (the history-based counterpart of
-    [check_bench]'s single-baseline gate).  Wall clock and allocation are
+    reported as failures.  Wall clock and allocation are
     the run's own ([wall_s], [alloc_mb]), never a sum of stage rows, which
     nest and under [--jobs] add up the time of several domains. *)
 
 type row = {
   ts : float;  (** wall-clock timestamp of the run (seconds since epoch) *)
-  cmd : string;  (** subcommand: train/scan/fuzz/bench/... *)
+  cmd : string;  (** subcommand: train/scan/merge/serve/fuzz/... *)
   git : string;  (** [git describe] at run time *)
   wall_ms : float option;  (** the record's [wall_s], in ms *)
   alloc_mb : float option;  (** the record's program-wide [alloc_mb] *)

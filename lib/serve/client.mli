@@ -77,5 +77,5 @@ module Load : sig
   val run : target -> spec -> result
 
   val json_of_result : result -> Namer_util.Json.t
-  (** The schema-5 [serve] object of BENCH_pipeline.json. *)
+  (** The result as one JSON object: what [loadtest --out] writes. *)
 end

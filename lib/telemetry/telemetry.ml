@@ -521,7 +521,8 @@ let stages_json () = stages_to_json (stages ())
 let counters_json () = J.Obj (List.map (fun (k, v) -> (k, J.Int v)) (counters ()))
 
 (** The whole metric registry — counters, histogram summaries and stage
-    aggregates — as one JSON object ([namer stats], [BENCH_pipeline.json]). *)
+    aggregates — as one JSON object ([namer stats], the per-stage cost pins
+    of the test suite). *)
 let metrics_json () =
   J.Obj
     [

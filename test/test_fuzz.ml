@@ -10,7 +10,6 @@ module Fault = Namer_util.Fault
 module Prng = Namer_util.Prng
 module Namer = Namer_core.Namer
 module Corpus = Namer_corpus.Corpus
-module Miner = Namer_mining.Miner
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -33,19 +32,7 @@ let build =
   lazy
     (let corpus = Corpus.generate corpus_cfg in
      let n_files = List.length corpus.Corpus.files in
-     let cfg =
-       {
-         Namer.default_config with
-         Namer.use_classifier = false;
-         miner =
-           {
-             Miner.default_config with
-             Miner.min_support = max 5 (n_files / 20);
-             min_path_freq = max 3 (n_files / 50);
-           };
-       }
-     in
-     let t = Namer.build cfg corpus in
+     let t = Namer.build (Namer.self_mining_config ~n_files) corpus in
      (corpus, t, Namer.model_of t))
 
 (* ---------------- mutation engine ---------------- *)

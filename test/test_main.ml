@@ -24,6 +24,7 @@ let run_suites () =
       ("core", Test_core.suite);
       ("streaming", Test_streaming.suite);
       ("model", Test_model.suite);
+      ("stage_costs", Test_stage_costs.suite);
       ("partial_model", Test_partial_model.suite);
       ("fixer", Test_fixer.suite);
       ("fuzz", Test_fuzz.suite);
