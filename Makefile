@@ -182,14 +182,17 @@ scale-smoke: build
 # `status` reports the pack's entries and bytes.  Per-file isolation: a
 # `files` request naming that corpus's files plus one missing path gives
 # the CLI's text for the corpus and counts the missing path as one
-# skipped file.
+# skipped file.  Nothing lands in the invoking user's state directory:
+# runs whose ledger row nothing reads pass --no-ledger (a row re-hashes
+# the run's inputs), and XDG_STATE_HOME points into the throwaway dir.
 serve-smoke: build
 	@set -eu; \
 	state=$$(mktemp -d); trap 'rm -rf "$$state"' EXIT; \
+	export XDG_STATE_HOME="$$state"; \
 	namer=_build/default/bin/namer_cli.exe; \
 	loadtest=_build/default/bench/loadtest.exe; \
 	"$$namer" corpus --files 600 --out "$$state/corpus" 2>/dev/null; \
-	"$$namer" train "$$state/corpus" --model "$$state/m.nmdl" 2>/dev/null; \
+	"$$namer" train "$$state/corpus" --model "$$state/m.nmdl" --no-ledger 2>/dev/null; \
 	"$$namer" serve --model "$$state/m.nmdl" --socket "$$state/namer.sock" \
 	  --cache-dir "$$state/cache" --jobs 4 --ledger "$$state/ledger" \
 	  2> "$$state/daemon.err" & pid=$$!; \
@@ -207,11 +210,11 @@ serve-smoke: build
 	echo "interner before: $$before, after: $$after"; \
 	[ "$$before" = "$$after" ]; \
 	status | python3 -c 'import json, sys; st = json.load(sys.stdin); pool = st["pool"] or {}; print("status: jobs %s, pool size %s, %d scans, %d errors" % (st["jobs"], pool.get("size"), st["scans"], st["errors"])); st["jobs"] == 4 and pool.get("size") == 3 or sys.exit("--jobs 4 must run 3 pool workers beside the I/O domain"); st["scans"] >= 50 and st["errors"] == 0 or sys.exit("status must count the 50 scans, and no errors")'; \
-	"$$namer" scan --model "$$state/m.nmdl" --max-reports 100000 "$$state/corpus" \
+	"$$namer" scan --model "$$state/m.nmdl" --max-reports 100000 --no-ledger "$$state/corpus" \
 	  > "$$state/cli.txt" 2>/dev/null; \
 	diff "$$state/serve.txt" "$$state/cli.txt"; \
 	"$$namer" corpus --files 200 --seed 7 --out "$$state/corpus2" 2>/dev/null; \
-	"$$namer" scan --model "$$state/m.nmdl" --cache-dir "$$state/cache" --max-reports 100000 \
+	"$$namer" scan --model "$$state/m.nmdl" --cache-dir "$$state/cache" --max-reports 100000 --no-ledger \
 	  "$$state/corpus2" > "$$state/cli2.txt" 2>/dev/null; \
 	"$$loadtest" --socket "$$state/namer.sock" --dir "$$state/corpus2" \
 	  --clients 1 --requests 1 --max-reports 100000 \
@@ -239,10 +242,12 @@ serve-smoke: build
 # --update incremental path lands on the same reports, that its ledger row
 # counts exactly half2's files in frontend.files_parsed (folding new files
 # into a partial digests only them, never the trained half), and that the
-# merge runs left cmd:"merge" rows in the run ledger.
+# merge runs left cmd:"merge" rows in the run ledger.  State stays in the
+# throwaway dir, as in serve-smoke.
 merge-smoke: build
 	@set -eu; \
 	state=$$(mktemp -d); trap 'rm -rf "$$state"' EXIT; \
+	export XDG_STATE_HOME="$$state"; \
 	namer=_build/default/bin/namer_cli.exe; \
 	"$$namer" corpus --files 2000 --out "$$state/corpus" 2>/dev/null; \
 	mkdir -p "$$state/half1" "$$state/half2"; \
@@ -255,9 +260,9 @@ merge-smoke: build
 	"$$namer" train --merge "$$state/h1.nprt" "$$state/h2.nprt" \
 	  --model "$$state/merged.nmdl" --ledger "$$state/ledger" 2>/dev/null; \
 	"$$namer" train "$$state/corpus" --model "$$state/full.nmdl" --ledger "$$state/ledger" 2>/dev/null; \
-	"$$namer" scan "$$state/corpus" --model "$$state/merged.nmdl" --max-reports 100000 \
+	"$$namer" scan "$$state/corpus" --model "$$state/merged.nmdl" --max-reports 100000 --no-ledger \
 	  > "$$state/merged.txt" 2>/dev/null; \
-	"$$namer" scan "$$state/corpus" --model "$$state/full.nmdl" --max-reports 100000 \
+	"$$namer" scan "$$state/corpus" --model "$$state/full.nmdl" --max-reports 100000 --no-ledger \
 	  > "$$state/full.txt" 2>/dev/null; \
 	diff "$$state/merged.txt" "$$state/full.txt"; \
 	cp "$$state/h1.nprt" "$$state/inc.nprt"; \
@@ -265,7 +270,7 @@ merge-smoke: build
 	  --model "$$state/inc.nmdl" --ledger "$$state/ledger" 2>/dev/null; \
 	python3 -c 'import json, sys; n = json.loads(open(sys.argv[1]).readlines()[-1])["counters"]["frontend.files_parsed"]; want = int(sys.argv[2]); print("update: parsed %d files, %d under half2" % (n, want)); sys.exit(0 if n == want else "--update must parse only the added files")' \
 	  "$$state/ledger/ledger.jsonl" "$$(find -L "$$state/half2" -type f -name '*.py' | wc -l)"; \
-	"$$namer" scan "$$state/corpus" --model "$$state/inc.nmdl" --max-reports 100000 \
+	"$$namer" scan "$$state/corpus" --model "$$state/inc.nmdl" --max-reports 100000 --no-ledger \
 	  > "$$state/inc.txt" 2>/dev/null; \
 	diff "$$state/inc.txt" "$$state/full.txt"; \
 	test "$$(grep -c '"cmd":"merge"' "$$state/ledger/ledger.jsonl")" -eq 2; \

@@ -129,7 +129,6 @@ type t = {
   lang : Corpus.lang;
   pairs : Confusing_pairs.t;
   store : Pattern.Store.t;
-  agg : Features.Agg.t;
   violations : violation array;
   classifier : Namer_ml.Pipeline.t option;
   cv_reports : (Namer_ml.Pipeline.algo * Namer_ml.Pipeline.cv_report) list;
@@ -473,12 +472,8 @@ let digest_refs ?pool ~shards ~(cfg : config) ~lang (refs : file_ref list) :
           List.iter
             (fun (table, shard_stmts, shard_skips) ->
               let m = Namepath.Interned.remap_into_global table in
-              List.iter
-                (fun s ->
-                  stmts_rev :=
-                    { s with digest = Pattern.Stmt_paths.remap m s.digest }
-                    :: !stmts_rev)
-                shard_stmts;
+              List.iter (fun s -> Pattern.Stmt_paths.remap m s.digest) shard_stmts;
+              stmts_rev := List.rev_append shard_stmts !stmts_rev;
               skips_rev := List.rev_append shard_skips !skips_rev)
             parts)
     (chunk (max 1 cfg.digest_batch) refs);
@@ -508,6 +503,66 @@ let runs_by_file stmts =
         | _ -> go (s :: run) acc rest)
   in
   go [] [] stmts
+
+(* One report per (file, statement line, offending name, suggestion,
+   pattern type): subset-condition variants of one rule all fire on the
+   same statement with the same fix, and the matcher kept the one with the
+   largest condition — the most specific match — so features 14 and 15
+   describe the strongest evidence.  The table only fixes the order of the
+   sort's ties: its keys enter in first-seen order, as they always have. *)
+let dedup_violations violations_in_order =
+  let dedup = Hashtbl.create 1024 in
+  List.iter
+    (fun (v : violation) ->
+      let key =
+        ( v.v_stmt.sctx.Features.file,
+          v.v_stmt.line,
+          v.v_info.Pattern.offending_prefix,
+          v.v_info.Pattern.suggested,
+          match v.v_pattern.Pattern.kind with
+          | Pattern.Consistency -> 0
+          | Pattern.Confusing_word _ -> 1
+          | Pattern.Ordering _ -> 2 )
+      in
+      Hashtbl.replace dedup key v)
+    violations_in_order;
+  Hashtbl.fold (fun _ v acc -> v :: acc) dedup []
+  |> List.sort (fun a b ->
+         compare
+           (a.v_stmt.sctx.Features.file, a.v_stmt.line, a.v_info.Pattern.offending_prefix)
+           (b.v_stmt.sctx.Features.file, b.v_stmt.line, b.v_info.Pattern.offending_prefix))
+  |> Array.of_list
+
+(* The scan's second pass: the statements of the [replayed] repositories,
+   those that hold one of [violations], and their matches, into keyed
+   aggregates that record only what those violations' features read — per
+   shard, summed at read like the first pass's.  Nothing here is counted:
+   the first pass saw these statements and matches. *)
+let replay_keyed ?pool ~shards matcher ~replayed violations stmts =
+  let keys =
+    Features.Agg.keys
+      (Array.to_list (Array.map (fun v -> (v.v_stmt.sctx, v.v_pattern.Pattern.id)) violations))
+  in
+  Accumulator.sharded_map ?pool ~shards
+    ~key:(fun s -> s.sctx.Features.file)
+    (fun shard ->
+      let agg = Features.Agg.keyed keys in
+      (* the statement being matched: one closure per shard, not one per
+         statement *)
+      let ctx = ref (List.hd shard).sctx in
+      let on_match (p : Pattern.t) rel =
+        Features.Agg.add_outcome agg !ctx ~pattern_id:p.Pattern.id rel
+      in
+      List.iter
+        (fun s ->
+          if replayed.(s.sctx.Features.repo_id) then begin
+            ctx := s.sctx;
+            Features.Agg.add_stmt agg s.sctx;
+            ignore (Pattern.Matcher.iter_matches matcher on_match s.digest)
+          end)
+        shard;
+      agg)
+    stmts
 
 (* Stages 2–6 over already-digested statements — everything downstream of
    the frontend, shared by [build_core] (fresh digests) and
@@ -560,13 +615,16 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
   in
   Telemetry.count ~by:n_candidates "build.pattern_candidates";
   Telemetry.count ~by:(Pattern.Store.size store) "build.patterns_kept";
-  (* 4. scan: aggregates + violations.  The store is read-only during the
-     scan, so shards match concurrently.  Shards split on file boundaries,
-     so each file is matched and deduplicated whole in one task; each shard
-     keeps its own aggregate, and [Features.Agg.sum] adds them up when
-     features read them.  The anchor table ranks items by their line-5
-     counts from mining. *)
-  let agg, violations_in_order =
+  (* 4. scan: violations, then the aggregates their features read.  The
+     store is read-only during the scan, so shards match concurrently.
+     Shards split on file boundaries, so each file is matched and
+     deduplicated whole in one task; each shard keeps its own aggregate,
+     and [Features.Agg.sum] adds them up when features read them.  The
+     anchor table ranks items by their line-5 counts from mining.  The
+     first pass tallies every match corpus-wide only; once the violations
+     are known, a second pass replays the statements of the repositories
+     that hold one and tallies just the keys their features read. *)
+  let agg, violations, violating_files, violating_repos =
     Telemetry.with_span "scan" @@ fun () ->
     let matcher =
       Pattern.Matcher.create ~rank:(fun p i -> cond_counts.(p.Pattern.id).(i)) store
@@ -575,7 +633,7 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
       Accumulator.sharded_map ?pool ~shards
         ~key:(fun s -> s.sctx.Features.file)
         (fun shard ->
-          let agg = Features.Agg.create () in
+          let agg = Features.Agg.dataset () in
           let on_match s (p : Pattern.t) rel =
             Features.Agg.add_outcome agg s.sctx ~pattern_id:p.id rel
           in
@@ -602,45 +660,18 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
           (agg, viols))
         stmts
     in
-    (Features.Agg.sum (List.map fst parts), List.concat_map snd parts)
+    let violations = dedup_violations (List.concat_map snd parts) in
+    let violating_files = Array.make (Interner.size file_ids) false
+    and violating_repos = Array.make (Interner.size repo_ids) false in
+    Array.iter
+      (fun v ->
+        violating_files.(v.v_stmt.sctx.Features.file_id) <- true;
+        violating_repos.(v.v_stmt.sctx.Features.repo_id) <- true)
+      violations;
+    let keyed = replay_keyed ?pool ~shards matcher ~replayed:violating_repos violations stmts in
+    (Features.Agg.sum (List.map fst parts @ keyed), violations, violating_files, violating_repos)
   in
-  (* One report per (file, statement line, offending name, suggestion,
-     pattern type): subset-condition variants of one rule all fire on the
-     same statement with the same fix, and the matcher kept the one with
-     the largest condition — the most specific match — so features 14 and
-     15 describe the strongest evidence.  The table only fixes the order
-     of the sort's ties: its keys enter in first-seen order, as they always
-     have. *)
-  let dedup = Hashtbl.create 1024 in
-  List.iter
-    (fun (v : violation) ->
-      let key =
-        ( v.v_stmt.sctx.Features.file,
-          v.v_stmt.line,
-          v.v_info.Pattern.offending_prefix,
-          v.v_info.Pattern.suggested,
-          match v.v_pattern.Pattern.kind with
-          | Pattern.Consistency -> 0
-          | Pattern.Confusing_word _ -> 1
-          | Pattern.Ordering _ -> 2 )
-      in
-      Hashtbl.replace dedup key v)
-    violations_in_order;
-  let violations =
-    Hashtbl.fold (fun _ v acc -> v :: acc) dedup []
-    |> List.sort (fun a b ->
-           compare
-             (a.v_stmt.sctx.Features.file, a.v_stmt.line, a.v_info.Pattern.offending_prefix)
-             (b.v_stmt.sctx.Features.file, b.v_stmt.line, b.v_info.Pattern.offending_prefix))
-    |> Array.of_list
-  in
-  let violating_files : (int, unit) Hashtbl.t = Hashtbl.create 64
-  and violating_repos : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun v ->
-      Hashtbl.replace violating_files v.v_stmt.sctx.Features.file_id ();
-      Hashtbl.replace violating_repos v.v_stmt.sctx.Features.repo_id ())
-    violations;
+  let n_true flags = Array.fold_left (fun n b -> if b then n + 1 else n) 0 flags in
   Telemetry.count ~by:(Array.length violations) "build.violations_deduped";
   (* 5. features: every vector is independent (agg and pairs are read-only
      by now), so chunk the index space and extract concurrently — each task
@@ -681,7 +712,6 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
     lang;
     pairs;
     store;
-    agg;
     violations;
     classifier;
     cv_reports;
@@ -691,8 +721,8 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
     n_stmts = List.length stmts;
     n_files;
     n_repos;
-    n_files_violating = Hashtbl.length violating_files;
-    n_repos_violating = Hashtbl.length violating_repos;
+    n_files_violating = n_true violating_files;
+    n_repos_violating = n_true violating_repos;
     n_candidates;
     skipped;
   }

@@ -82,7 +82,6 @@ type t = {
   lang : Corpus.lang;
   pairs : Confusing_pairs.t;
   store : Pattern.Store.t;
-  agg : Features.Agg.t;
   violations : violation array;  (** deduplicated scan results *)
   classifier : Namer_ml.Pipeline.t option;
   cv_reports : (Namer_ml.Pipeline.algo * Namer_ml.Pipeline.cv_report) list;

@@ -180,6 +180,7 @@ module Interned = struct
     ends : Interner.t;
     mutable lower : int array;  (** end id → end id of the lowercased form *)
     mutable by_pid : path array;  (** path id → the name path *)
+    mutable recs : t array;  (** path id → its shared record, see {!shared} *)
     mutable pid_prefix_id : int array;  (** path id → its prefix id *)
     mutable pid_end_id : int array;  (** path id → its end id, [-1] for ϵ *)
     mutable rank : int array;  (** path id → canonical-text rank (frozen) *)
@@ -188,6 +189,7 @@ module Interned = struct
   }
 
   let dummy_path = { prefix = []; end_node = None }
+  let dummy_rec = { np = dummy_path; pid = -1; prefix = -1; end_ = -1; sym = -1 }
 
   let create_table () =
     {
@@ -196,6 +198,7 @@ module Interned = struct
       ends = Interner.create ();
       lower = Array.make 64 (-1);
       by_pid = Array.make 64 dummy_path;
+      recs = Array.make 64 dummy_rec;
       pid_prefix_id = Array.make 64 (-1);
       pid_end_id = Array.make 64 (-1);
       rank = [||];
@@ -236,6 +239,26 @@ module Interned = struct
         tb.pid_end_id <- grow_to tb.pid_end_id (id + 1) (-1);
         tb.pid_end_id.(id) <- end_;
         id
+
+  (* The table's one record of path [pid] at [(prefix, end_, sym)], so a
+     statement's paths are pointers to records every statement shares,
+     not records of their own.  The record is made on the first call for
+     [pid] and kept, unless the table is frozen.  A whole-path text can
+     split into prefix and end at another space (see [steps_at]), so one
+     [pid] can occur with two prefixes: an occurrence that differs from
+     the kept record gets a private one.  [np] is the table's [by_pid]
+     entry either way. *)
+  let shared tb ~pid ~prefix ~end_ ~sym =
+    let r = if pid < Array.length tb.recs then tb.recs.(pid) else dummy_rec in
+    if r.pid = pid && r.prefix = prefix && r.end_ = end_ && r.sym = sym then r
+    else begin
+      let fresh = { np = tb.by_pid.(pid); pid; prefix; end_; sym } in
+      if r.pid < 0 && not tb.frozen then begin
+        tb.recs <- grow_to tb.recs (pid + 1) dummy_rec;
+        tb.recs.(pid) <- fresh
+      end;
+      fresh
+    end
 
   (** Intern one name path: renders its prefix/whole/symbolic texts exactly
       once, at extraction time.  Raises [Invalid_argument] on a frozen
@@ -435,10 +458,11 @@ module Interned = struct
       with the same ids: each interner sees the same first-seen sequence
       (prefixes; whole paths, then symbolic paths; ends with their
       lowercase forms), and a path's [np] is the table's [by_pid] entry.
-      Nothing is rendered per leaf: the walk descends the table's prefix
-      trie, a node's text is rendered once per table when it is first a
-      leaf's prefix, and [(prefix, end)] pairs map to path ids through a
-      cache.  [extract]'s per-statement prefix dedup has nothing to do
+      Each path is the table's shared record ({!shared}), so equal paths
+      across statements are one record.  Nothing is rendered per leaf:
+      the walk descends the table's prefix trie, a node's text is
+      rendered once per table when it is first a leaf's prefix, and
+      [(prefix, end)] pairs map to path ids through a cache.  [extract]'s per-statement prefix dedup has nothing to do
       here: two leaves of one tree part at their lowest common ancestor
       with different child indices, and an index is followed by a space or
       the end of the text, so their prefix texts always differ.  A frozen
@@ -452,7 +476,7 @@ module Interned = struct
       let end_ = intern_end table e in
       let pid = node_pid table tr node ~prefix ~end_ e in
       let sym = node_sym table tr node ~prefix ~pid in
-      out := { np = table.by_pid.(pid); pid; prefix; end_; sym } :: !out;
+      out := shared table ~pid ~prefix ~end_ ~sym :: !out;
       incr count
     in
     let rec go node (t : Tree.t) =
@@ -696,15 +720,12 @@ module Interned = struct
       local.paths;
     { path_map; prefix_map; end_map }
 
-  (** Translate one interned path through a {!remap}. *)
+  (** Translate one interned path through a {!remap}: the global table's
+      shared record of the translated ids. *)
   let apply_remap (m : remap) (it : t) : t =
-    {
-      it with
-      pid = m.path_map.(it.pid);
-      prefix = m.prefix_map.(it.prefix);
-      end_ = (if it.end_ < 0 then -1 else m.end_map.(it.end_));
-      sym = m.path_map.(it.sym);
-    }
+    shared global ~pid:m.path_map.(it.pid) ~prefix:m.prefix_map.(it.prefix)
+      ~end_:(if it.end_ < 0 then -1 else m.end_map.(it.end_))
+      ~sym:m.path_map.(it.sym)
 end
 
 (** Fused fast path: {!extract} and {!Interned.of_paths} in one traversal,

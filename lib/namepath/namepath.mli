@@ -88,9 +88,13 @@ module Interned : sig
   (** Fused extract-and-intern: semantically
       [of_paths ?table (extract ?limit tree)] with bit-identical id
       assignment (and each path's [np] is the table's first path with that
-      text).  The walk follows the table's prefix trie: a prefix's text is
-      rendered once per table, not per path.  A frozen table is only read.
-      The digest hot path. *)
+      text).  Equal paths share one record: the table keeps one per path
+      id, made on its first occurrence, and returns it whenever the
+      (pid, prefix, end, sym) ids agree; only a path whose text splits into
+      prefix and end two ways (a node value holding a space) can get a
+      record of its own.  The walk follows the table's prefix trie: a
+      prefix's text is rendered once per table, not per path.  A frozen
+      table is only read.  The digest hot path. *)
   val extract_tree : ?table:table -> ?limit:int -> Namer_tree.Tree.t -> t list
 
   (** A read-only set of prefix texts, each tagged with a caller-chosen
@@ -170,6 +174,8 @@ module Interned : sig
       shard order to reproduce the sequential id assignment). *)
   val remap_into_global : table -> remap
 
+  (** Translate one path of the merged shard-local table into the
+      global table's shared record of the same path. *)
   val apply_remap : remap -> t -> t
 end
 

@@ -225,10 +225,11 @@ module Stmt_paths = struct
           end
         end)
       ipaths;
+    let fit a = if !k = n then a else Array.sub a 0 !k in
     {
       ipaths;
-      index_prefix = Array.sub ip 0 !k;
-      index_end = Array.sub ie 0 !k;
+      index_prefix = fit ip;
+      index_end = fit ie;
       n_paths = n;
       names = Global;
     }
@@ -301,15 +302,17 @@ module Stmt_paths = struct
       shared, not rebuilt per call. *)
   let prefix_ids t = t.index_prefix
 
-  (** Translate a digest built on a shard-local table into global ids. *)
+  (** Translate a digest built on a shard-local table into global ids, in
+      place: its arrays are rewritten, not copied. *)
   let remap (m : I.remap) t =
-    {
-      ipaths = Array.map (I.apply_remap m) t.ipaths;
-      index_prefix = Array.map (fun p -> m.I.prefix_map.(p)) t.index_prefix;
-      index_end = Array.map (fun e -> m.I.end_map.(e)) t.index_end;
-      n_paths = t.n_paths;
-      names = t.names;
-    }
+    let ip = t.ipaths and pf = t.index_prefix and en = t.index_end in
+    for i = 0 to Array.length ip - 1 do
+      ip.(i) <- I.apply_remap m ip.(i)
+    done;
+    for i = 0 to Array.length pf - 1 do
+      pf.(i) <- m.I.prefix_map.(pf.(i));
+      en.(i) <- m.I.end_map.(en.(i))
+    done
 end
 
 (* ------------------------------------------------------------------ *)

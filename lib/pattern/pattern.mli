@@ -90,8 +90,9 @@ module Stmt_paths : sig
   (** The digest's own prefix-id index (shared array — do not mutate). *)
   val prefix_ids : t -> int array
 
-  (** Translate a shard-local digest into global ids. *)
-  val remap : Namepath.Interned.remap -> t -> t
+  (** Translate a shard-local digest into global ids, in place: the
+      digest's own arrays are rewritten, so the caller must own it. *)
+  val remap : Namepath.Interned.remap -> t -> unit
 end
 
 (** One violated occurrence: the offending subtoken and the deduced fix. *)

@@ -103,14 +103,13 @@ let agg_patterns =
          in
          Pattern.Store.get store (Pattern.Store.add store p)))
 
-(* Aggregates kept per shard and summed when read give every feature
-   vector one aggregate fed every event gives, including statements and
-   patterns no event mentions (features 2/3 then count the statement
-   itself once). *)
-let prop_agg_sum_at_read =
-  let ctx (file, hash) : Features.stmt_ctx =
-    { file = ""; repo = ""; file_id = file; repo_id = file / 2; tree_hash = hash; n_paths = 3 }
-  in
+(* Events as a sharded scan records them: a shard, and a statement (file,
+   hash) or a pattern outcome on one.  Repo [file / 2] holds files
+   [2r] and [2r + 1]. *)
+let agg_ctx (file, hash) : Features.stmt_ctx =
+  { file = ""; repo = ""; file_id = file; repo_id = file / 2; tree_hash = hash; n_paths = 3 }
+
+let agg_events =
   let event =
     QCheck.Gen.(
       pair (int_range 0 3)
@@ -122,23 +121,36 @@ let prop_agg_sum_at_read =
                (pair (pair (int_range 0 3) (int_range 0 2)) (pair (int_range 0 2) bool));
            ]))
   in
+  QCheck.(make Gen.(list_size (int_range 0 60) event))
+
+let agg_record agg = function
+  | `Stmt s -> Features.Agg.add_stmt agg (agg_ctx s)
+  | `Outcome (s, p, sat) ->
+      let rel = if sat then Pattern.Satisfied else Pattern.Violated info in
+      Features.Agg.add_outcome agg (agg_ctx s)
+        ~pattern_id:(List.nth (Lazy.force agg_patterns) p).Pattern.id rel
+
+(* Every event into one full aggregate, and through [record] into its
+   shard's aggregate. *)
+let agg_shards ?(shard_agg = Features.Agg.create) ?(record = agg_record) events =
+  let one = Features.Agg.create () and shards = Array.init 4 (fun _ -> shard_agg ()) in
+  List.iter
+    (fun (shard, e) ->
+      agg_record one e;
+      record shards.(shard) e)
+    events;
+  (one, Array.to_list shards)
+
+(* Aggregates kept per shard and summed when read give every feature
+   vector one aggregate fed every event gives, including statements and
+   patterns no event mentions (features 2/3 then count the statement
+   itself once). *)
+let prop_agg_sum_at_read =
   QCheck.Test.make ~name:"aggregates summed at read = one merged aggregate" ~count:300
-    QCheck.(make Gen.(list_size (int_range 0 60) event))
+    agg_events
     (fun events ->
-      let one = Features.Agg.create () and shards = Array.init 4 (fun _ -> Features.Agg.create ()) in
-      let record agg = function
-        | `Stmt s -> Features.Agg.add_stmt agg (ctx s)
-        | `Outcome (s, p, sat) ->
-            let rel = if sat then Pattern.Satisfied else Pattern.Violated info in
-            Features.Agg.add_outcome agg (ctx s)
-              ~pattern_id:(List.nth (Lazy.force agg_patterns) p).Pattern.id rel
-      in
-      List.iter
-        (fun (shard, e) ->
-          record one e;
-          record shards.(shard) e)
-        events;
-      let summed = Features.Agg.sum (Array.to_list shards) in
+      let one, shards = agg_shards events in
+      let summed = Features.Agg.sum shards in
       let pairs = Confusing_pairs.create () in
       (* one more file and hash than any event uses *)
       List.for_all
@@ -147,11 +159,49 @@ let prop_agg_sum_at_read =
             (fun hash ->
               List.for_all
                 (fun p ->
-                  Features.extract one pairs (ctx (file, hash)) p info
-                  = Features.extract summed pairs (ctx (file, hash)) p info)
+                  Features.extract one pairs (agg_ctx (file, hash)) p info
+                  = Features.extract summed pairs (agg_ctx (file, hash)) p info)
                 (Lazy.force agg_patterns))
             [ 0; 1; 2; 3 ])
         [ 0; 1; 2; 3; 4 ])
+
+(* A build's aggregate: every event into per-shard dataset parts, then
+   the events of each repo that holds a violation replayed into per-shard
+   keyed parts made from the violations' keys.  Every violation reads the
+   same features from their sum as from one full aggregate. *)
+let prop_agg_keyed =
+  QCheck.Test.make ~name:"keyed + dataset aggregates = a full one at every violation"
+    ~count:300 agg_events
+    (fun events ->
+      let one, dataset = agg_shards ~shard_agg:Features.Agg.dataset events in
+      let violations =
+        List.sort_uniq compare
+          (List.filter_map (function _, `Outcome (s, p, false) -> Some (s, p) | _ -> None) events)
+        |> List.map (fun (s, p) -> (s, List.nth (Lazy.force agg_patterns) p))
+      in
+      let keys =
+        Features.Agg.keys
+          (List.map (fun (s, (p : Pattern.t)) -> (agg_ctx s, p.Pattern.id)) violations)
+      in
+      let violating_repo (file, _) =
+        List.exists (fun ((f, _), _) -> f / 2 = file / 2) violations
+      in
+      let _, keyed =
+        agg_shards
+          ~shard_agg:(fun () -> Features.Agg.keyed keys)
+          ~record:(fun agg e ->
+            match e with
+            | (`Stmt s | `Outcome (s, _, _)) when violating_repo s -> agg_record agg e
+            | _ -> ())
+          events
+      in
+      let restricted = Features.Agg.sum (dataset @ keyed) in
+      let pairs = Confusing_pairs.create () in
+      List.for_all
+        (fun (s, p) ->
+          Features.extract one pairs (agg_ctx s) p info
+          = Features.extract restricted pairs (agg_ctx s) p info)
+        violations)
 
 let suite =
   [
@@ -160,4 +210,5 @@ let suite =
     Alcotest.test_case "defaults for unseen patterns" `Quick test_unseen_pattern_zero_counts;
     Alcotest.test_case "feature names" `Quick test_names_cover_features;
     QCheck_alcotest.to_alcotest prop_agg_sum_at_read;
+    QCheck_alcotest.to_alcotest prop_agg_keyed;
   ]

@@ -271,6 +271,46 @@ let test_extract_tree_edges () =
       check_bool "np is the table's first path" true (p.I.np == q.I.np)
   | _ -> Alcotest.fail "one path per tree"
 
+(* Equal (pid, prefix, end, sym) ids are one record: across statements of
+   one table, and across shard-local tables merged into the global one
+   through [apply_remap], which lands on the record the global table
+   itself extracts.  A leaf whose whole-path text splits another way than
+   the record kept for that pid gets a record of its own. *)
+let test_shared_records () =
+  let stmt () =
+    Tree.node "Assign"
+      [ Tree.node "NameStore" [ Tree.leaf "sharedProbe" ]; Tree.node "Num" [ Tree.leaf "1" ] ]
+  in
+  let same = List.for_all2 ( == ) in
+  let tb = I.create_table () in
+  let a = I.extract_tree ~table:tb (stmt ()) and b = I.extract_tree ~table:tb (stmt ()) in
+  check_bool "one record per path across statements" true (List.length a = 2 && same a b);
+  let shard () =
+    let local = I.create_table () in
+    let ps = I.extract_tree ~table:local (stmt ()) in
+    let m = I.remap_into_global local in
+    List.map (I.apply_remap m) ps
+  in
+  let r1 = shard () and r2 = shard () in
+  check_bool "one record across remapped shards" true (same r1 r2);
+  check_bool "the global table's own record" true (same r1 (I.extract_tree (stmt ())));
+  (* the whole-path text " 0 b" is prefix [""; 0] with end "b", and the
+     root prefix with end "0 b" *)
+  let nested = Tree.node "" [ Tree.leaf "b" ] and root = Tree.leaf "0 b" in
+  match
+    ( I.extract_tree ~table:tb nested,
+      I.extract_tree ~table:tb root,
+      I.extract_tree ~table:tb root,
+      I.extract_tree ~table:tb nested )
+  with
+  | [ n1 ], [ r1 ], [ r2 ], [ n2 ] ->
+      check_int "one path id" n1.I.pid r1.I.pid;
+      check_bool "two prefixes" true (n1.I.prefix <> r1.I.prefix);
+      check_bool "the kept record stays shared" true (n1 == n2);
+      check_bool "a colliding leaf has a record of its own" true
+        (not (r1 == n1) && not (r1 == r2))
+  | _ -> Alcotest.fail "one path per tree"
+
 (* A frozen table answers known paths and refuses unknown ones, and the
    fused walk never writes it, not even its trie: [t] was interned through
    [of_paths], so a walk allowed to write would add trie nodes. *)
@@ -337,4 +377,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_extract_tree_reference;
     Alcotest.test_case "interned: extract_tree edge cases" `Quick test_extract_tree_edges;
     Alcotest.test_case "interned: frozen extract_tree reads only" `Quick test_extract_tree_frozen;
+    Alcotest.test_case "interned: one shared record per path" `Quick test_shared_records;
   ]
