@@ -378,8 +378,9 @@ let print_figure3 () =
   (* the tree holds interned ids; render id [i] as "NP<i>" for the table *)
   let label i = Printf.sprintf "NP%d" i in
   let ins items n =
+    let items = Array.of_list items in
     for _ = 1 to n do
-      Fptree.insert t items
+      Fptree.insert t items (Array.length items)
     done
   in
   ins [ 1; 2 ] 33;

@@ -85,10 +85,10 @@ let tests () =
            |> List.iter (fun p -> ignore (Pattern.check p digest))))
   in
   let fptree_insert =
-    let items = List.init 8 (fun i -> i) in
+    let items = Array.init 8 (fun i -> i) in
     let tree = Namer_mining.Fptree.create () in
     Test.make ~name:"fp-tree: one insertion"
-      (Staged.stage (fun () -> Namer_mining.Fptree.insert tree items))
+      (Staged.stage (fun () -> Namer_mining.Fptree.insert tree items 8))
   in
   let classify =
     match (t.Namer.classifier, t.Namer.violations) with

@@ -240,13 +240,13 @@ let skip_file ~path reason =
         ("reason", Namer_util.Json.String reason);
       ]
     Telemetry.Warn "scan.file_skipped";
-  ([], Some { sk_file = path; sk_reason = reason })
+  ([||], Some { sk_file = path; sk_reason = reason })
 
 (* [hash_trees]: whether each statement's context carries [Tree.hash] of
    its tree, which only the classifier's features read; model scans pass
    [false] and leave it 0. *)
 let digest_source ~digest ~hash_trees ~cfg ~lang ~repo ~path source :
-    scanned_stmt list * skipped option =
+    scanned_stmt array * skipped option =
   let skip reason = skip_file ~path reason in
   match Frontend.parse_file_res lang ~use_analysis:cfg.use_analysis source with
   | Error reason -> skip reason
@@ -266,7 +266,7 @@ let digest_source ~digest ~hash_trees ~cfg ~lang ~repo ~path source :
             parsed.Frontend.stmts
         in
         Telemetry.with_span "namepaths" @@ fun () ->
-        List.map
+        Array.map
           (fun ((s : Frontend.stmt), ast_plus) ->
             let digest = digest ast_plus in
             {
@@ -282,7 +282,7 @@ let digest_source ~digest ~hash_trees ~cfg ~lang ~repo ~path source :
               line = s.line;
               digest;
             })
-          trees
+          (Array.of_list trees)
       in
       match transform () with
       | stmts -> (stmts, None)
@@ -293,7 +293,7 @@ let digest_source ~digest ~hash_trees ~cfg ~lang ~repo ~path source :
     [fr_load] and the return — the heart of the streaming contract; a read
     failure is per-file degradation like any parse failure. *)
 let digest_file ?table ~cfg ~lang ~(file : file_ref) () :
-    scanned_stmt list * skipped option =
+    scanned_stmt array * skipped option =
   match file.fr_load () with
   | exception Out_of_memory -> raise Out_of_memory
   | exception e -> skip_file ~path:file.fr_path (Printexc.to_string e)
@@ -423,61 +423,52 @@ let train_classifier ~(cfg : config) ~prng ~(violations : violation array) ~grad
    is read, digested and dropped before the next one is touched, so at
    most O(batch) sources and ASTs are ever resident — never the corpus.
    Within a batch each shard (contiguous, repo-aligned) runs on its own
-   domain; flattening the per-shard statement lists in shard order, batch
-   after batch, reproduces the sequential statement order exactly, which
-   everything downstream depends on.  With a pool, each shard interns
-   name paths into its own local table — worker domains never touch the
-   shared one — and the tables merge into the global id space in shard
-   order afterwards.  Batches and shards are both contiguous slices of
+   domain; concatenating the files' statement arrays in shard order,
+   batch after batch, into one array reproduces the sequential statement
+   order exactly, which everything downstream depends on.  With a pool,
+   each shard interns name paths into its own local table — worker
+   domains never touch the shared one — and the tables merge into the
+   global id space in shard order afterwards.  Batches and shards are both contiguous slices of
    the corpus sequence merged in order, so the first-seen id assignment
    equals the sequential one for every [digest_batch] and [jobs].
    Shared by [build_core] and [Partial.of_refs]. *)
 let digest_refs ?pool ~shards ~(cfg : config) ~lang (refs : file_ref list) :
-    scanned_stmt list * skipped list =
+    scanned_stmt array * skipped list =
   let n_files = List.length refs in
-  let digest_shard ?table files =
-    let skips_rev = ref [] in
-    let stmts =
-      List.concat_map
-        (fun file ->
-          let stmts, skip = digest_file ?table ~cfg ~lang ~file () in
-          Option.iter (fun k -> skips_rev := k :: !skips_rev) skip;
-          stmts)
-        files
-    in
-    (stmts, List.rev !skips_rev)
+  (* each file's statements, newest file first *)
+  let files_rev = ref [] and skips_rev = ref [] in
+  let keep (stmts, skip) =
+    files_rev := stmts :: !files_rev;
+    Option.iter (fun k -> skips_rev := k :: !skips_rev) skip
   in
-  let stmts_rev = ref [] and skips_rev = ref [] in
   List.iter
     (fun batch ->
       match pool with
-      | None ->
-          List.iter
-            (fun file ->
-              let stmts, skip = digest_file ~cfg ~lang ~file () in
-              stmts_rev := List.rev_append stmts !stmts_rev;
-              Option.iter (fun k -> skips_rev := k :: !skips_rev) skip)
-            batch
+      | None -> List.iter (fun file -> keep (digest_file ~cfg ~lang ~file ())) batch
       | Some _ ->
           let parts =
             Accumulator.sharded_map ?pool ~shards
               ~key:(fun r -> r.fr_repo)
               (fun files ->
                 let table = Namepath.Interned.create_table () in
-                let stmts, skips = digest_shard ~table files in
-                (table, stmts, skips))
+                let stmts =
+                  List.map (fun file -> digest_file ~table ~cfg ~lang ~file ()) files
+                in
+                (table, stmts))
               batch
           in
           Telemetry.with_span "digest:remap" @@ fun () ->
           List.iter
-            (fun (table, shard_stmts, shard_skips) ->
+            (fun (table, shard_stmts) ->
               let m = Namepath.Interned.remap_into_global table in
-              List.iter (fun s -> Pattern.Stmt_paths.remap m s.digest) shard_stmts;
-              stmts_rev := List.rev_append shard_stmts !stmts_rev;
-              skips_rev := List.rev_append shard_skips !skips_rev)
+              List.iter
+                (fun ((stmts, _) as file) ->
+                  Array.iter (fun s -> Pattern.Stmt_paths.remap m s.digest) stmts;
+                  keep file)
+                shard_stmts)
             parts)
     (chunk (max 1 cfg.digest_batch) refs);
-  let stmts = List.rev !stmts_rev and skipped = List.rev !skips_rev in
+  let stmts = Array.concat (List.rev !files_rev) and skipped = List.rev !skips_rev in
   if skipped <> [] then begin
     Telemetry.emit
       ~fields:
@@ -487,22 +478,14 @@ let digest_refs ?pool ~shards ~(cfg : config) ~lang (refs : file_ref list) :
         ]
       Telemetry.Warn "build.degraded"
   end;
-  Telemetry.count ~by:(List.length stmts) "build.statements_digested";
+  Telemetry.count ~by:(Array.length stmts) "build.statements_digested";
   (stmts, skipped)
 
-(* [runs_by_file stmts] splits a statement list into its runs of one
-   file, in order. *)
-let runs_by_file stmts =
-  let close run acc = if run = [] then acc else List.rev run :: acc in
-  let rec go run acc = function
-    | [] -> List.rev (close run acc)
-    | s :: rest -> (
-        match run with
-        | prev :: _ when prev.sctx.Features.file_id <> s.sctx.Features.file_id ->
-            go [ s ] (close run acc) rest
-        | _ -> go (s :: run) acc rest)
-  in
-  go [] [] stmts
+(* The end of the run of one file that starts at [i], below [hi]. *)
+let rec file_run_end (stmts : scanned_stmt array) i hi =
+  if i + 1 < hi && stmts.(i + 1).sctx.Features.file_id = stmts.(i).sctx.Features.file_id
+  then file_run_end stmts (i + 1) hi
+  else i + 1
 
 (* One report per (file, statement line, offending name, suggestion,
    pattern type): subset-condition variants of one rule all fire on the
@@ -538,31 +521,31 @@ let dedup_violations violations_in_order =
    aggregates that record only what those violations' features read — per
    shard, summed at read like the first pass's.  Nothing here is counted:
    the first pass saw these statements and matches. *)
-let replay_keyed ?pool ~shards matcher ~replayed violations stmts =
+let replay_keyed ?pool ~shards matcher ~replayed violations (stmts : scanned_stmt array) =
   let keys =
     Features.Agg.keys
       (Array.to_list (Array.map (fun v -> (v.v_stmt.sctx, v.v_pattern.Pattern.id)) violations))
   in
-  Accumulator.sharded_map ?pool ~shards
-    ~key:(fun s -> s.sctx.Features.file)
-    (fun shard ->
+  Accumulator.sharded_map_range ?pool ~shards
+    ~key:(fun i -> stmts.(i).sctx.Features.file)
+    (fun lo hi ->
       let agg = Features.Agg.keyed keys in
       (* the statement being matched: one closure per shard, not one per
          statement *)
-      let ctx = ref (List.hd shard).sctx in
+      let ctx = ref stmts.(lo).sctx in
       let on_match (p : Pattern.t) rel =
         Features.Agg.add_outcome agg !ctx ~pattern_id:p.Pattern.id rel
       in
-      List.iter
-        (fun s ->
-          if replayed.(s.sctx.Features.repo_id) then begin
-            ctx := s.sctx;
-            Features.Agg.add_stmt agg s.sctx;
-            ignore (Pattern.Matcher.iter_matches matcher on_match s.digest)
-          end)
-        shard;
+      for i = lo to hi - 1 do
+        let s = stmts.(i) in
+        if replayed.(s.sctx.Features.repo_id) then begin
+          ctx := s.sctx;
+          Features.Agg.add_stmt agg s.sctx;
+          ignore (Pattern.Matcher.iter_matches matcher on_match s.digest)
+        end
+      done;
       agg)
-    stmts
+    (Array.length stmts)
 
 (* Stages 2–6 over already-digested statements — everything downstream of
    the frontend, shared by [build_core] (fresh digests) and
@@ -576,7 +559,7 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
      paths.  First-seen order over the statement list, so ids are shard-plan
      independent. *)
   let file_ids = Interner.create () and repo_ids = Interner.create () in
-  List.iter
+  Array.iter
     (fun s ->
       s.sctx.Features.file_id <- Interner.intern file_ids s.sctx.Features.file;
       s.sctx.Features.repo_id <- Interner.intern repo_ids s.sctx.Features.repo)
@@ -597,7 +580,7 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
       Miner.mine_kinds ?pool ~config:cfg.miner
         ~kinds:[ `Consistency; `Confusing; `Ordering cfg.ordering_vocab ]
         ~pairs
-        (List.map (fun s -> s.digest) stmts)
+        (Array.map (fun s -> s.digest) stmts)
     in
     let store = Pattern.Store.create () and cond_counts_rev = ref [] in
     List.iter
@@ -617,9 +600,10 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
   Telemetry.count ~by:(Pattern.Store.size store) "build.patterns_kept";
   (* 4. scan: violations, then the aggregates their features read.  The
      store is read-only during the scan, so shards match concurrently.
-     Shards split on file boundaries, so each file is matched and
-     deduplicated whole in one task; each shard keeps its own aggregate,
-     and [Features.Agg.sum] adds them up when features read them.  The
+     Shards are index ranges of the statement array that split on file
+     boundaries, so each file is matched and deduplicated whole in one
+     task; each shard keeps its own aggregate, and [Features.Agg.sum] adds
+     them up when features read them.  The
      anchor table ranks items by their line-5 counts from mining.  The
      first pass tallies every match corpus-wide only; once the violations
      are known, a second pass replays the statements of the repositories
@@ -630,35 +614,36 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
       Pattern.Matcher.create ~rank:(fun p i -> cond_counts.(p.Pattern.id).(i)) store
     in
     let parts =
-      Accumulator.sharded_map ?pool ~shards
-        ~key:(fun s -> s.sctx.Features.file)
-        (fun shard ->
+      Accumulator.sharded_map_range ?pool ~shards
+        ~key:(fun i -> stmts.(i).sctx.Features.file)
+        (fun lo hi ->
           let agg = Features.Agg.dataset () in
           let on_match s (p : Pattern.t) rel =
             Features.Agg.add_outcome agg s.sctx ~pattern_id:p.id rel
           in
-          let checks = ref 0 and raw = ref 0 in
-          let viols =
-            List.concat_map
-              (fun file ->
-                List.iter (fun s -> Features.Agg.add_stmt agg s.sctx) file;
-                let r =
-                  Pattern.Matcher.match_file matcher ~digest:(fun s -> s.digest)
-                    ~line:(fun s -> s.line) ~on_match file
-                in
-                checks := !checks + r.checks;
-                raw := !raw + r.raw;
-                List.map
-                  (fun (s, p, info) ->
-                    { v_stmt = s; v_pattern = p; v_info = info; v_features = [||] })
-                  r.violations)
-              (runs_by_file shard)
-          in
+          let digest s = s.digest and line s = s.line in
+          let checks = ref 0 and raw = ref 0 and viols_rev = ref [] in
+          let i = ref lo in
+          while !i < hi do
+            let j = file_run_end stmts !i hi in
+            for k = !i to j - 1 do
+              Features.Agg.add_stmt agg stmts.(k).sctx
+            done;
+            let r = Pattern.Matcher.match_file matcher ~digest ~line ~on_match stmts !i j in
+            checks := !checks + r.checks;
+            raw := !raw + r.raw;
+            List.iter
+              (fun (s, p, info) ->
+                viols_rev :=
+                  { v_stmt = s; v_pattern = p; v_info = info; v_features = [||] } :: !viols_rev)
+              r.violations;
+            i := j
+          done;
           Features.Agg.flush_counts agg;
           Telemetry.count ~by:!checks "build.scan_checks";
           Telemetry.count ~by:!raw "build.violations_raw";
-          (agg, viols))
-        stmts
+          (agg, List.rev !viols_rev))
+        (Array.length stmts)
     in
     let violations = dedup_violations (List.concat_map snd parts) in
     let violating_files = Array.make (Interner.size file_ids) false
@@ -718,7 +703,7 @@ let train_digested ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
     training_set;
     oracle;
     source_of;
-    n_stmts = List.length stmts;
+    n_stmts = Array.length stmts;
     n_files;
     n_repos;
     n_files_violating = n_true violating_files;
@@ -1064,7 +1049,7 @@ let load_model ~path : model =
   let store =
     read "patterns" (fun r ->
         let n = R.u32 r in
-        let store = Pattern.Store.create () in
+        let patterns_rev = ref [] in
         for _ = 1 to n do
           let kind =
             match R.u8 r with
@@ -1080,12 +1065,11 @@ let load_model ~path : model =
           in
           let condition = List.map Namepath.of_string (read_strings r) in
           let deduction = List.map Namepath.of_string (read_strings r) in
-          (* saved stores are already canonical-deduplicated; nodedup
-             insertion preserves the training-time pattern ids *)
-          ignore
-            (Pattern.Store.add_nodedup store (Pattern.make ~kind ~condition ~deduction))
+          patterns_rev := Pattern.make ~kind ~condition ~deduction :: !patterns_rev
         done;
-        store)
+        (* saved stores are canonical-deduplicated: each pattern gets its
+           training-time id back *)
+        Pattern.Store.of_list (List.rev !patterns_rev))
   in
   let pairs =
     read "pairs" (fun r ->
@@ -1203,7 +1187,7 @@ module Partial = struct
           i
     in
     let pstmts =
-      List.map
+      Array.map
         (fun (s : scanned_stmt) ->
           let ipaths = s.digest.Pattern.Stmt_paths.ipaths in
           let paths = Array.make (Array.length ipaths) 0 in
@@ -1223,7 +1207,7 @@ module Partial = struct
       pm_max_stmt_paths = cfg.miner.Miner.max_stmt_paths;
       pm_vocab = Array.of_list (List.rev !vocab_rev);
       pm_files = files;
-      pm_stmts = Array.of_list pstmts;
+      pm_stmts = pstmts;
       pm_skipped =
         Array.of_list (List.map (fun k -> (idx_of_file k.sk_file, k.sk_reason)) skipped);
       pm_pairs = pair_tallies;
@@ -1304,28 +1288,27 @@ module Partial = struct
         p.P.pm_vocab
     in
     let stmts =
-      Array.to_list
-        (Array.map
-           (fun (s : P.pstmt) ->
-             let repo, file = p.P.pm_files.(s.P.ps_file) in
-             let digest =
-               Pattern.Stmt_paths.of_interned
-                 (Array.to_list (Array.map (fun i -> interned.(i)) s.P.ps_paths))
-             in
-             {
-               sctx =
-                 {
-                   Features.file;
-                   repo;
-                   file_id = -1;
-                   repo_id = -1;
-                   tree_hash = s.P.ps_tree_hash;
-                   n_paths = digest.Pattern.Stmt_paths.n_paths;
-                 };
-               line = s.P.ps_line;
-               digest;
-             })
-           p.P.pm_stmts)
+      Array.map
+        (fun (s : P.pstmt) ->
+          let repo, file = p.P.pm_files.(s.P.ps_file) in
+          let digest =
+            Pattern.Stmt_paths.of_interned
+              (Array.to_list (Array.map (fun i -> interned.(i)) s.P.ps_paths))
+          in
+          {
+            sctx =
+              {
+                Features.file;
+                repo;
+                file_id = -1;
+                repo_id = -1;
+                tree_hash = s.P.ps_tree_hash;
+                n_paths = digest.Pattern.Stmt_paths.n_paths;
+              };
+            line = s.P.ps_line;
+            digest;
+          })
+        p.P.pm_stmts
     in
     let skipped =
       Array.to_list
@@ -1466,7 +1449,7 @@ let config_of_model (m : model) ~jobs ~cap_domains =
 let match_stmts (m : model) stmts : Scan_cache.entry list * int =
   let r =
     Pattern.Matcher.match_file m.m_matcher ~digest:(fun s -> s.digest)
-      ~line:(fun s -> s.line) ~on_match:(fun _ _ _ -> ()) stmts
+      ~line:(fun s -> s.line) ~on_match:(fun _ _ _ -> ()) stmts 0 (Array.length stmts)
   in
   ( List.map
       (fun (s, (p : Pattern.t), (info : Pattern.violation_info)) ->
@@ -1493,7 +1476,7 @@ let digest_for_model (m : model) (f : Corpus.file) =
     digest_with_model m ~cfg:(config_of_model m ~jobs:1 ~cap_domains:true)
       ~repo:f.Corpus.repo ~path:f.Corpus.path f.Corpus.source
   with
-  | stmts, None -> Some stmts
+  | stmts, None -> Some (Array.to_list stmts)
   | _, Some _ -> None
 
 (** [scan_refs m refs] reports the violations of [refs] against a trained

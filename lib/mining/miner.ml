@@ -20,20 +20,24 @@
       [min_satisfaction_ratio] (paper: 0.8).
 
     The whole pipeline runs in the hash-consed {!Namepath.Interned} id
-    space: path frequencies are counted per pid, splits compare end ids,
-    the FP-tree holds pid lists, and candidate dedup keys are pid lists —
-    no canonical text is rendered until a surviving pattern reaches the
-    final store.
+    space and allocates only what it keeps: path frequencies are counted
+    per pid, splits compare end ids and copy a statement's rank-sorted
+    pids into one reused insert buffer, the FP-tree is flat int arrays
+    ({!Fptree}), and candidates are rows of pids in one flat array,
+    deduplicated through an open-addressing table of candidate ids.  No
+    canonical text is rendered, and no {!Pattern.t} is built, until a
+    candidate survives the prune.
 
     Both corpus-wide counts are dense [int array]s.  The line-5 path
     frequencies are indexed by pid (the global table is frozen while a
     build mines, so the pid space is fixed), and {!mine_kinds} counts them
     once for all the pattern kinds it mines.  [pruneUncommon]'s tallies
-    are indexed by candidate id, [0 .. n-1] in generation order.  With a
-    pool, each shard counts into arrays of its own, summed element-wise in
-    shard order, so every count is the sequential one at any [--jobs].
+    are indexed by candidate id, [0 .. n-1] in generation order.  Both
+    passes run over index ranges of the statement array; with a pool,
+    each domain counts into an array of its own, and the arrays are
+    summed, so every count is the sequential one at any [--jobs].
 
-    Candidates are compiled from the ids of the paths the miner holds
+    Survivors are compiled from the ids of the paths the miner holds
     ({!Pattern.of_ids}), so no prefix text is rendered to compile them.
 
     [pruneUncommon] matches every candidate against every statement in
@@ -45,9 +49,9 @@
     item, under its first deduction prefix.  A statement looks up its own
     index items and index prefixes.  Any match needs every exact condition
     item and the first deduction prefix in the statement's index, so the
-    patterns looked up are a superset of those that match; each is run
-    through the unchanged {!Pattern.check}, and the tallies are integer
-    sums.  The mined store, its ids and its statistics are therefore
+    candidates looked up are a superset of those that match; each gets
+    {!Pattern.check}'s answer from the payload-free outcome functions it
+    is built on, and the tallies are integer sums.  The mined store, its ids and its statistics are therefore
     exactly those of checking every candidate, at about 1/24 of the checks
     on a generated 100-repo corpus. *)
 
@@ -135,148 +139,349 @@ let is_call_argument_np (np : Namepath.t) =
   in
   scan np.Namepath.prefix
 
-(** All (condition, deduction) splits of one statement's interned paths.
-    The deduction is returned as pids — symbolic pids for consistency
-    (the symbolized pair), concrete pids otherwise. *)
-let split_interned ctx (ipaths : I.t list) : (I.t list * int list) list =
+(* Whether [it] sits at a call argument, memoized per prefix id. *)
+let is_call_argument memo (it : I.t) =
+  match Hashtbl.find_opt memo it.I.prefix with
+  | Some b -> b
+  | None ->
+      let b = is_call_argument_np it.I.np in
+      Hashtbl.replace memo it.I.prefix b;
+      b
+
+(** [iter_splits ctx paths n f] calls [f i j] for every (condition,
+    deduction) split of [paths.(0 .. n - 1)], in Algorithm 1's order: the
+    deduction is [paths.(i)] and, unless [j = -1], [paths.(j)]; the
+    condition is every other path, by physical identity.  Nothing is
+    allocated per split. *)
+let iter_splits ctx (paths : I.t array) n f =
   match ctx with
   | Sc_ordering (vocab_ids, memo) ->
       (* ordered word pairs appearing at two distinct *call-argument*
          prefixes, in canonical order, become a two-path concrete
          deduction *)
-      let is_call_argument (it : I.t) =
-        match Hashtbl.find_opt memo it.I.prefix with
-        | Some b -> b
-        | None ->
-            let b = is_call_argument_np it.I.np in
-            Hashtbl.replace memo it.I.prefix b;
-            b
-      in
-      let arr = Array.of_list ipaths in
-      let n = Array.length arr in
-      let out = ref [] in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
-          if i <> j && is_call_argument arr.(i) && is_call_argument arr.(j) then begin
-            let e1 = arr.(i).I.end_ and e2 = arr.(j).I.end_ in
-            if
-              e1 >= 0 && e2 >= 0
-              && List.exists (fun (a, b) -> a = e1 && b = e2) vocab_ids
-            then begin
-              let cond = List.filter (fun a -> a != arr.(i) && a != arr.(j)) ipaths in
-              out := (cond, [ arr.(i).I.pid; arr.(j).I.pid ]) :: !out
-            end
+          if i <> j && is_call_argument memo paths.(i) && is_call_argument memo paths.(j)
+          then begin
+            let e1 = paths.(i).I.end_ and e2 = paths.(j).I.end_ in
+            if e1 >= 0 && e2 >= 0 && List.exists (fun (a, b) -> a = e1 && b = e2) vocab_ids
+            then f i j
           end
         done
-      done;
-      List.rev !out
+      done
   | Sc_confusing correct ->
-      List.filter_map
-        (fun (d : I.t) ->
-          if d.I.end_ >= 0 && correct.(d.I.end_) then
-            Some (List.filter (fun a -> a != d) ipaths, [ d.I.pid ])
-          else None)
-        ipaths
+      for i = 0 to n - 1 do
+        let e = paths.(i).I.end_ in
+        if e >= 0 && correct.(e) then f i (-1)
+      done
   | Sc_consistency name_end ->
-      let arr = Array.of_list ipaths in
-      let n = Array.length arr in
-      let out = ref [] in
       for i = 0 to n - 1 do
         for j = i + 1 to n - 1 do
-          let e1 = arr.(i).I.end_ and e2 = arr.(j).I.end_ in
+          let e1 = paths.(i).I.end_ and e2 = paths.(j).I.end_ in
           (* case-insensitive, matching the satisfaction check *)
-          if e1 >= 0 && e2 >= 0 && I.lower_end e1 = I.lower_end e2 && name_end.(e1)
-          then begin
-            let cond = List.filter (fun a -> a != arr.(i) && a != arr.(j)) ipaths in
-            out := (cond, [ arr.(i).I.sym; arr.(j).I.sym ]) :: !out
-          end
+          if e1 >= 0 && e2 >= 0 && I.lower_end e1 = I.lower_end e2 && name_end.(e1) then f i j
         done
-      done;
-      List.rev !out
+      done
 
-(** String-level view of {!split_interned} — the historical interface,
-    kept for tests: interns [paths] against the global table on the fly. *)
+(* A deduction path's pid: symbolic for consistency (the symbolized
+   pair), concrete otherwise. *)
+let ded_pid ctx (it : I.t) = match ctx with Sc_consistency _ -> it.I.sym | _ -> it.I.pid
+
+(** String-level view of {!iter_splits}, kept for tests: interns [paths]
+    against the global table on the fly. *)
 let split_paths ~kind ~(pairs : Confusing_pairs.t) (paths : Namepath.t list) :
     (Namepath.t list * Namepath.t list) list =
-  let ipaths = I.of_paths paths in
+  let arr = Array.of_list (I.of_paths paths) in
   let ctx = make_split_ctx ~kind ~pairs () in
-  split_interned ctx ipaths
-  |> List.map (fun (cond, ded_pids) ->
-         ( List.map (fun (it : I.t) -> it.I.np) cond,
-           List.map I.path_of_pid ded_pids ))
+  let out = ref [] in
+  iter_splits ctx arr (Array.length arr) (fun i j ->
+      let di = arr.(i) and dj = if j < 0 then arr.(i) else arr.(j) in
+      let cond = List.filter (fun a -> a != di && a != dj) (Array.to_list arr) in
+      let ded = if j < 0 then [ di ] else [ di; dj ] in
+      out :=
+        ( List.map (fun (it : I.t) -> it.I.np) cond,
+          List.map (fun it -> I.path_of_pid (ded_pid ctx it)) ded )
+        :: !out);
+  List.rev !out
 
 (* ------------------------------------------------------------------ *)
 (* combinations (Algorithm 2, line 7)                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Every distinct subsequence of [conds.(from .. m - 1)] extending
+   [sub.(0 .. depth - 1)], of at most [k] items in all and fewer than [m],
+   handed to [emit] in lexicographic order of its items.  A value repeated
+   in [conds] is taken at its first index only: a later one yields no
+   subsequence the first does not. *)
+let rec subsets ~k conds m sub depth from emit =
+  if depth < k then begin
+    let last = ref min_int and more = ref true in
+    while !more do
+      (* the first index of the least value above [last] *)
+      let best = ref (-1) in
+      for i = from to m - 1 do
+        let v = conds.(i) in
+        if v > !last && (!best < 0 || v < conds.(!best)) then best := i
+      done;
+      if !best < 0 then more := false
+      else begin
+        let i = !best in
+        sub.(depth) <- conds.(i);
+        if depth + 1 < m then emit (depth + 1);
+        subsets ~k conds m sub (depth + 1) (i + 1) emit;
+        last := conds.(i)
+      end
+    done
+  end
+
+(** [iter_conditions ~max_subset_size conds m sub emit] hands [emit] each
+    condition set generated from [conds.(0 .. m - 1)] — written to
+    [sub.(0 .. len - 1)], [emit len] — in generation order: the full set,
+    then every distinct subset of at most [max_subset_size] items that is
+    smaller than the full set, the empty set included, in lexicographic
+    order of its items (a subset keeps [conds]' order). *)
+let iter_conditions ~max_subset_size conds m sub emit =
+  Array.blit conds 0 sub 0 m;
+  emit m;
+  if m > 0 then begin
+    emit 0;
+    subsets ~k:(min max_subset_size m) conds m sub 0 0 emit
+  end
+
 (** The condition sets generated from the visited paths: the full set plus
     every subset of size ≤ [max_subset_size], including the empty condition
     (a pattern that fires wherever its deduction prefix appears — kept only
-    if [pruneUncommon] finds it satisfied almost everywhere). *)
-let combinations ~max_subset_size (conds : 'a list) : 'a list list =
-  let n = List.length conds in
-  let full = if n > 0 then [ conds ] else [ [] ] in
-  let rec subsets k xs =
-    if k = 0 then [ [] ]
-    else
-      match xs with
-      | [] -> [ [] ]
-      | x :: rest ->
-          let with_x = List.map (fun s -> x :: s) (subsets (k - 1) rest) in
-          with_x @ subsets k rest
+    if [pruneUncommon] finds it satisfied almost everywhere).  The list
+    view of {!iter_conditions}. *)
+let combinations ~max_subset_size (conds : int list) : int list list =
+  let a = Array.of_list conds in
+  let sub = Array.make (max 1 (Array.length a)) 0 and out = ref [] in
+  iter_conditions ~max_subset_size a (Array.length a) sub (fun len ->
+      out := List.init len (Array.get sub) :: !out);
+  List.rev !out
+
+(* ------------------------------------------------------------------ *)
+(* Candidate rows                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The candidates of one kind, in generation order: candidate [c]'s pids
+   are [items.(starts.(c) .. starts.(c + 1) - 1)], its condition (in rank
+   order) then its [n_deduct] deduction paths.  Deduction arity is fixed
+   per kind, so the row is an unambiguous identity, equivalent to the
+   canonical text without rendering it; [slots] is an open-addressing
+   table of candidate ids that deduplicates rows. *)
+type candidates = {
+  c_kind : kind;
+  n_deduct : int;
+  mutable items : int array;
+  mutable starts : int array;
+  mutable n : int;
+  mutable slots : int array;  (** candidate id per slot, [-1] free *)
+}
+
+let deduction_arity = function `Confusing -> 1 | `Consistency | `Ordering _ -> 2
+
+let empty_candidates kind =
+  {
+    c_kind = kind;
+    n_deduct = deduction_arity kind;
+    items = Array.make 1024 0;
+    starts = Array.make 256 0;
+    n = 0;
+    slots = Array.make 512 (-1);
+  }
+
+let row_hash (a : int array) lo hi =
+  let h = ref (hi - lo) in
+  for i = lo to hi - 1 do
+    h := (!h * 0x9E3779B97F4A7C1) + Array.unsafe_get a i
+  done;
+  !h lxor (!h lsr 29)
+
+let rec row_equal (a : int array) i (b : int array) j len =
+  len = 0 || (a.(i) = b.(j) && row_equal a (i + 1) b (j + 1) (len - 1))
+
+(* The slot of the candidate with row [buf.(0 .. len - 1)], or the free
+   slot where it belongs. *)
+let rec find_slot c buf len i =
+  let id = c.slots.(i) in
+  if
+    id < 0
+    || (c.starts.(id + 1) - c.starts.(id) = len && row_equal c.items c.starts.(id) buf 0 len)
+  then i
+  else find_slot c buf len ((i + 1) land (Array.length c.slots - 1))
+
+let grow_slots c =
+  let slots = Array.make (2 * Array.length c.slots) (-1) in
+  let mask = Array.length slots - 1 in
+  for id = 0 to c.n - 1 do
+    let i = ref (row_hash c.items c.starts.(id) c.starts.(id + 1) land mask) in
+    while slots.(!i) >= 0 do
+      i := (!i + 1) land mask
+    done;
+    slots.(!i) <- id
+  done;
+  c.slots <- slots
+
+(* Add the row [buf.(0 .. len - 1)] unless it is there already. *)
+let add_row c buf len =
+  let mask = Array.length c.slots - 1 in
+  let i = find_slot c buf len (row_hash buf 0 len land mask) in
+  if c.slots.(i) < 0 then begin
+    let id = c.n and at = c.starts.(c.n) in
+    if at + len > Array.length c.items then begin
+      let items = Array.make (2 * (at + len)) 0 in
+      Array.blit c.items 0 items 0 at;
+      c.items <- items
+    end;
+    if id + 2 > Array.length c.starts then begin
+      let starts = Array.make (2 * Array.length c.starts) 0 in
+      Array.blit c.starts 0 starts 0 (id + 1);
+      c.starts <- starts
+    end;
+    Array.blit buf 0 c.items at len;
+    c.starts.(id + 1) <- at + len;
+    c.slots.(i) <- id;
+    c.n <- id + 1;
+    if 2 * c.n > Array.length c.slots then grow_slots c
+  end
+
+let candidate_rows ~kind rows =
+  let c = empty_candidates kind in
+  List.iter (fun row -> add_row c row (Array.length row)) rows;
+  c
+
+let candidate_count c = c.n
+
+(* Whether the condition pids [items.(i .. stop - 1)] all hold in [s]. *)
+let rec row_holds s (items : int array) i stop =
+  i >= stop
+  ||
+  let pid = Array.unsafe_get items i in
+  Pattern.item_holds s ~prefix:(I.prefix_of_pid pid) ~want:(I.end_of_pid pid)
+  && row_holds s items (i + 1) stop
+
+(* Candidate [id]'s payload-free relation to [s]: 0 no match, 1
+   satisfied, 2 violated — {!Pattern.check}'s answer for the candidate's
+   pattern, without rendering a violation. *)
+let outcome c s id =
+  let d = c.starts.(id + 1) - c.n_deduct and items = c.items in
+  if not (row_holds s items c.starts.(id) d) then 0
+  else
+    let d0 = items.(d) in
+    match c.c_kind with
+    | `Confusing -> Pattern.confusing_outcome s (I.prefix_of_pid d0) ~correct:(I.end_of_pid d0)
+    | `Consistency ->
+        Pattern.consistency_outcome s (I.prefix_of_pid d0) (I.prefix_of_pid items.(d + 1))
+    | `Ordering _ ->
+        let d1 = items.(d + 1) in
+        Pattern.ordering_outcome s (I.prefix_of_pid d0) (I.prefix_of_pid d1)
+          ~first:(I.end_of_pid d0) ~second:(I.end_of_pid d1)
+
+(* A pid's compiled form: its (prefix id, end id), read off the table —
+   the ids compiling its rendered text would look up. *)
+let ids_of_pid pid = (I.prefix_of_pid pid, I.end_of_pid pid)
+
+(* Candidate [id] as a pattern, compiled from its pids ({!Pattern.of_ids}):
+   nothing is rendered or looked up. *)
+let candidate_pattern c id =
+  let lo = c.starts.(id) and hi = c.starts.(id + 1) in
+  let d = hi - c.n_deduct in
+  let cond_p = Array.sub c.items lo (d - lo) and ded_p = Array.sub c.items d c.n_deduct in
+  let deduction = List.map I.path_of_pid (Array.to_list ded_p) in
+  let kind =
+    match (c.c_kind, deduction) with
+    | `Consistency, _ -> Pattern.Consistency
+    | `Confusing, [ d ] -> (
+        match d.Namepath.end_node with
+        | Some w -> Pattern.Confusing_word { correct = w }
+        | None -> Pattern.Consistency (* unreachable *))
+    | `Ordering _, [ d1; d2 ] -> (
+        match (d1.Namepath.end_node, d2.Namepath.end_node) with
+        | Some first, Some second -> Pattern.Ordering { first; second }
+        | _ -> Pattern.Consistency (* unreachable *))
+    | _ -> Pattern.Consistency (* unreachable *)
   in
-  let small =
-    subsets (min max_subset_size n) conds
-    |> List.filter (fun s -> List.length s < n)
-    |> List.sort_uniq compare
-  in
-  full @ List.filter (fun s -> s <> conds) small
+  Pattern.of_ids ~kind
+    ~condition:(List.map I.path_of_pid (Array.to_list cond_p))
+    ~deduction ~cond:(Array.map ids_of_pid cond_p) ~ded:(Array.map ids_of_pid ded_p)
+
+let candidate_patterns c =
+  let store = Pattern.Store.create () in
+  for id = 0 to c.n - 1 do
+    ignore (Pattern.Store.add store (candidate_pattern c id))
+  done;
+  store
 
 (* ------------------------------------------------------------------ *)
 (* minePatterns (Algorithm 1)                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* [count_sharded ?pool ~n f stmts]: each shard of [stmts] counts into a
-   zeroed [int array] of length [n] of its own ([f counts shard]), and the
-   shards' arrays are summed element-wise in shard order — integer sums,
-   so the total is independent of the shard plan. *)
-let count_sharded ?pool ~n f stmts =
-  let module Sum = struct
-    type t = int array
-
-    let empty () = Array.make n 0
-    let merge ~into a = Array.iteri (fun i x -> into.(i) <- into.(i) + x) a
-  end in
+(* [count_per_domain ?pool ~n f stmts]: shards of [stmts] count into
+   zeroed [int array]s of length [n] ([f counts stmts lo hi]), summed
+   element-wise at the end.  A shard borrows an array no running shard
+   holds and returns it, so there are as many arrays as shards ever ran
+   at once — one per domain, one without a pool.  The sums are integers,
+   so the total is independent of the plan and the schedule.  A shard
+   that raises keeps its array: counting over fixed data raises again
+   when the pool reruns it inline, and nothing is returned. *)
+let count_per_domain ?pool ~n f stmts =
+  let m = Mutex.create () and idle = ref [] and all = ref [] in
+  let borrow () =
+    Mutex.protect m (fun () ->
+        match !idle with
+        | a :: rest ->
+            idle := rest;
+            a
+        | [] ->
+            let a = Array.make n 0 in
+            all := a :: !all;
+            a)
+  in
   let jobs = match pool with Some p -> Namer_parallel.Pool.size p | None -> 1 in
-  Namer_parallel.Accumulator.sharded_reduce
-    (module Sum)
-    ?pool
-    ~shards:(Namer_parallel.Shard.oversubscribe ~jobs)
-    (fun shard ->
-      let counts = Sum.empty () in
-      f counts shard;
-      counts)
-    stmts
+  ignore
+    (Namer_parallel.Accumulator.sharded_map_range ?pool
+       ~shards:(Namer_parallel.Shard.oversubscribe ~jobs)
+       (fun lo hi ->
+         let counts = borrow () in
+         f counts stmts lo hi;
+         Mutex.protect m (fun () -> idle := counts :: !idle))
+       (Array.length stmts));
+  match !all with
+  | [] -> Array.make n 0
+  | into :: rest ->
+      List.iter (Array.iteri (fun i x -> into.(i) <- into.(i) + x)) rest;
+      into
 
 type tally = { sats : int array; viols : int array; checks : int }
 
-let prune_tally ?pool ~rank (candidates : Pattern.Store.t) stmts =
+let prune_tally ?pool ~rank (c : candidates) stmts =
   (* Build the anchor table before the fan-out; shards only read it. *)
-  let matcher = Pattern.Matcher.create ~rank candidates in
-  let n = Pattern.Store.size candidates in
-  (* one array per shard: candidate [id]'s satisfactions at [2 id], its
-     violations at [2 id + 1], the full checks run at [2 n] *)
+  let table =
+    Pattern.Matcher.index ~n:c.n (fun id ->
+        let lo = c.starts.(id) in
+        let d = c.starts.(id + 1) - c.n_deduct in
+        Some
+          (Pattern.Matcher.anchor ~ded0:(I.prefix_of_pid c.items.(d)) ~n:(d - lo)
+             ~prefix:(fun i -> I.prefix_of_pid c.items.(lo + i))
+             ~want:(fun i -> I.end_of_pid c.items.(lo + i))
+             ~rank:(rank id)))
+  in
+  let n = c.n in
+  (* candidate [id]'s satisfactions at [2 id], its violations at
+     [2 id + 1], the full checks run at [2 n] *)
   let counts =
-    count_sharded ?pool ~n:((2 * n) + 1)
-      (fun counts shard ->
-        let tally (p : Pattern.t) = function
-          | Pattern.No_match -> ()
-          | Pattern.Satisfied -> counts.(2 * p.id) <- counts.(2 * p.id) + 1
-          | Pattern.Violated _ -> counts.((2 * p.id) + 1) <- counts.((2 * p.id) + 1) + 1
+    count_per_domain ?pool ~n:((2 * n) + 1)
+      (fun counts stmts lo hi ->
+        let tally s id =
+          match outcome c s id with
+          | 0 -> ()
+          | 1 -> counts.(2 * id) <- counts.(2 * id) + 1
+          | _ -> counts.((2 * id) + 1) <- counts.((2 * id) + 1) + 1
         in
-        List.iter
-          (fun s -> counts.(2 * n) <- counts.(2 * n) + Pattern.Matcher.iter_matches matcher tally s)
-          shard)
+        for i = lo to hi - 1 do
+          counts.(2 * n) <- counts.(2 * n) + Pattern.Matcher.iter_ids table tally stmts.(i)
+        done)
       stmts
   in
   {
@@ -289,129 +494,115 @@ let prune_tally ?pool ~rank (candidates : Pattern.Store.t) stmts =
    count per pid (concrete form) plus one per symbolic pid, the form
    consistency deductions are checked in.  The pid space is the global
    table's, which holds every path of [stmts]. *)
-let path_freq ?pool (stmts : Pattern.Stmt_paths.t list) =
+let path_freq ?pool (stmts : Pattern.Stmt_paths.t array) =
   Telemetry.with_span "mine:path-freq" @@ fun () ->
   let n, _, _ = I.sizes I.global in
-  count_sharded ?pool ~n
-    (fun freq shard ->
-      List.iter
-        (fun (s : Pattern.Stmt_paths.t) ->
-          Array.iter
-            (fun (it : I.t) ->
-              freq.(it.I.pid) <- freq.(it.I.pid) + 1;
-              freq.(it.I.sym) <- freq.(it.I.sym) + 1)
-            s.Pattern.Stmt_paths.ipaths)
-        shard)
+  count_per_domain ?pool ~n
+    (fun freq stmts lo hi ->
+      for i = lo to hi - 1 do
+        Array.iter
+          (fun (it : I.t) ->
+            freq.(it.I.pid) <- freq.(it.I.pid) + 1;
+            freq.(it.I.sym) <- freq.(it.I.sym) + 1)
+          stmts.(i).Pattern.Stmt_paths.ipaths
+      done)
     stmts
-
-(* A pid's compiled form: its (prefix id, end id), read off the table —
-   the ids compiling its rendered text would look up. *)
-let ids_of_pid pid = (I.prefix_of_pid pid, I.end_of_pid pid)
 
 (* Lines 4–8 of Algorithm 1: frequency filter → FP-tree growth → pattern
    generation, given the line-5 path frequencies [freq] ({!path_freq}).
    Returns the candidates in generation order — the order that assigns
-   their ids — each with the pids of its condition paths. *)
+   their ids. *)
 let generate ~(config : config) ~freq ~kind ~(pairs : Confusing_pairs.t)
-    (stmts : Pattern.Stmt_paths.t list) =
-  let frequent_pid pid = freq.(pid) > config.min_path_freq in
+    (stmts : Pattern.Stmt_paths.t array) =
+  let frequent pid = freq.(pid) > config.min_path_freq in
   (* Grow the FP-tree (lines 4–7).  The line-5 frequency filter applies to
      condition paths in their concrete form; deduction paths are checked in
      the form they take inside the pattern (symbolic for consistency
      deductions, whose *prefix* must be a common shape even when the
-     concrete name at its end is file-specific). *)
+     concrete name at its end is file-specific).  A statement's frequent
+     paths are sorted by rank once; each split copies its condition from
+     them, skipping its own deduction paths, into one insert buffer. *)
   let ctx = make_split_ctx ~kind ~pairs () in
   let tree =
     Telemetry.with_span "mine:fptree-grow" @@ fun () ->
     let tree = Fptree.create () in
-    List.iter
+    let paths = ref [||] in
+    (* indices into [!paths] of its frequent paths, by rank *)
+    let ranked = Array.make config.max_stmt_paths 0 and n_ranked = ref 0 in
+    let buf = Array.make (config.max_condition_paths + 2) 0 in
+    let split i j =
+      let p = !paths in
+      let di = p.(i) and dj = if j < 0 then p.(i) else p.(j) in
+      let d1 = ded_pid ctx di and d2 = ded_pid ctx dj in
+      if frequent d1 && (j < 0 || frequent d2) then begin
+        let k = ref 0 in
+        for r = 0 to !n_ranked - 1 do
+          let it = p.(ranked.(r)) in
+          if it != di && it != dj && !k < config.max_condition_paths then begin
+            buf.(!k) <- it.I.pid;
+            incr k
+          end
+        done;
+        if j < 0 then begin
+          buf.(!k) <- d1;
+          Fptree.insert tree buf (!k + 1)
+        end
+        else begin
+          let first = I.compare_pids d1 d2 <= 0 in
+          buf.(!k) <- (if first then d1 else d2);
+          buf.(!k + 1) <- (if first then d2 else d1);
+          Fptree.insert tree buf (!k + 2)
+        end
+      end
+    in
+    Array.iter
       (fun (s : Pattern.Stmt_paths.t) ->
-        let ipaths =
-          if Array.length s.Pattern.Stmt_paths.ipaths <= config.max_stmt_paths then
-            Array.to_list s.Pattern.Stmt_paths.ipaths
-          else
-            List.init config.max_stmt_paths (fun i -> s.Pattern.Stmt_paths.ipaths.(i))
-        in
-        split_interned ctx ipaths
-        |> List.iter (fun (cond, ded_pids) ->
-               if List.for_all frequent_pid ded_pids then begin
-                 let cond =
-                   List.filter (fun (it : I.t) -> frequent_pid it.I.pid) cond
-                   |> List.sort I.compare_rank
-                   |> List.filteri (fun i _ -> i < config.max_condition_paths)
-                 in
-                 let ded = List.sort I.compare_pids ded_pids in
-                 Fptree.insert tree
-                   (List.map (fun (it : I.t) -> it.I.pid) cond @ ded)
-               end))
+        let p = s.Pattern.Stmt_paths.ipaths in
+        let n = min (Array.length p) config.max_stmt_paths in
+        paths := p;
+        (* stable insertion sort: ties keep statement order *)
+        n_ranked := 0;
+        for i = 0 to n - 1 do
+          if frequent p.(i).I.pid then begin
+            let r = ref !n_ranked in
+            while !r > 0 && I.compare_rank p.(ranked.(!r - 1)) p.(i) > 0 do
+              ranked.(!r) <- ranked.(!r - 1);
+              decr r
+            done;
+            ranked.(!r) <- i;
+            incr n_ranked
+          end
+        done;
+        iter_splits ctx p n split)
       stmts;
     tree
   in
   Telemetry.count ~by:(Fptree.size tree) "mine.fptree_nodes";
-  (* genPatterns (line 8 / Algorithm 2).  Candidates are deduplicated by
-     their pid lists — deduction arity is fixed per kind, so the item list
-     [cond @ ded] is an unambiguous identity, equivalent to the canonical
-     text without rendering it. *)
-  let n_deduct = match kind with `Confusing -> 1 | `Consistency | `Ordering _ -> 2 in
-  let seen : (int list, unit) Hashtbl.t = Hashtbl.create (1 lsl 14) in
-  let cand_rev = ref [] in
+  (* genPatterns (line 8 / Algorithm 2): every flagged node's path is a
+     condition then a deduction; each condition set generated from it,
+     with the deduction, is a candidate row. *)
+  let cands = empty_candidates kind in
   Telemetry.with_span "mine:gen-patterns" (fun () ->
-      Fptree.fold_last_nodes tree
-        ~f:(fun () ~path_items ~support ->
-          ignore support;
-          let n = List.length path_items in
-          if n >= n_deduct then begin
-            let rec split_at k xs =
-              if k = 0 then ([], xs)
-              else
-                match xs with
-                | [] -> ([], [])
-                | x :: rest ->
-                    let a, b = split_at (k - 1) rest in
-                    (x :: a, b)
-            in
-            let conds_p, ded_p = split_at (n - n_deduct) path_items in
-            let deduction = List.map I.path_of_pid ded_p in
-            let ded = Array.of_list (List.map ids_of_pid ded_p) in
-            let kind_v =
-              match (kind, deduction) with
-              | `Consistency, _ -> Pattern.Consistency
-              | `Confusing, [ d ] -> (
-                  match d.Namepath.end_node with
-                  | Some w -> Pattern.Confusing_word { correct = w }
-                  | None -> Pattern.Consistency (* unreachable *))
-              | `Ordering _, [ d1; d2 ] -> (
-                  match (d1.Namepath.end_node, d2.Namepath.end_node) with
-                  | Some first, Some second -> Pattern.Ordering { first; second }
-                  | _ -> Pattern.Consistency (* unreachable *))
-              | _ -> Pattern.Consistency (* unreachable *)
-            in
-            combinations ~max_subset_size:config.max_subset_size conds_p
-            |> List.iter (fun cond_p ->
-                   let key = cond_p @ ded_p in
-                   if not (Hashtbl.mem seen key) then begin
-                     Hashtbl.replace seen key ();
-                     cand_rev :=
-                       ( Pattern.of_ids ~kind:kind_v
-                           ~condition:(List.map I.path_of_pid cond_p)
-                           ~deduction
-                           ~cond:(Array.of_list (List.map ids_of_pid cond_p))
-                           ~ded,
-                         Array.of_list cond_p )
-                       :: !cand_rev
-                   end)
-          end)
-        ());
-  List.rev !cand_rev
-
-(* Candidates get ids 0, 1, … in generation order. *)
-let candidate_store cands =
-  let store = Pattern.Store.create () in
-  List.iter (fun (p, _) -> ignore (Pattern.Store.add_nodedup store p)) cands;
-  store
+      let nd = cands.n_deduct in
+      let row = Array.make (config.max_condition_paths + nd) 0 in
+      let path = ref [||] and m = ref 0 in
+      let emit len =
+        for t = 0 to nd - 1 do
+          row.(len + t) <- !path.(!m + t)
+        done;
+        add_row cands row (len + nd)
+      in
+      Fptree.iter_last tree (fun p len _support ->
+          if len >= nd then begin
+            path := p;
+            m := len - nd;
+            iter_conditions ~max_subset_size:config.max_subset_size p !m row emit
+          end));
+  cands
 
 let candidates ?pool ~config ~kind ~pairs stmts =
-  candidate_store (generate ~config ~freq:(path_freq ?pool stmts) ~kind ~pairs stmts)
+  let stmts = Array.of_list stmts in
+  generate ~config ~freq:(path_freq ?pool stmts) ~kind ~pairs stmts
 
 (* The pipeline for one pattern kind over the line-5 frequencies [freq]:
    FP-tree growth and pattern generation, then pruning.  FP-tree growth
@@ -419,7 +610,7 @@ let candidates ?pool ~config ~kind ~pairs stmts =
    assignment downstream) depends on insertion order, which sharding
    would perturb. *)
 let mine_kind ?pool ~(config : config) ~freq ~kind ~(pairs : Confusing_pairs.t)
-    (stmts : Pattern.Stmt_paths.t list) : result =
+    (stmts : Pattern.Stmt_paths.t array) : result =
   let kind_label =
     match kind with
     | `Consistency -> "consistency"
@@ -428,49 +619,47 @@ let mine_kind ?pool ~(config : config) ~freq ~kind ~(pairs : Confusing_pairs.t)
   in
   Telemetry.with_span ~args:[ ("kind", kind_label) ] ("mine:" ^ kind_label)
   @@ fun () ->
-  let cands = generate ~config ~freq ~kind ~pairs stmts in
+  let c = generate ~config ~freq ~kind ~pairs stmts in
   (* pruneUncommon (line 9): count matches and satisfactions over the
      corpus, keep patterns with enough support and a high enough
      satisfaction ratio.  Candidates are enumerated through the anchor
      index, a superset of the patterns that match each statement; the
-     tallies are integer sums, so they equal a full candidate scan's. *)
+     tallies are integer sums, so they equal a full candidate scan's.
+     Only the survivors become patterns. *)
   Telemetry.with_span "mine:prune" @@ fun () ->
-  let candidate_store = candidate_store cands in
   (* Rank anchors by the line-5 count of the condition path's pid.  It
      bounds the number of statements whose index holds that item from
      above (it also counts repeats, and paths behind the first at their
      prefix).  On two generated 100-repo corpora it led to exactly as many
      checks as an exact count of index items, without another corpus
      pass. *)
-  let cond_pids = Array.of_list (List.map snd cands) in
-  let rank (p : Pattern.t) i = freq.(cond_pids.(p.id).(i)) in
-  let tally = prune_tally ?pool ~rank candidate_store stmts in
+  let rank id i = freq.(c.items.(c.starts.(id) + i)) in
+  let tally = prune_tally ?pool ~rank c stmts in
   Telemetry.count ~by:tally.checks "mine.prune_checks";
   let store = Pattern.Store.create () in
   let cond_counts_rev = ref [] in
-  Pattern.Store.iter
-    (fun p ->
-      let sats = tally.sats.(p.id) in
-      let matches = sats + tally.viols.(p.id) in
-      if
-        matches >= config.min_support
-        && float_of_int sats /. float_of_int matches >= config.min_satisfaction_ratio
-      then begin
-        let n = Pattern.Store.size store in
-        let new_id = Pattern.Store.add store { p with id = -1 } in
-        if new_id = n then
-          cond_counts_rev := Array.map (fun pid -> freq.(pid)) cond_pids.(p.id) :: !cond_counts_rev
-      end)
-    candidate_store;
-  {
-    store;
-    n_candidates = Pattern.Store.size candidate_store;
-    cond_counts = Array.of_list (List.rev !cond_counts_rev);
-  }
+  for id = 0 to c.n - 1 do
+    let sats = tally.sats.(id) in
+    let matches = sats + tally.viols.(id) in
+    if
+      matches >= config.min_support
+      && float_of_int sats /. float_of_int matches >= config.min_satisfaction_ratio
+    then begin
+      let n = Pattern.Store.size store in
+      if Pattern.Store.add store (candidate_pattern c id) = n then begin
+        let lo = c.starts.(id) in
+        cond_counts_rev :=
+          Array.init (c.starts.(id + 1) - c.n_deduct - lo) (fun i -> freq.(c.items.(lo + i)))
+          :: !cond_counts_rev
+      end
+    end
+  done;
+  { store; n_candidates = c.n; cond_counts = Array.of_list (List.rev !cond_counts_rev) }
 
 let mine_kinds ?pool ~config ~kinds ~pairs stmts =
   let freq = path_freq ?pool stmts in
   List.map (fun kind -> mine_kind ?pool ~config ~freq ~kind ~pairs stmts) kinds
 
 let mine ?pool ~config ~kind ~pairs stmts =
+  let stmts = Array.of_list stmts in
   mine_kind ?pool ~config ~freq:(path_freq ?pool stmts) ~kind ~pairs stmts

@@ -37,21 +37,38 @@ val split_paths :
   Namepath.t list ->
   (Namepath.t list * Namepath.t list) list
 
-(** Condition sets generated from the visited paths (Algorithm 2, line 7):
-    the full set, the empty set, and every subset of bounded size.
-    Exposed for tests. *)
-val combinations : max_subset_size:int -> 'a list -> 'a list list
+(** Condition sets generated from the visited paths (Algorithm 2, line 7),
+    in generation order: the full set, then the empty set and every
+    smaller subset of at most [max_subset_size] items, distinct, in
+    lexicographic order.  Exposed for tests. *)
+val combinations : max_subset_size:int -> int list -> int list list
 
-(** The candidate patterns {!mine} generates before pruning (Algorithm 1,
-    lines 4–8), in a store under the ids [mine] gives them.  Exposed for
-    tests. *)
+(** Candidate patterns as rows of pids — a condition then a deduction —
+    under dense ids [0 .. n - 1], deduplicated.  Only the survivors of the
+    prune become {!Pattern.t}s. *)
+type candidates
+
+(** The candidates {!mine} generates before pruning (Algorithm 1, lines
+    4–8), under the ids [mine] gives them.  Exposed for tests. *)
 val candidates :
   ?pool:Namer_parallel.Pool.t ->
   config:config ->
   kind:kind ->
   pairs:Confusing_pairs.t ->
   Pattern.Stmt_paths.t list ->
-  Pattern.Store.t
+  candidates
+
+(** [candidate_rows ~kind rows] holds [rows] of [kind] — each the pids of
+    a condition in rank order, then of the kind's one or two deduction
+    paths in rank order — deduplicated, under ids in first-seen order.
+    Exposed for tests. *)
+val candidate_rows : kind:kind -> int array list -> candidates
+
+val candidate_count : candidates -> int
+
+(** Every candidate as a compiled pattern, under its candidate id.
+    Exposed for tests. *)
+val candidate_patterns : candidates -> Pattern.Store.t
 
 (** [pruneUncommon]'s counts, indexed by candidate id: a candidate's
     matches are [sats.(id) + viols.(id)]. *)
@@ -62,19 +79,20 @@ type tally = {
 }
 
 (** [prune_tally ?pool ~rank candidates stmts] is [pruneUncommon]'s
-    counting pass: per candidate id ([0 .. Store.size candidates - 1]), its
-    satisfactions and violations over [stmts], plus the number of full
-    {!Pattern.check}s run.  Candidates are found through a
-    {!Pattern.Matcher} built with [rank], so the tallies equal those of
-    checking every {!Pattern.Store.candidates} entry, under any [rank]; the
-    rank decides only how many checks run.  With [pool], shards count into
-    arrays of their own, summed in shard order: the tally is the same with
-    or without one.  Exposed for tests. *)
+    counting pass: per candidate id, its satisfactions and violations over
+    [stmts], plus the number of checks run.  Candidates are found through
+    a {!Pattern.Matcher} anchor table of candidate ids built with [rank]
+    ([rank id i] ranks condition item [i] of candidate [id]) and checked
+    without a violation payload, so the tallies equal those of checking
+    every {!Pattern.Store.candidates} entry of {!candidate_patterns}, under
+    any [rank]; the rank decides only how many checks run.  With [pool],
+    each domain counts into an array of its own, summed at the end: the
+    tally is the same with or without one.  Exposed for tests. *)
 val prune_tally :
   ?pool:Namer_parallel.Pool.t ->
-  rank:(Pattern.t -> int -> int) ->
-  Pattern.Store.t ->
-  Pattern.Stmt_paths.t list ->
+  rank:(int -> int -> int) ->
+  candidates ->
+  Pattern.Stmt_paths.t array ->
   tally
 
 (** [mine_kinds ?pool ~config ~kinds ~pairs stmts] runs the full mining
@@ -82,16 +100,16 @@ val prune_tally :
     kind of [kinds], and returns the results in that order.  The line-5
     path frequencies are counted once ([mine:path-freq]) and shared by
     every kind.  With [pool], the corpus-wide counting passes (path
-    frequencies, [pruneUncommon] tallies) run sharded across its domains;
-    the mined stores are identical to the sequential run because both
-    passes accumulate integer sums.  Each result equals [mine] of its
-    kind. *)
+    frequencies, [pruneUncommon] tallies) run over index ranges of [stmts]
+    across its domains; the mined stores are identical to the sequential
+    run because both passes accumulate integer sums.  Each result equals
+    [mine] of its kind. *)
 val mine_kinds :
   ?pool:Namer_parallel.Pool.t ->
   config:config ->
   kinds:kind list ->
   pairs:Confusing_pairs.t ->
-  Pattern.Stmt_paths.t list ->
+  Pattern.Stmt_paths.t array ->
   result list
 
 (** [mine ?pool ~config ~kind ~pairs stmts] is {!mine_kinds} for one

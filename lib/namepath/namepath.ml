@@ -45,12 +45,26 @@ let to_symbolic p = { p with end_node = None }
 (** Canonical text of the prefix, e.g.
     ["NumArgs(2) 0 Call 0 AttributeLoad 1 Attr 0 NumST(2) 1 TestCase"].
     Used as the interning key for prefixes. *)
+let add_prefix b p =
+  List.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_char b ' ';
+      Buffer.add_string b s.value;
+      Buffer.add_char b ' ';
+      Buffer.add_string b (string_of_int s.index))
+    p.prefix
+
 let prefix_key p =
-  String.concat " "
-    (List.map (fun s -> Printf.sprintf "%s %d" s.value s.index) p.prefix)
+  let b = Buffer.create 64 in
+  add_prefix b p;
+  Buffer.contents b
 
 let to_string p =
-  prefix_key p ^ " " ^ (match p.end_node with Some e -> e | None -> "ϵ")
+  let b = Buffer.create 64 in
+  add_prefix b p;
+  Buffer.add_char b ' ';
+  Buffer.add_string b (match p.end_node with Some e -> e | None -> "ϵ");
+  Buffer.contents b
 
 let pp fmt p = Format.pp_print_string fmt (to_string p)
 

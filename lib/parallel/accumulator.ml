@@ -15,8 +15,8 @@ let plan ?key ~shards xs =
 
 module Telemetry = Namer_telemetry.Telemetry
 
-let sharded_map ?pool ?key ~shards f xs =
-  let shards_l = plan ?key ~shards xs in
+(* [f] over the shards of [shards_l], [items s] elements each *)
+let map_plan ?pool ~items f shards_l =
   match pool with
   | None -> List.map f shards_l
   | Some pool ->
@@ -30,7 +30,7 @@ let sharded_map ?pool ?key ~shards f xs =
             ~fields:
               [
                 ("shard", Namer_util.Json.Int idx);
-                ("items", Namer_util.Json.Int (List.length shard));
+                ("items", Namer_util.Json.Int (items shard));
               ]
             Telemetry.Debug "pool.shard";
         f shard
@@ -54,6 +54,17 @@ let sharded_map ?pool ?key ~shards f xs =
               f shard)
         indexed
         (Pool.map_list_results pool (fun (idx, shard) -> run_shard idx shard) indexed)
+
+let sharded_map ?pool ?key ~shards f xs =
+  map_plan ?pool ~items:List.length f (plan ?key ~shards xs)
+
+let sharded_map_range ?pool ?key ~shards f n =
+  let ranges =
+    match key with
+    | Some key -> Shard.ranges_by_key ~shards ~key n
+    | None -> Shard.ranges ~shards n
+  in
+  map_plan ?pool ~items:(fun (lo, hi) -> hi - lo) (fun (lo, hi) -> f lo hi) ranges
 
 let sharded_concat_map ?pool ?key ~shards f xs =
   List.concat (sharded_map ?pool ?key ~shards f xs)

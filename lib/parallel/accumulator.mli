@@ -35,6 +35,19 @@ val sharded_map :
   'a list ->
   'b list
 
+(** [sharded_map_range ?pool ?key ~shards f n] is {!sharded_map} over the
+    index range [[0, n)]: [f lo hi] runs on every range of
+    {!Shard.ranges} (or {!Shard.ranges_by_key} with [key] on the index),
+    for callers that keep their elements in an array.  The ranges have the
+    boundaries of the list plans, and the same retry applies. *)
+val sharded_map_range :
+  ?pool:Pool.t ->
+  ?key:(int -> string) ->
+  shards:int ->
+  (int -> int -> 'b) ->
+  int ->
+  'b list
+
 (** [sharded_concat_map] — like {!sharded_map}, flattening in shard order,
     so the output order equals the sequential [List.concat_map]. *)
 val sharded_concat_map :

@@ -3,52 +3,53 @@
 
 let oversubscribe ~jobs = 4 * max 1 jobs
 
-(* Greedy packer over pre-computed runs: close the current shard once it
-   reaches [target] elements.  Runs longer than [target] become their own
-   shard.  Pure in (runs, target). *)
-let pack ~target runs =
-  let flush cur acc = if cur = [] then acc else List.concat (List.rev cur) :: acc in
-  let shards, cur, _ =
-    List.fold_left
-      (fun (acc, cur, cur_len) (run, run_len) ->
-        if cur_len > 0 && cur_len + run_len > target then
-          (flush cur acc, [ run ], run_len)
-        else (acc, run :: cur, cur_len + run_len))
-      ([], [], 0) runs
-  in
-  List.rev (flush cur shards)
-
-let contiguous ~shards xs =
-  let n = List.length xs in
+(* The one planner.  Elements [i - 1] and [i] are in one run when
+   [same i]; runs are packed greedily, closing the current shard once the
+   next run would take it past [target] elements.  Runs longer than
+   [target] become their own shard.  Pure in ([same], [n], [shards]). *)
+let plan ~shards ~same n =
   if n = 0 then []
   else begin
     let shards = max 1 shards in
     let target = (n + shards - 1) / shards in
-    (* every element is its own run *)
-    pack ~target (List.map (fun x -> ([ x ], 1)) xs)
+    let bounds = ref [] and lo = ref 0 and i = ref 0 in
+    while !i < n do
+      let j = ref (!i + 1) in
+      while !j < n && same !j do
+        incr j
+      done;
+      let cur = !i - !lo in
+      if cur > 0 && cur + (!j - !i) > target then begin
+        bounds := (!lo, !i) :: !bounds;
+        lo := !i
+      end;
+      i := !j
+    done;
+    List.rev ((!lo, n) :: !bounds)
   end
 
-(* Consecutive elements with equal keys collapse into one run. *)
-let runs_by_key ~key xs =
-  let close k items len acc = ((k, List.rev items, len) :: acc) in
-  let rec go acc cur = function
-    | [] -> ( match cur with None -> List.rev acc | Some (k, items, len) -> List.rev (close k items len acc))
-    | x :: rest -> (
-        let kx = key x in
-        match cur with
-        | Some (k, items, len) when String.equal k kx ->
-            go acc (Some (k, x :: items, len + 1)) rest
-        | Some (k, items, len) -> go (close k items len acc) (Some (kx, [ x ], 1)) rest
-        | None -> go acc (Some (kx, [ x ], 1)) rest)
+let ranges ~shards n = plan ~shards ~same:(fun _ -> false) n
+
+let ranges_by_key ~shards ~key n =
+  plan ~shards ~same:(fun i -> String.equal (key (i - 1)) (key i)) n
+
+(* [xs] cut at the boundaries of [ranges], which cover it in order *)
+let slices ranges xs =
+  let rec take k acc xs =
+    if k = 0 then (List.rev acc, xs)
+    else match xs with x :: rest -> take (k - 1) (x :: acc) rest | [] -> (List.rev acc, [])
   in
-  go [] None xs
+  let _, shards_rev =
+    List.fold_left
+      (fun (xs, acc) (lo, hi) ->
+        let shard, rest = take (hi - lo) [] xs in
+        (rest, shard :: acc))
+      (xs, []) ranges
+  in
+  List.rev shards_rev
+
+let contiguous ~shards xs = slices (ranges ~shards (List.length xs)) xs
 
 let contiguous_by_key ~shards ~key xs =
-  let n = List.length xs in
-  if n = 0 then []
-  else begin
-    let shards = max 1 shards in
-    let target = (n + shards - 1) / shards in
-    let runs = List.map (fun (_, items, len) -> (items, len)) (runs_by_key ~key xs) in
-    pack ~target runs
-  end
+  let a = Array.of_list xs in
+  slices (ranges_by_key ~shards ~key:(fun i -> key a.(i)) (Array.length a)) xs

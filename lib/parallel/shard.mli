@@ -8,9 +8,23 @@
     output bit-identical to the sequential run (the [--jobs 1] /
     [--jobs N] byte-equality guarantee). *)
 
+(** [ranges ~shards n] splits the index range [[0, n)] into at most
+    [shards] contiguous ranges [(lo, hi)] of near-equal length: every
+    range but the last holds [ceil (n / shards)] indices.  No range is
+    empty, and the ranges cover [[0, n)] in order.  This is the one
+    planner; the list plans below are its slices. *)
+val ranges : shards:int -> int -> (int * int) list
+
+(** [ranges_by_key ~shards ~key n] is {!ranges} that never splits a run
+    of consecutive indices with equal [key]: runs are packed greedily,
+    closing a range once the next run would take it past
+    [ceil (n / shards)] indices, and a longer run is a range of its
+    own. *)
+val ranges_by_key : shards:int -> key:(int -> string) -> int -> (int * int) list
+
 (** [contiguous ~shards xs] splits [xs] into at most [shards] contiguous
-    chunks of near-equal length.  Empty shards are dropped;
-    [List.concat (contiguous ~shards xs) = xs]. *)
+    chunks of near-equal length, the slices of {!ranges}.  Empty shards
+    are dropped; [List.concat (contiguous ~shards xs) = xs]. *)
 val contiguous : shards:int -> 'a list -> 'a list list
 
 (** [contiguous_by_key ~shards ~key xs] additionally never splits a run of
@@ -18,7 +32,8 @@ val contiguous : shards:int -> 'a list -> 'a list list
     stored contiguously (as corpus generators and directory walks produce
     them) is digested whole by a single domain and its per-shard interners
     and counters stay repo-local.  Chunk count may slightly exceed or fall
-    short of [shards] when key runs are coarse. *)
+    short of [shards] when key runs are coarse.  The slices of
+    {!ranges_by_key}. *)
 val contiguous_by_key : shards:int -> key:('a -> string) -> 'a list -> 'a list list
 
 (** Shard count heuristic: [oversubscribe ~jobs] = [4 × jobs], enough

@@ -331,6 +331,12 @@ type violation_info = {
 
 type relation = No_match | Satisfied | Violated of violation_info
 
+(* Whether the condition item [(prefix, want)] holds in [s]: the prefix
+   occurs, with the wanted end unless the want is ϵ. *)
+let item_holds (s : Stmt_paths.t) ~prefix ~want =
+  let got = Stmt_paths.end_id s ~prefix in
+  got >= 0 && (want = -1 || want = got)
+
 (* Whether condition items [i..] all hold in [s]: each prefix occurs, with
    the wanted end unless the want is ϵ.  A top-level loop, so a check
    allocates no closure. *)
@@ -338,8 +344,49 @@ let rec condition_holds (s : Stmt_paths.t) (cond : (int * int) array) i =
   i >= Array.length cond
   ||
   let pfx, want = Array.unsafe_get cond i in
-  let got = Stmt_paths.end_id s ~prefix:pfx in
-  got >= 0 && (want = -1 || want = got) && condition_holds s cond (i + 1)
+  item_holds s ~prefix:pfx ~want && condition_holds s cond (i + 1)
+
+(* The payload-free relationship of a pattern whose condition holds, one
+   function per kind: 0 no match, 1 satisfied, 2 violated. *)
+
+let consistency_outcome (s : Stmt_paths.t) d0 d1 =
+  let i1 = Stmt_paths.slot s ~prefix:d0 and i2 = Stmt_paths.slot s ~prefix:d1 in
+  if i1 < 0 || i2 < 0 then 0
+    (* Case-insensitive: [stringWriter] is consistent with its
+       [StringWriter] type; [camelCase] with [snake_case] renderings. *)
+  else if Stmt_paths.same_word_ci s i1 i2 then 1
+  else 2
+
+let confusing_outcome (s : Stmt_paths.t) d0 ~correct =
+  let i = Stmt_paths.slot s ~prefix:d0 in
+  if i < 0 then 0 else if s.Stmt_paths.index_end.(i) = correct then 1 else 2
+
+let ordering_outcome (s : Stmt_paths.t) d0 d1 ~first ~second =
+  let e1 = Stmt_paths.end_id s ~prefix:d0 and e2 = Stmt_paths.end_id s ~prefix:d1 in
+  if e1 < 0 || e2 < 0 then 0
+  else if e1 = first && e2 = second then 1
+    (* only the exact swap is a violation; unrelated words at these
+       positions are not this pattern's business *)
+  else if e1 = second && e2 = first then 2
+  else 0
+
+(* The [Violated] payload of [p], which violates [s]. *)
+let violation (p : t) c (s : Stmt_paths.t) =
+  match p.kind with
+  | Consistency ->
+      {
+        offending_prefix = Stmt_paths.prefix_text s c.c_ded.(1);
+        found = Stmt_paths.word s (Stmt_paths.slot s ~prefix:c.c_ded.(1));
+        suggested = Stmt_paths.word s (Stmt_paths.slot s ~prefix:c.c_ded.(0));
+      }
+  | Confusing_word { correct } ->
+      {
+        offending_prefix = Stmt_paths.prefix_text s c.c_ded.(0);
+        found = Stmt_paths.word s (Stmt_paths.slot s ~prefix:c.c_ded.(0));
+        suggested = correct;
+      }
+  | Ordering { first; second } ->
+      { offending_prefix = Stmt_paths.prefix_text s c.c_ded.(0); found = second; suggested = first }
 
 (** [check p s] classifies statement digest [s] against pattern [p].  Pure
     integer comparisons on the hot path; strings are only rendered for the
@@ -348,56 +395,16 @@ let check (p : t) (s : Stmt_paths.t) : relation =
   let c = ensure_compiled p in
   if not (condition_holds s c.c_cond 0) then No_match
   else
-    match c.c_kind with
-    | C_consistency ->
-        let i1 = Stmt_paths.slot s ~prefix:c.c_ded.(0)
-        and i2 = Stmt_paths.slot s ~prefix:c.c_ded.(1) in
-        if i1 < 0 || i2 < 0 then No_match
-          (* Case-insensitive: [stringWriter] is consistent with its
-             [StringWriter] type; [camelCase] with [snake_case] renderings. *)
-        else if Stmt_paths.same_word_ci s i1 i2 then Satisfied
-        else
-          Violated
-            {
-              offending_prefix = Stmt_paths.prefix_text s c.c_ded.(1);
-              found = Stmt_paths.word s i2;
-              suggested = Stmt_paths.word s i1;
-            }
-    | C_confusing correct -> (
-        let i = Stmt_paths.slot s ~prefix:c.c_ded.(0) in
-        if i < 0 then No_match
-        else if s.Stmt_paths.index_end.(i) = correct then Satisfied
-        else
-          match p.kind with
-          | Confusing_word { correct } ->
-              Violated
-                {
-                  offending_prefix = Stmt_paths.prefix_text s c.c_ded.(0);
-                  found = Stmt_paths.word s i;
-                  suggested = correct;
-                }
-          | _ -> assert false)
-    | C_ordering (first, second) ->
-        let e1 = Stmt_paths.end_id s ~prefix:c.c_ded.(0)
-        and e2 = Stmt_paths.end_id s ~prefix:c.c_ded.(1) in
-        if e1 < 0 || e2 < 0 then No_match
-        else if e1 = first && e2 = second then Satisfied
-          (* only the exact swap is a violation; unrelated words at these
-             positions are not this pattern's business *)
-        else if e1 = second && e2 = first then (
-          match p.kind with
-          | Ordering { first; second } ->
-              Violated
-                {
-                  offending_prefix = Stmt_paths.prefix_text s c.c_ded.(0);
-                  found = second;
-                  suggested = first;
-                }
-          | _ -> assert false)
-        else No_match
-    | C_malformed ->
-        invalid_arg
-          "Pattern.check: malformed pattern (deduction arity does not match kind)"
+    let outcome =
+      match c.c_kind with
+      | C_consistency -> consistency_outcome s c.c_ded.(0) c.c_ded.(1)
+      | C_confusing correct -> confusing_outcome s c.c_ded.(0) ~correct
+      | C_ordering (first, second) -> ordering_outcome s c.c_ded.(0) c.c_ded.(1) ~first ~second
+      | C_malformed ->
+          invalid_arg
+            "Pattern.check: malformed pattern (deduction arity does not match kind)"
+    in
+    if outcome = 0 then No_match else if outcome = 1 then Satisfied else Violated (violation p c s)
 
 (* ------------------------------------------------------------------ *)
 (* Pattern store and matching index                                    *)
@@ -413,6 +420,7 @@ module Store = struct
     mutable patterns : t array;
     mutable n : int;
     by_canonical : (string, int) Hashtbl.t;
+    mutable indexed : int;  (** patterns [0 .. indexed - 1] are in [by_canonical] *)
     by_deduction_prefix : (int, int list ref) Hashtbl.t;
   }
 
@@ -424,14 +432,15 @@ module Store = struct
       patterns = Array.make 256 dummy;
       n = 0;
       by_canonical = Hashtbl.create 1024;
+      indexed = 0;
       by_deduction_prefix = Hashtbl.create 1024;
     }
 
   let size t = t.n
   let get t id = t.patterns.(id)
 
-  (* Insert without canonical-text dedup: the caller guarantees uniqueness.
-     Compiles eagerly so later (possibly sharded) checks never intern. *)
+  (* Insert under the next id.  Compiles eagerly so later (possibly
+     sharded) checks never intern. *)
   let insert t p =
     let id = t.n in
     if id >= Array.length t.patterns then begin
@@ -454,19 +463,28 @@ module Store = struct
   (** [add t p] registers [p] (deduplicating by canonical form) and returns
       its id. *)
   let add t p =
+    (* patterns {!of_list} registered enter the canonical index here *)
+    while t.indexed < t.n do
+      let key = canonical t.patterns.(t.indexed) in
+      if not (Hashtbl.mem t.by_canonical key) then Hashtbl.replace t.by_canonical key t.indexed;
+      t.indexed <- t.indexed + 1
+    done;
     let key = canonical p in
     match Hashtbl.find_opt t.by_canonical key with
     | Some id -> id
     | None ->
         let id = insert t p in
         Hashtbl.replace t.by_canonical key id;
+        t.indexed <- t.n;
         id
 
-  (** [add_nodedup t p] registers [p] without rendering its canonical text —
-      the fast path for callers (the miner's candidate store) that already
-      deduplicated in id space.  Patterns added this way are invisible to
-      {!add}'s canonical dedup. *)
-  let add_nodedup t p = insert t p
+  (** The store of [ps] under ids [0, 1, …] in list order, registered
+      without rendering canonical text: [ps] are distinct (a saved store).
+      A later {!add} indexes them before it deduplicates. *)
+  let of_list ps =
+    let t = create () in
+    List.iter (fun p -> ignore (insert t p)) ps;
+    t
 
   (** All patterns whose deduction prefix occurs in the statement — a
       superset of the patterns {!check} matches.  Drives off the digest's
@@ -541,25 +559,29 @@ end
 
 (* A pattern can only match a statement whose index holds each of its exact
    condition items — a (prefix, end) pair — and its first deduction
-   prefix.  The anchor table files every pattern once, under one such key
-   that is rare, and a statement enumerates only the patterns filed under
+   prefix.  The anchor table files every pattern id once, under one such
+   key that is rare, and a statement enumerates only the ids filed under
    its own index items and prefixes: a superset of the patterns it
    matches, each at most once.  The table is built once and only read, so
    any number of domains share it.  Items and prefixes share one int key
    space: an item packs its two ids (each below 2^31), a prefix is
    negative.  A statement makes two lookups per index slot, and most
    miss, so the table is open-addressed: a lookup is a multiply, a mask
-   and a few loads, with no hashing call and no allocation. *)
+   and a few loads, with no hashing call and no allocation.  The table
+   holds ids, not patterns, so a store's patterns and the miner's
+   candidate rows share it. *)
 module Matcher = struct
   module Key_tbl = Hashtbl.Make (Int)
 
   type pattern = t
 
-  type nonrec t = {
+  type table = {
     keys : int array;  (** anchor key per slot, [free] when empty *)
-    buckets : pattern array array;  (** the patterns filed under [keys.(i)] *)
+    buckets : int array array;  (** the ids filed under [keys.(i)], ascending *)
     mask : int;  (** slots - 1; at most half the slots are used *)
   }
+
+  type nonrec t = { table : table; patterns : pattern array }
 
   let free = min_int
 
@@ -569,12 +591,26 @@ module Matcher = struct
 
   (* The slot holding key [k], or [-1]; top-level, so a probe allocates
      nothing. *)
-  let rec probe m k i =
-    let key = Array.unsafe_get m.keys i in
-    if key = k then i else if key = free then -1 else probe m k ((i + 1) land m.mask)
+  let rec probe tb k i =
+    let key = Array.unsafe_get tb.keys i in
+    if key = k then i else if key = free then -1 else probe tb k ((i + 1) land tb.mask)
 
   let item_key ~prefix ~end_ = (prefix lsl 31) lor end_
   let prefix_key prefix = -1 - prefix
+
+  let anchor ~ded0 ~n ~prefix ~want ~rank =
+    let best = ref (prefix_key ded0) and best_rank = ref max_int in
+    for i = 0 to n - 1 do
+      let w = want i in
+      if w >= 0 then begin
+        let r = rank i in
+        if r < !best_rank then begin
+          best := item_key ~prefix:(prefix i) ~end_:w;
+          best_rank := r
+        end
+      end
+    done;
+    !best
 
   let anchor_key ~rank (p : pattern) =
     let cond = condition_items p and ded = deduction_prefixes p in
@@ -583,46 +619,40 @@ module Matcher = struct
       || Array.exists (fun d -> d < 0) ded
       || Array.exists (fun (pfx, want) -> pfx < 0 || want < -1) cond
     then None
-    else begin
-      let best = ref (prefix_key ded.(0)) and best_rank = ref max_int in
-      Array.iteri
-        (fun i (pfx, want) ->
-          if want >= 0 then begin
-            let r = rank p i in
-            if r < !best_rank then begin
-              best := item_key ~prefix:pfx ~end_:want;
-              best_rank := r
-            end
-          end)
-        cond;
-      Some !best
-    end
+    else
+      Some
+        (anchor ~ded0:ded.(0) ~n:(Array.length cond)
+           ~prefix:(fun i -> fst cond.(i))
+           ~want:(fun i -> snd cond.(i))
+           ~rank:(rank p))
 
-  let create ~rank store =
+  let index ~n key =
     let lists = Key_tbl.create (1 lsl 12) in
-    Store.iter
-      (fun p ->
-        match anchor_key ~rank p with
-        | Some k ->
-            Key_tbl.replace lists k
-              (p :: (try Key_tbl.find lists k with Not_found -> []))
-        | None -> ())
-      store;
+    for id = n - 1 downto 0 do
+      match key id with
+      | Some k -> Key_tbl.replace lists k (id :: (try Key_tbl.find lists k with Not_found -> []))
+      | None -> ()
+    done;
     let size = ref 16 in
     while !size < 2 * Key_tbl.length lists do
       size := 2 * !size
     done;
-    let m = { keys = Array.make !size free; buckets = Array.make !size [||]; mask = !size - 1 } in
+    let tb = { keys = Array.make !size free; buckets = Array.make !size [||]; mask = !size - 1 } in
     Key_tbl.iter
       (fun k l ->
-        let i = ref (home m.mask k) in
-        while m.keys.(!i) <> free do
-          i := (!i + 1) land m.mask
+        let i = ref (home tb.mask k) in
+        while tb.keys.(!i) <> free do
+          i := (!i + 1) land tb.mask
         done;
-        m.keys.(!i) <- k;
-        m.buckets.(!i) <- Array.of_list (List.rev l))
+        tb.keys.(!i) <- k;
+        tb.buckets.(!i) <- Array.of_list l)
       lists;
-    m
+    tb
+
+  let create ~rank store =
+    let patterns = Array.init (Store.size store) (Store.get store) in
+    let table = index ~n:(Array.length patterns) (fun id -> anchor_key ~rank patterns.(id)) in
+    { table; patterns }
 
   (* Without corpus counts, an item is ranked by how many of the store's
      conditions hold it: mined patterns combine frequent paths, so an item
@@ -641,27 +671,51 @@ module Matcher = struct
       store;
     create ~rank:(fun p i -> Key_tbl.find uses (key (condition_items p).(i))) store
 
+  (* Hand each id of one bucket from [i] on to [f s]; returns [visited]
+     plus the ids visited.  Top-level, so a bucket walk allocates no
+     closure. *)
+  let rec visit_ids f s (bucket : int array) i visited =
+    if i >= Array.length bucket then visited
+    else begin
+      f s (Array.unsafe_get bucket i);
+      visit_ids f s bucket (i + 1) (visited + 1)
+    end
+
+  let iter_ids tb f (s : Stmt_paths.t) =
+    let ip = s.Stmt_paths.index_prefix and ie = s.Stmt_paths.index_end in
+    let visited = ref 0 in
+    for i = 0 to Array.length ip - 1 do
+      let k = item_key ~prefix:ip.(i) ~end_:ie.(i) in
+      let j = probe tb k (home tb.mask k) in
+      if j >= 0 then visited := visit_ids f s tb.buckets.(j) 0 !visited;
+      let k = prefix_key ip.(i) in
+      let j = probe tb k (home tb.mask k) in
+      if j >= 0 then visited := visit_ids f s tb.buckets.(j) 0 !visited
+    done;
+    !visited
+
   (* Check [s] against the patterns of one bucket from [i] on, handing each
      match to [f]; returns [checks] plus the checks run.  Top-level, so a
      bucket walk allocates no closure. *)
-  let rec check_bucket f s (bucket : pattern array) i checks =
+  let rec check_bucket f s patterns (bucket : int array) i checks =
     if i >= Array.length bucket then checks
     else begin
-      let p = Array.unsafe_get bucket i in
+      let p = Array.unsafe_get patterns (Array.unsafe_get bucket i) in
       (match check p s with No_match -> () | rel -> f p rel);
-      check_bucket f s bucket (i + 1) (checks + 1)
+      check_bucket f s patterns bucket (i + 1) (checks + 1)
     end
 
   let iter_matches m f (s : Stmt_paths.t) =
+    let tb = m.table and patterns = m.patterns in
     let ip = s.Stmt_paths.index_prefix and ie = s.Stmt_paths.index_end in
     let checks = ref 0 in
     for i = 0 to Array.length ip - 1 do
       let k = item_key ~prefix:ip.(i) ~end_:ie.(i) in
-      let j = probe m k (home m.mask k) in
-      if j >= 0 then checks := check_bucket f s m.buckets.(j) 0 !checks;
+      let j = probe tb k (home tb.mask k) in
+      if j >= 0 then checks := check_bucket f s patterns tb.buckets.(j) 0 !checks;
       let k = prefix_key ip.(i) in
-      let j = probe m k (home m.mask k) in
-      if j >= 0 then checks := check_bucket f s m.buckets.(j) 0 !checks
+      let j = probe tb k (home tb.mask k) in
+      if j >= 0 then checks := check_bucket f s patterns tb.buckets.(j) 0 !checks
     done;
     !checks
 
@@ -680,7 +734,7 @@ module Matcher = struct
     checks : int;
   }
 
-  let match_file m ~digest ~line ~on_match stmts =
+  let match_file m ~digest ~line ~on_match (stmts : 's array) lo hi =
     let winners = Hashtbl.create 16 and keys_rev = ref [] in
     let raw = ref 0 and checks = ref 0 in
     let offer st ((p : pattern), info) =
@@ -695,22 +749,22 @@ module Matcher = struct
           Hashtbl.replace winners key (st, p, info);
           keys_rev := key :: !keys_rev
     in
-    List.iter
-      (fun st ->
-        let s = digest st in
-        let viols = ref [] in
-        checks :=
-          !checks
-          + iter_matches m
-              (fun p rel ->
-                on_match st p rel;
-                match rel with Violated info -> viols := (p, info) :: !viols | _ -> ())
-              s;
-        match !viols with
-        | [] -> ()
-        | [ v ] -> offer st v
-        | vs -> List.iter (offer st) (List.sort (candidate_order s) vs))
-      stmts;
+    for i = lo to hi - 1 do
+      let st = stmts.(i) in
+      let s = digest st in
+      let viols = ref [] in
+      checks :=
+        !checks
+        + iter_matches m
+            (fun p rel ->
+              on_match st p rel;
+              match rel with Violated info -> viols := (p, info) :: !viols | _ -> ())
+            s;
+      match !viols with
+      | [] -> ()
+      | [ v ] -> offer st v
+      | vs -> List.iter (offer st) (List.sort (candidate_order s) vs)
+    done;
     {
       violations = List.rev_map (Hashtbl.find winners) !keys_rev;
       raw = !raw;

@@ -108,6 +108,29 @@ type relation = No_match | Satisfied | Violated of violation_info
     integer comparisons only on the hot path. *)
 val check : t -> Stmt_paths.t -> relation
 
+(** {2 Payload-free checks}
+
+    What {!check} decides before it renders a [Violated] payload, over
+    compiled ids, for callers that hold patterns as ids rather than as
+    {!t} (the miner's candidate rows).  An outcome is [0] for no match,
+    [1] for satisfied and [2] for violated. *)
+
+(** Whether the condition item [(prefix, want)] holds: the digest's index
+    has the prefix, with the wanted end unless [want] is [-1] (ϵ). *)
+val item_holds : Stmt_paths.t -> prefix:int -> want:int -> bool
+
+(** A consistency deduction over the prefix ids [d0] and [d1], whose
+    condition holds. *)
+val consistency_outcome : Stmt_paths.t -> int -> int -> int
+
+(** A confusing-word deduction at prefix id [d0] with the correct word's
+    end id, whose condition holds. *)
+val confusing_outcome : Stmt_paths.t -> int -> correct:int -> int
+
+(** An ordering deduction over the prefix ids [d0] and [d1] with the
+    words' end ids, whose condition holds. *)
+val ordering_outcome : Stmt_paths.t -> int -> int -> first:int -> second:int -> int
+
 (** [make] with the compiled form given rather than derived: [cond] holds
     the condition items as {!condition_items} returns them, [ded] the
     (prefix id, end id) of each deduction path, in order.  For callers
@@ -152,9 +175,11 @@ module Store : sig
   (** Register (deduplicating by canonical form); returns the pattern id. *)
   val add : t -> pattern -> int
 
-  (** Register without rendering canonical text — for callers that already
-      deduplicated in id space (the miner's candidate store). *)
-  val add_nodedup : t -> pattern -> int
+  (** [of_list ps]: the store of the distinct patterns [ps] (a saved
+      store, loaded) under ids [0, 1, …] in list order, without rendering
+      their canonical text; a later {!add} still deduplicates against
+      them. *)
+  val of_list : pattern list -> t
 
   (** Patterns whose deduction prefix occurs in the statement, without
       repeats: a superset of those {!check} matches.  Scans use
@@ -185,14 +210,41 @@ end
     the rank decides only how many checks run. *)
 module Matcher : sig
   type pattern := t
+
+  (** {2 The anchor table}
+
+      Dense ids [0 .. n - 1] filed under anchor keys: a store's pattern
+      ids, or the miner's candidate ids. *)
+
+  type table
+
+  (** [anchor ~ded0 ~n ~prefix ~want ~rank] is the key of a pattern with
+      first deduction prefix [ded0] and [n] condition items, item [i] being
+      [(prefix i, want i)]: among the exact items ([want i >= 0]) the one
+      of lowest [rank i], the first on a tie, packed as
+      [(prefix lsl 31) lor want]; with no exact item, [ded0] as
+      [-1 - ded0]. *)
+  val anchor :
+    ded0:int -> n:int -> prefix:(int -> int) -> want:(int -> int) -> rank:(int -> int) -> int
+
+  (** [index ~n key] files every id [i < n] with [key i = Some k] under [k];
+      an id without a key is never visited. *)
+  val index : n:int -> (int -> int option) -> table
+
+  (** [iter_ids tb f s] calls [f s id] for every id filed under one of
+      [s]'s index items or index prefixes — each id at most once, a
+      superset of the patterns that match [s] — and returns how many it
+      visited. *)
+  val iter_ids : table -> (Stmt_paths.t -> int -> unit) -> Stmt_paths.t -> int
+
+  (** {2 Over a store} *)
+
   type t
 
-  (** The key [p] is filed under — an exact condition item [(p, e)] as
-      [(p lsl 31) lor e], a deduction prefix [d] as [-1 - d] — or [None]
-      when [p] can never match: a [-2] id in its condition or deduction
-      prefixes never holds, and a pattern without deduction prefix is never
-      a candidate.  Among exact items it takes the one of lowest [rank p i]
-      ([i] indexes {!condition_items}), the first on a tie. *)
+  (** The key [p] is filed under ({!anchor} over {!condition_items} with
+      [rank p]), or [None] when [p] can never match: a [-2] id in its
+      condition or deduction prefixes never holds, and a pattern without
+      deduction prefix is never a candidate. *)
   val anchor_key : rank:(pattern -> int -> int) -> pattern -> int option
 
   (** An anchor table over every pattern of the store.  Patterns added to
@@ -216,16 +268,19 @@ module Matcher : sig
     checks : int;  (** {!check}s run *)
   }
 
-  (** [match_file m ~digest ~line ~on_match stmts] matches one file's
-      statements, in order: [on_match] sees every match, and violations are
-      deduplicated to one per (line, offending prefix, suggestion, kind) —
-      the first, in statement order and within a statement in
-      {!Store.candidates} order, of those with the longest condition. *)
+  (** [match_file m ~digest ~line ~on_match stmts lo hi] matches one
+      file's statements, [stmts.(lo) .. stmts.(hi - 1)], in order:
+      [on_match] sees every match, and violations are deduplicated to one
+      per (line, offending prefix, suggestion, kind) — the first, in
+      statement order and within a statement in {!Store.candidates} order,
+      of those with the longest condition. *)
   val match_file :
     t ->
     digest:('s -> Stmt_paths.t) ->
     line:('s -> int) ->
     on_match:('s -> pattern -> relation -> unit) ->
-    's list ->
+    's array ->
+    int ->
+    int ->
     's file_matches
 end

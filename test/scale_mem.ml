@@ -9,17 +9,20 @@
    (1.35x) of the first.  A regression that holds sources (or digests)
    across the whole corpus shows up as a near-2x ratio.
 
-   [train N] trains on N then 2N files the same way.  Training retains
-   every file's digest for mining, so its watermark may grow at most
-   linearly (2.3x); more means the build frontend retains more than the
-   digests.  The 2N-file watermark must also stay under a per-file
-   ceiling, set 10% above the 21.8 KB per file measured at 2N = 1000
-   (Python, jobs 1), so a fatter retained statement fails even when it
-   grows both passes alike.  The heap's growth differs between
-   compilers, so the ceiling holds for the OCaml minor version it was
-   measured with; any other prints a notice and checks the ratio only.
+   [train N JOBS] trains on N then 2N files the same way, on JOBS domains
+   (default 1; more than the cores is allowed).  Training retains every
+   file's digest for mining, so its watermark may grow at most linearly
+   (2.3x); more means the build frontend retains more than the digests.
+   The 2N-file watermark must also stay under a per-file ceiling, set 10%
+   above the value measured at 2N = 1000 (Python) under [dune build
+   @scale-mem]: 10.6 KB per file at jobs 1, and at jobs 2, whose heap
+   varies with the schedule, the highest of four runs, 18.0 KB.  So a
+   fatter retained statement, or transient mining garbage that raises the
+   top heap, fails even when it grows both passes alike.  The heap's growth differs between compilers,
+   so the ceilings hold for the OCaml minor version they were measured
+   with; any other prints a notice and checks the ratio only.
 
-   Usage: scale_mem.exe (scan|train) N *)
+   Usage: scale_mem.exe (scan N | train N [JOBS]) *)
 
 module Corpus = Namer_corpus.Corpus
 module Namer = Namer_core.Namer
@@ -79,14 +82,16 @@ let scan ~n ~half refs =
       ratio
 
 (* KB (1,000 bytes) of top heap per trained file, the 2N-file pass, on
-   OCaml [ceiling_ocaml] *)
-let train_kb_per_file = 23.9
+   OCaml [ceiling_ocaml], by jobs *)
+let train_kb_per_file = function 1 -> 11.7 | 2 -> 19.8 | jobs -> fail "no ceiling for jobs %d" jobs
 let ceiling_ocaml = "5.1"
 
 (* each build is configured as CLI training of that many files *)
-let train ~n ~half refs =
+let train ~jobs ~n ~half refs =
+  let ceiling = train_kb_per_file jobs in
   let build n refs =
-    let t = Namer.build_refs (Namer.self_mining_config ~n_files:n) ~lang:Corpus.Python refs in
+    let cfg = { (Namer.self_mining_config ~n_files:n) with Namer.jobs; cap_domains = false } in
+    let t = Namer.build_refs cfg ~lang:Corpus.Python refs in
     Namer_pattern.Pattern.Store.size t.Namer.store
   in
   let p_half = build n half in
@@ -96,9 +101,9 @@ let train ~n ~half refs =
   let ratio = heap_full /. Float.max 1.0 heap_half in
   let kb_per_file = heap_full *. 1000.0 /. float_of_int (2 * n) in
   Printf.printf
-    "scale_mem train: %d -> %d files, top-heap %.1f MB -> %.1f MB (%.2fx, %.1f KB per \
-     file), %d -> %d patterns\n"
-    n (2 * n) heap_half heap_full ratio kb_per_file p_half p_full;
+    "scale_mem train: %d -> %d files at jobs %d, top-heap %.1f MB -> %.1f MB (%.2fx, %.1f \
+     KB per file), %d -> %d patterns\n"
+    n (2 * n) jobs heap_half heap_full ratio kb_per_file p_half p_full;
   if ratio > 2.3 then
     fail
       "train top-heap grew %.2fx across a 2x corpus doubling (gate: <= 2.3x, i.e. at \
@@ -110,15 +115,16 @@ let train ~n ~half refs =
       "NOTICE: scale_mem's per-file train ceiling is pinned for OCaml %s; OCaml %s checks \
        the ratio only\n"
       ceiling_ocaml Sys.ocaml_version
-  else if kb_per_file > train_kb_per_file then
-    fail "train top-heap is %.1f KB per trained file at %d files (ceiling: %.1f KB)"
-      kb_per_file (2 * n) train_kb_per_file
+  else if kb_per_file > ceiling then
+    fail "train top-heap is %.1f KB per trained file at %d files, jobs %d (ceiling: %.1f KB)"
+      kb_per_file (2 * n) jobs ceiling
 
 let () =
-  let mode, n =
+  let mode, n, jobs =
     match Sys.argv with
-    | [| _; ("scan" | "train") as mode; n |] -> (mode, int_of_string n)
-    | _ -> fail "usage: scale_mem.exe (scan|train) N"
+    | [| _; ("scan" | "train") as mode; n |] -> (mode, int_of_string n, 1)
+    | [| _; "train"; n; jobs |] -> ("train", int_of_string n, int_of_string jobs)
+    | _ -> fail "usage: scale_mem.exe (scan N | train N [JOBS])"
   in
   let tmp = Filename.temp_file "namer_scale_mem" "" in
   Sys.remove tmp;
@@ -132,4 +138,4 @@ let () =
      revisits the same files plus as many again *)
   let refs = gen_refs tmp ~n_files:(2 * n) in
   let half = List.filteri (fun i _ -> i < n) refs in
-  if mode = "scan" then scan ~n ~half refs else train ~n ~half refs
+  if mode = "scan" then scan ~n ~half refs else train ~jobs ~n ~half refs

@@ -20,11 +20,15 @@ let check_bool = Alcotest.(check bool)
 let fig3_label = [| "NP1"; "NP2"; "NP3"; "NP4"; "NP5"; "NP6" |]
 let fig3_id s = 1 + (Array.to_list fig3_label |> List.mapi (fun i l -> (l, i)) |> List.assoc s)
 
+let insert_list t items =
+  let a = Array.of_list items in
+  Fptree.insert t a (Array.length a)
+
 let build_figure3 () =
   let t = Fptree.create () in
   let ins items n =
     for _ = 1 to n do
-      Fptree.insert t (List.map fig3_id items)
+      insert_list t (List.map fig3_id items)
     done
   in
   ins [ "NP1"; "NP2" ] 33;
@@ -60,14 +64,48 @@ let test_figure3_patterns () =
 
 let test_fptree_shared_prefix () =
   let t = Fptree.create () in
-  Fptree.insert t [ 1; 2 ];
-  Fptree.insert t [ 1; 3 ];
+  insert_list t [ 1; 2 ];
+  insert_list t [ 1; 3 ];
   check_int "prefix shared" 3 (Fptree.size t)
 
 let test_fptree_empty_insert () =
   let t = Fptree.create () in
-  Fptree.insert t [];
+  insert_list t [];
   check_int "no-op" 0 (Fptree.size t)
+
+(* Insert sequences whose trees cross the child-table resizes the visit
+   order follows: a fan below one of four hub items (up to 100 children of
+   an inner node, past 32 and 64) beside paths from 300 first items (past
+   128 children of the root).  Items are spread over a wide id range. *)
+let fptree_inserts_gen =
+  let open QCheck.Gen in
+  let item bound = map (fun i -> i * 7919 mod 1_000_003) (int_bound (bound - 1)) in
+  let fan =
+    let* hub = int_bound 3 in
+    let* rest = list_size (int_range 1 3) (item 100) in
+    return (hub :: rest)
+  in
+  let path = list_size (int_range 0 5) (item 300) in
+  list_size (int_range 1 700) (frequency [ (1, fan); (1, path) ])
+
+(* The flat tree against the per-node [Hashtbl] tree it replaced: the same
+   size and the same flagged-node sequence of (items, support). *)
+let prop_fptree_matches_reference =
+  QCheck.Test.make ~name:"flat fp-tree = hashtable fp-tree" ~count:200
+    (QCheck.make ~print:QCheck.Print.(list (list int)) fptree_inserts_gen)
+    (fun inserts ->
+      let flat = Fptree.create () and reference = Ref_fptree.create () in
+      List.iter
+        (fun items ->
+          insert_list flat items;
+          Ref_fptree.insert reference items)
+        inserts;
+      let rows fold =
+        List.rev (fold (fun acc ~path_items ~support -> (path_items, support) :: acc))
+      in
+      Fptree.size flat = Ref_fptree.size reference
+      && rows (fun f -> Fptree.fold_last_nodes flat ~f [])
+         = rows (fun f -> Ref_fptree.fold_last_nodes reference ~f []))
 
 (* ---------------- splitPaths ---------------- *)
 
@@ -333,26 +371,32 @@ let make_pattern d =
 
 let stmt_gen = QCheck.Gen.(list_size (int_range 1 6) (pair (int_range 0 3) (int_range 0 3)))
 
-(* The store and statements of a random anchor case: patterns under ids
-   [0 .. n-1] in [descs] order, compiled. *)
+(* The candidates and statements of a random anchor case, one candidate
+   set per pattern kind: the rows of the known-id patterns of that kind —
+   condition pids, then deduction pids, each in rank order, as the miner
+   builds them — under ids in [descs] order. *)
 let anchor_case descs stmt_descs =
   let stmts =
     List.map
       (fun ps -> Pattern.Stmt_paths.of_paths (List.map (fun (p, w) -> anchor_path p w) ps))
       stmt_descs
   in
-  (* intern the whole universe, then compile the unknown-id patterns
-     while the table is frozen *)
-  List.iter (fun w -> ignore (I.end_id w)) (Array.to_list anchor_words);
-  List.iter (fun p -> ignore (I.prefix_id (anchor_path p 0))) [ 0; 1; 2; 3 ];
-  let pats = List.map (fun d -> (d, make_pattern d)) descs in
-  List.iter (fun (d, p) -> if d.unknown = Known then ignore (Pattern.ensure_compiled p)) pats;
-  I.freeze ();
-  Fun.protect ~finally:I.thaw (fun () ->
-      List.iter (fun (_, p) -> ignore (Pattern.ensure_compiled p)) pats);
-  let store = Pattern.Store.create () in
-  List.iter (fun (_, p) -> ignore (Pattern.Store.add_nodedup store p)) pats;
-  (store, stmts)
+  let pids paths = List.sort I.compare_pids (List.map (fun np -> (I.of_path np).I.pid) paths) in
+  let rows k =
+    List.filter_map
+      (fun d ->
+        if d.kind <> k || d.unknown <> Known then None
+        else
+          let p = make_pattern d in
+          Some (Array.of_list (pids p.Pattern.condition @ pids p.Pattern.deduction)))
+      descs
+  in
+  let cands =
+    List.map
+      (fun (k, kind) -> Miner.candidate_rows ~kind (rows k))
+      [ (0, `Consistency); (1, `Confusing); (2, `Ordering []) ]
+  in
+  (cands, Array.of_list stmts)
 
 let anchor_case_arb =
   QCheck.(
@@ -367,16 +411,19 @@ let prop_anchored_prune_matches_reference =
   QCheck.Test.make ~name:"anchored prune tallies = candidates + check" ~count:300
     anchor_case_arb
     (fun (descs, stmt_descs, salt) ->
-      let store, stmts = anchor_case descs stmt_descs in
-      let expect, _ = reference_tally store stmts in
-      let agrees rank =
-        let got = Miner.prune_tally ~rank store stmts in
-        tally_rows got = expect && got.Miner.checks >= total_matches expect
-      in
-      (* all ties (the first exact item), then rankings full of ties *)
-      agrees (fun _ _ -> 0)
-      && agrees (fun (p : Pattern.t) i -> Hashtbl.hash (salt, p.Pattern.id, i) mod 3)
-      && agrees (fun _ i -> -i))
+      let cands, stmts = anchor_case descs stmt_descs in
+      List.for_all
+        (fun c ->
+          let expect, _ = reference_tally (Miner.candidate_patterns c) (Array.to_list stmts) in
+          let agrees rank =
+            let got = Miner.prune_tally ~rank c stmts in
+            tally_rows got = expect && got.Miner.checks >= total_matches expect
+          in
+          (* all ties (the first exact item), then rankings full of ties *)
+          agrees (fun _ _ -> 0)
+          && agrees (fun id i -> Hashtbl.hash (salt, id, i) mod 3)
+          && agrees (fun _ i -> -i))
+        cands)
 
 (* Sharded over a 3-domain pool, each shard counting into arrays of its
    own, the prune gives the sequential tallies and check count. *)
@@ -384,15 +431,15 @@ let prop_pooled_prune_matches_sequential =
   QCheck.Test.make ~name:"pooled prune tallies = sequential prune tallies" ~count:100
     anchor_case_arb
     (fun (descs, stmt_descs, salt) ->
-      let store, stmts = anchor_case descs stmt_descs in
-      let rank (p : Pattern.t) i = Hashtbl.hash (salt, p.Pattern.id, i) mod 3 in
+      let cands, stmts = anchor_case descs stmt_descs in
+      let rank id i = Hashtbl.hash (salt, id, i) mod 3 in
       let pool = Namer_parallel.Pool.create ~domains:3 () in
-      let pooled =
-        Fun.protect
-          ~finally:(fun () -> Namer_parallel.Pool.shutdown pool)
-          (fun () -> Miner.prune_tally ~pool ~rank store stmts)
-      in
-      pooled = Miner.prune_tally ~rank store stmts)
+      Fun.protect
+        ~finally:(fun () -> Namer_parallel.Pool.shutdown pool)
+        (fun () ->
+          List.for_all
+            (fun c -> Miner.prune_tally ~pool ~rank c stmts = Miner.prune_tally ~rank c stmts)
+            cands))
 
 (* On the mining corpus: the anchored prune agrees with the reference, and
    the [mine.prune_checks] counter lies between the matches and the
@@ -410,10 +457,12 @@ let test_prune_checks_counter () =
   in
   let checks = T.counter "mine.prune_checks" in
   let cands = Miner.candidates ~config ~kind:`Confusing ~pairs stmts in
-  let expect, ref_checks = reference_tally cands stmts in
-  check_int "candidates = n_candidates" result.Miner.n_candidates (Pattern.Store.size cands);
+  let store = Miner.candidate_patterns cands in
+  let expect, ref_checks = reference_tally store stmts in
+  check_int "candidates = n_candidates" result.Miner.n_candidates (Miner.candidate_count cands);
+  check_int "one pattern per candidate" (Miner.candidate_count cands) (Pattern.Store.size store);
   check_bool "anchored tallies = reference" true
-    (tally_rows (Miner.prune_tally ~rank:(fun _ i -> i) cands stmts) = expect);
+    (tally_rows (Miner.prune_tally ~rank:(fun _ i -> i) cands (Array.of_list stmts)) = expect);
   check_bool "some matches" true (total_matches expect > 0);
   check_bool
     (Printf.sprintf "checks %d >= matches %d" checks (total_matches expect))
@@ -467,7 +516,7 @@ let test_mine_kinds_matches_mine () =
       r.n_candidates,
       r.cond_counts )
   in
-  let once = Miner.mine_kinds ~config:small_miner ~kinds ~pairs digests in
+  let once = Miner.mine_kinds ~config:small_miner ~kinds ~pairs (Array.of_list digests) in
   let each = List.map (fun kind -> Miner.mine ~config:small_miner ~kind ~pairs digests) kinds in
   check_bool "some patterns mined" true
     (List.exists (fun (r : Miner.result) -> Pattern.Store.size r.store > 0) once);
@@ -551,7 +600,7 @@ let anchored_match_file m stmts =
       ~line:(fun (_, line, _) -> line)
       ~on_match:(fun (i, _, _) (p : Pattern.t) rel ->
         matches := (i, p.Pattern.id, rel = Pattern.Satisfied) :: !matches)
-      stmts
+      (Array.of_list stmts) 0 (List.length stmts)
   in
   let viols =
     List.map (fun ((i, _, _), (p : Pattern.t), info) -> (i, p.Pattern.id, info)) r.violations
@@ -595,7 +644,7 @@ let prop_matcher_matches_reference =
       Fun.protect ~finally:I.thaw (fun () ->
           List.iter (fun (_, p) -> ignore (Pattern.ensure_compiled p)) pats);
       let store = Pattern.Store.create () in
-      List.iter (fun (_, p) -> ignore (Pattern.Store.add_nodedup store p)) pats;
+      List.iter (fun (_, p) -> ignore (Pattern.Store.add store p)) pats;
       let expect_matches, expect_viols = reference_match_file store stmts in
       let agrees m =
         let got_matches, got_viols, checks = anchored_match_file m stmts in
@@ -642,7 +691,7 @@ let test_candidates_compile_from_ids () =
   let config = { config with min_path_freq = 5 } in
   List.iter
     (fun (kind, stmts) ->
-      let cands = Miner.candidates ~config ~kind ~pairs stmts in
+      let cands = Miner.candidate_patterns (Miner.candidates ~config ~kind ~pairs stmts) in
       check_bool "some candidates" true (Pattern.Store.size cands > 0);
       Pattern.Store.iter
         (fun p ->
@@ -670,6 +719,7 @@ let suite =
     Alcotest.test_case "figure 3(b): generated rows" `Quick test_figure3_patterns;
     Alcotest.test_case "fp-tree: shared prefixes" `Quick test_fptree_shared_prefix;
     Alcotest.test_case "fp-tree: empty insert" `Quick test_fptree_empty_insert;
+    QCheck_alcotest.to_alcotest prop_fptree_matches_reference;
     Alcotest.test_case "splitPaths: confusing" `Quick test_split_confusing;
     Alcotest.test_case "splitPaths: consistency" `Quick test_split_consistency;
     Alcotest.test_case "combinations" `Quick test_combinations;

@@ -683,22 +683,34 @@ let pin_child ~lang ~jobs ~path =
   let m = Namer.save_model (Namer.build cfg corpus) ~path in
   print_string ("\nmodel-hash " ^ m.Namer.m_hash)
 
-let test_model_hash_pin () =
+(* [runparam] is the children's OCAMLRUNPARAM, [None] to inherit ours. *)
+let check_model_hash_pin ~runparam =
+  let env =
+    match runparam with
+    | None -> Unix.environment ()
+    | Some v ->
+        Unix.environment () |> Array.to_list
+        |> List.filter (fun e -> not (String.starts_with ~prefix:"OCAMLRUNPARAM=" e))
+        |> List.cons ("OCAMLRUNPARAM=" ^ v)
+        |> Array.of_list
+  in
   List.iter
     (fun (lang, pinned) ->
       List.iter
         (fun jobs ->
           let path = model_path () in
           let exe = Sys.executable_name in
-          let ic =
-            Unix.open_process_args_in exe
+          let ((ic, _, err) as child) =
+            Unix.open_process_args_full exe
               [| exe; "model-pin"; Corpus.lang_name lang; string_of_int jobs; path |]
+              env
           in
           (* the hash is the last line: module set-up may print before it *)
           let hash =
             In_channel.input_all ic |> String.split_on_char '\n' |> List.rev |> List.hd
           in
-          let status = Unix.close_process_in ic in
+          ignore (In_channel.input_all err);
+          let status = Unix.close_process_full child in
           Sys.remove path;
           check_bool "the training process exits 0" true (status = Unix.WEXITED 0);
           check_string
@@ -707,6 +719,13 @@ let test_model_hash_pin () =
             hash)
         [ 1; 4 ])
     pinned_model_hashes
+
+let test_model_hash_pin () = check_model_hash_pin ~runparam:None
+
+(* Randomized hash tables ([OCAMLRUNPARAM=R]) change every [Hashtbl]'s
+   iteration order.  No training step may let that order reach the model:
+   the FP-tree visits children in a fixed order of its own. *)
+let test_model_hash_pin_randomized () = check_model_hash_pin ~runparam:(Some "R")
 
 (* -------- the anchored matcher -------- *)
 
@@ -853,6 +872,8 @@ let suite =
     Alcotest.test_case "cache: index grows past its first table" `Quick
       test_cache_index_grows;
     Alcotest.test_case "model hash pin (jobs=1, jobs=4)" `Quick test_model_hash_pin;
+    Alcotest.test_case "model hash pin under OCAMLRUNPARAM=R" `Quick
+      test_model_hash_pin_randomized;
     Alcotest.test_case "per-file stage alloc same at jobs=1 and 2" `Quick
       test_per_file_alloc_across_jobs;
     Alcotest.test_case "matcher: check counters bounded" `Quick test_match_checks_counters;

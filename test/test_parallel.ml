@@ -328,6 +328,66 @@ let test_shard_by_key_runs () =
         repos)
     plan
 
+(* The list planners [Shard] had before the index-range planner, kept as
+   the reference for its boundaries: runs (one element each, or one per
+   key run) packed greedily, a shard closing once the next run would take
+   it past [ceil (n / shards)] elements. *)
+let ref_pack ~target runs =
+  let flush cur acc = if cur = [] then acc else List.concat (List.rev cur) :: acc in
+  let shards, cur, _ =
+    List.fold_left
+      (fun (acc, cur, cur_len) (run, run_len) ->
+        if cur_len > 0 && cur_len + run_len > target then (flush cur acc, [ run ], run_len)
+        else (acc, run :: cur, cur_len + run_len))
+      ([], [], 0) runs
+  in
+  List.rev (flush cur shards)
+
+let ref_contiguous_by_key ~shards ~key xs =
+  let n = List.length xs in
+  if n = 0 then []
+  else begin
+    let target = (n + max 1 shards - 1) / max 1 shards in
+    let runs =
+      List.fold_left
+        (fun acc x ->
+          match acc with
+          | (k, run) :: rest when String.equal k (key x) -> (k, x :: run) :: rest
+          | _ -> (key x, [ x ]) :: acc)
+        [] xs
+      |> List.rev_map (fun (_, run) -> (List.rev run, List.length run))
+    in
+    ref_pack ~target runs
+  end
+
+(* Range boundaries as shard lengths. *)
+let lengths ranges = List.map (fun (lo, hi) -> hi - lo) ranges
+
+let prop_ranges_match_list_plans =
+  QCheck.Test.make ~name:"parallel: range plans = the list plans they replaced" ~count:300
+    QCheck.(triple (list_of_size Gen.(int_range 0 200) (int_range 0 5)) (int_range 1 40) bool)
+    (fun (keys, shards, keyed) ->
+      (* [keys] are key-run labels: consecutive equal labels form a run *)
+      let xs = List.mapi (fun i k -> (string_of_int k, i)) keys in
+      let a = Array.of_list xs in
+      let n = Array.length a in
+      let key = if keyed then fst else fun (_, i) -> string_of_int i in
+      let expect = List.map List.length (ref_contiguous_by_key ~shards ~key xs) in
+      let ranges =
+        if keyed then Shard.ranges_by_key ~shards ~key:(fun i -> key a.(i)) n
+        else Shard.ranges ~shards n
+      in
+      let plan =
+        if keyed then Shard.contiguous_by_key ~shards ~key xs else Shard.contiguous ~shards xs
+      in
+      let contiguous, covered =
+        List.fold_left (fun (ok, at) (lo, hi) -> (ok && lo = at && hi > lo, hi)) (true, 0) ranges
+      in
+      lengths ranges = expect
+      && List.map List.length plan = expect
+      && List.concat plan = xs
+      && contiguous && covered = n)
+
 let prop_shard_merge_deterministic =
   QCheck.Test.make ~name:"parallel: counter reduce independent of shard count"
     ~count:50
@@ -493,6 +553,7 @@ let suite =
       test_telemetry_registries_reused;
     Alcotest.test_case "shard concat identity" `Quick test_shard_concat_identity;
     Alcotest.test_case "sharding never splits a key run" `Quick test_shard_by_key_runs;
+    QCheck_alcotest.to_alcotest prop_ranges_match_list_plans;
     QCheck_alcotest.to_alcotest prop_shard_merge_deterministic;
     QCheck_alcotest.to_alcotest prop_shard_concat_map_order;
     Alcotest.test_case "jobs=1 ≡ jobs=4 on a corpus" `Slow test_jobs_byte_equality;

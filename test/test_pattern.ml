@@ -133,7 +133,11 @@ let test_store_dedup () =
   check_int "same canonical form, same id" id1 id2;
   check_int "store size" 1 (Pattern.Store.size store);
   let id3 = Pattern.Store.add store ex38_pattern in
-  check_bool "distinct patterns distinct ids" true (id3 <> id1)
+  check_bool "distinct patterns distinct ids" true (id3 <> id1);
+  (* a loaded store: [add] deduplicates against what [of_list] put in *)
+  let loaded = Pattern.Store.of_list [ ex38_pattern; figure2_pattern ] in
+  check_int "of_list keeps list order" 1 (Pattern.Store.add loaded figure2_pattern);
+  check_int "nothing added" 2 (Pattern.Store.size loaded)
 
 let test_store_candidates () =
   let store = Pattern.Store.create () in
